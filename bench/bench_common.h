@@ -49,7 +49,13 @@ inline std::string Int(int64_t v) { return std::to_string(v); }
 inline std::string Uint(uint64_t v) { return std::to_string(v); }
 inline std::string Bool(bool v) { return v ? "true" : "false"; }
 inline std::string Str(std::string_view s) {
-  return "\"" + obs::JsonEscape(s) + "\"";
+  // reserve/append rather than a `"\"" + ... + "\""` chain: GCC 12's
+  // -O3 -Wrestrict misfires on the chained operator+ temporaries.
+  std::string escaped = obs::JsonEscape(s);
+  std::string out;
+  out.reserve(escaped.size() + 2);
+  out.append(1, '"').append(escaped).append(1, '"');
+  return out;
 }
 
 /// One key -> pre-encoded-JSON-value row (order preserved on output).

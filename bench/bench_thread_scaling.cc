@@ -5,19 +5,12 @@
 // second). The determinism contract means every thread count produces
 // the same clustering -- iteration counts are asserted equal across the
 // sweep, so the speedup column compares identical work.
-//
-// A second sweep holds the thread count fixed and squeezes the gain
-// memo's byte budget (unbounded / 50% / 10% of the full table),
-// reporting the hit rate and throughput at each point. Eviction is
-// result-neutral by construction (a non-resident stripe just
-// recomputes), so iteration counts are asserted equal here too.
 #include <cstdio>
 #include <iostream>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "src/core/floc.h"
-#include "src/core/gain_memo.h"
 #include "src/data/synthetic.h"
 #include "src/eval/table.h"
 #include "src/obs/metrics.h"
@@ -149,111 +142,5 @@ int main(int argc, char** argv) {
       "\nGain determination dominates at these sizes, so time should\n"
       "shrink with threads; the apply sweep is inherently sequential\n"
       "(Amdahl bounds the speedup below linear).\n");
-
-  // Memo-budget sweep: the same workload at a fixed thread count with
-  // the gain memo's byte budget squeezed to 100% (unbounded), 50%, and
-  // 10% of the full table. Heat-based eviction keeps the hottest
-  // clusters' stripes resident; everything else recomputes, which is
-  // bit-identical, so the iteration counts must not move. The hit rate
-  // comes from the floc.gain_evals_* counters (the same source the perf
-  // report uses).
-  const int sweep_threads = thread_counts.back();
-  obs::Counter* memo_served = obs::MetricsRegistry::Global().GetCounter(
-      "floc.gain_evals_served_from_cache");
-  obs::Counter* memo_recomputed =
-      obs::MetricsRegistry::Global().GetCounter("floc.gain_evals_recomputed");
-  std::vector<int> budget_pcts = {100, 50, 10};
-
-  std::printf(
-      "\nMemo-budget sweep (t=%d): hit rate and throughput as the gain\n"
-      "memo shrinks below the full table. Results are identical at every\n"
-      "budget; only the served/recomputed split moves.\n\n",
-      sweep_threads);
-  TextTable budgets({"size", "budget", "bytes", "hit rate", "items/s", "s"});
-
-  for (const MatrixSpec& spec : sizes) {
-    SyntheticConfig data_config;
-    data_config.rows = spec.rows;
-    data_config.cols = spec.cols;
-    data_config.num_clusters = 50;
-    data_config.volume_mean = (0.04 * spec.rows) * (0.1 * spec.cols);
-    data_config.noise_stddev = 2.0;
-    data_config.seed = 17;
-    SyntheticDataset data = GenerateSynthetic(data_config);
-
-    // Full table footprint: one Entry per (row|col, cluster) pair.
-    const size_t full_bytes =
-        (spec.rows + spec.cols) * k * sizeof(GainMemo::Entry);
-    size_t unbounded_iterations = 0;
-    for (int pct : budget_pcts) {
-      FlocConfig config;
-      config.num_clusters = k;
-      config.seeding.row_probability = 0.05;
-      config.seeding.col_probability = 0.2;
-      config.ordering = ActionOrdering::kWeightedRandom;
-      config.refine_passes = 0;
-      // Unlike the thread sweep above, keep fresh_gains_at_apply at its
-      // default (true): re-evaluating gains during the apply sweep is
-      // the path the memo exists to serve -- with stale-gain apply the
-      // hit rate is 0 at every budget and the sweep measures nothing.
-      config.relative_improvement = 0.01;
-      config.reseed_rounds = 0;
-      config.threads = sweep_threads;
-      config.rng_seed = 29;
-      config.memo_budget_bytes =
-          pct == 100 ? 0 : full_bytes * static_cast<size_t>(pct) / 100;
-
-      uint64_t served_before = memo_served->Value();
-      uint64_t recomputed_before = memo_recomputed->Value();
-      FlocResult result = Floc(config).Run(data.matrix);
-      double served =
-          static_cast<double>(memo_served->Value() - served_before);
-      double recomputed =
-          static_cast<double>(memo_recomputed->Value() - recomputed_before);
-      double lookups = served + recomputed;
-      double hit_rate = lookups > 0.0 ? served / lookups : 0.0;
-
-      if (pct == 100) {
-        unbounded_iterations = result.iterations;
-      } else if (result.iterations != unbounded_iterations) {
-        std::fprintf(stderr,
-                     "thread_scaling: MEMO-EVICTION RESULT DRIFT at %s "
-                     "budget=%d%% (%zu vs %zu iterations)\n",
-                     spec.label, pct, result.iterations,
-                     unbounded_iterations);
-        return 1;
-      }
-      double items = static_cast<double>(result.iterations) *
-                     static_cast<double>(spec.rows + spec.cols);
-      double items_per_second =
-          result.elapsed_seconds > 0.0 ? items / result.elapsed_seconds : 0.0;
-      size_t budget_bytes =
-          pct == 100 ? full_bytes
-                     : full_bytes * static_cast<size_t>(pct) / 100;
-      budgets.AddRow({spec.label,
-                      pct == 100 ? "unbounded" : std::to_string(pct) + "%",
-                      std::to_string(budget_bytes),
-                      TextTable::Num(hit_rate * 100.0, 1) + "%",
-                      TextTable::Num(items_per_second, 0),
-                      TextTable::Num(result.elapsed_seconds, 2)});
-      report.AddResult(
-          {{"rows", bench::Uint(spec.rows)},
-           {"cols", bench::Uint(spec.cols)},
-           {"threads", bench::Int(sweep_threads)},
-           {"memo_budget_pct", bench::Int(pct)},
-           {"memo_budget_bytes", bench::Uint(budget_bytes)},
-           {"iterations", bench::Uint(result.iterations)},
-           {"seconds", bench::Num(result.elapsed_seconds)},
-           {"items_per_second", bench::Num(items_per_second)},
-           {"memo_hit_rate", bench::Num(hit_rate)}});
-      std::fflush(stdout);
-    }
-  }
-
-  std::printf("Gain-memo budget sweep (t=%d)\n", sweep_threads);
-  budgets.Print(std::cout);
-  std::printf(
-      "\nThe hit rate falls as stripes are evicted; the clustering does\n"
-      "not move (eviction only forces bit-identical recomputes).\n");
   return 0;
 }

@@ -7,6 +7,8 @@
 #   format  clang-format --dry-run over all tracked C++ sources
 #   tidy    clang-tidy (config: .clang-tidy) over src/ tools/ tests/ bench/
 #   build   default preset: configure, build, ctest
+#   release Release preset (-O3 -DNDEBUG, -Werror): configure, build,
+#           ctest -- some GCC warnings only fire at full optimization
 #   asan    ASan+UBSan preset: configure, build, ctest
 #   tsan    TSan preset: configure, build, ctest
 #   ubsan   standalone strict-UBSan preset: configure, build, ctest
@@ -113,6 +115,7 @@ run_preset() {
 }
 
 stage_build() { run_preset default; }
+stage_release() { run_preset release; }
 stage_asan()  { run_preset asan; }
 stage_tsan()  { run_preset tsan; }
 stage_ubsan() { run_preset ubsan; }
@@ -188,21 +191,21 @@ stage_bench() {
   # pre-optimization baseline. Compares two checked-in records, so this
   # is deterministic and fast; refresh the *_pr5 record (and, if the
   # floor moves, the assertion) when the kernels change materially.
-  if python3 scripts/bench_compare.py \
+  if python3 tools/dcstat.py diff \
         bench/trajectory/BENCH_micro_kernels_pre_pr5.json \
         bench/trajectory/BENCH_micro_kernels_pr5.json \
         --min-ratio 'BM_GainEval(RowToggleTall|ColToggleWide)$=2.0' \
         --min-ratio 'BM_GainDetermination/1=2.0'; then
     echo "bench: trajectory speedups hold"
   else
-    fail "bench trajectory comparison (scripts/bench_compare.py)"
+    fail "bench trajectory comparison (tools/dcstat.py diff)"
   fi
   # Storage-layer tax gate (PR 8): the hot kernels after the pluggable
   # storage refactor must hold >= 0.95x of the immediately-pre-refactor
   # record (pr7 and pr8 were recorded back-to-back on one machine, so
   # the comparison is apples-to-apples). Deterministic: compares two
   # checked-in records.
-  if python3 scripts/bench_compare.py \
+  if python3 tools/dcstat.py diff \
         bench/trajectory/BENCH_micro_kernels_pr7.json \
         bench/trajectory/BENCH_micro_kernels_pr8.json \
         --min-ratio 'BM_GainEval(RowToggleTall|ColToggleWide)$=0.95' \
@@ -219,7 +222,7 @@ stage_bench() {
   # pr8 record was taken under different machine conditions, so it is
   # not apples-to-apples). Deterministic: compares two checked-in
   # records.
-  if python3 scripts/bench_compare.py \
+  if python3 tools/dcstat.py diff \
         bench/trajectory/BENCH_micro_kernels_pre_pr9.json \
         bench/trajectory/BENCH_micro_kernels_pr9.json \
         --min-ratio 'BM_GainEval(RowToggleTall|ColToggleWide)$=0.95' \
@@ -239,7 +242,7 @@ stage_bench() {
   # to lose); whole FLOC runs >= 1.1x and the memoless determination
   # sweep >= 1.4x pin the SIMD win end to end. Deterministic: compares
   # two checked-in records.
-  if python3 scripts/bench_compare.py \
+  if python3 tools/dcstat.py diff \
         bench/trajectory/BENCH_micro_kernels_pre_pr10.json \
         bench/trajectory/BENCH_micro_kernels_pr10.json \
         --min-ratio 'BM_GainApply=2.0' \
@@ -255,7 +258,7 @@ stage_bench() {
   # the 500-row configurations >= 1.2x and the tiny 100-row ones (4-8
   # ms end to end, dominated by setup) no worse than noise.
   # Deterministic: compares two checked-in records.
-  if python3 scripts/bench_compare.py \
+  if python3 tools/dcstat.py diff \
         bench/trajectory/BENCH_table2_3_scaling_pre_pr10.json \
         bench/trajectory/BENCH_table2_3_scaling_pr10.json \
         --min-ratio 'run:cols=50=1.2' \
@@ -275,7 +278,7 @@ stage_bench() {
   out="$(mktemp -d)"
   if ./build/bench/bench_load_path --quick \
         --json-out="$out/BENCH_load_path.json" >/dev/null \
-      && python3 scripts/bench_compare.py \
+      && python3 tools/dcstat.py diff \
         bench/trajectory/BENCH_load_path_pr8.json \
         "$out/BENCH_load_path.json" \
         --min-ratio '^BM_Load=0.33'; then
@@ -285,7 +288,7 @@ stage_bench() {
   fi
   rm -rf "$out"
   # Whole-run floor: a fresh quick Table-2/3 end-to-end run must stay
-  # within 3x of the checked-in record (bench_compare synthesizes
+  # within 3x of the checked-in record (dcstat diff synthesizes
   # "run:cols=.../k=.../rows=..." names from the row parameters). The
   # 0.33 floor is deliberately loose -- it tolerates slower CI hardware
   # while still catching order-of-magnitude end-to-end regressions that
@@ -296,7 +299,7 @@ stage_bench() {
   out="$(mktemp -d)"
   if ./build/bench/bench_table2_3_scaling --quick \
         --json-out="$out/BENCH_table2_3_scaling.json" >/dev/null \
-      && python3 scripts/bench_compare.py \
+      && python3 tools/dcstat.py diff \
         bench/trajectory/BENCH_table2_3_scaling_pr6.json \
         "$out/BENCH_table2_3_scaling.json" \
         --min-ratio '^run:=0.33'; then
@@ -308,12 +311,12 @@ stage_bench() {
 }
 
 STAGES=("$@")
-[ ${#STAGES[@]} -eq 0 ] && STAGES=(lint format tidy build asan tsan ubsan audit bench)
+[ ${#STAGES[@]} -eq 0 ] && STAGES=(lint format tidy build release asan tsan ubsan audit bench)
 
 for stage in "${STAGES[@]}"; do
   case "$stage" in
-    lint|format|tidy|build|asan|tsan|ubsan|audit|bench) "stage_$stage" ;;
-    *) echo "unknown stage: $stage (expected: lint format tidy build asan tsan ubsan audit bench)"; exit 2 ;;
+    lint|format|tidy|build|release|asan|tsan|ubsan|audit|bench) "stage_$stage" ;;
+    *) echo "unknown stage: $stage (expected: lint format tidy build release asan tsan ubsan audit bench)"; exit 2 ;;
   esac
 done
 

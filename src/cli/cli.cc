@@ -45,9 +45,9 @@ commands:
             [--min-rows N] [--min-cols N] [--max-overlap F]
             [--ordering fixed|random|weighted] [--paper-mode]
             [--refine N] [--reseed N] [--threads N] [--seed S]
-            [--dedupe F] [--memoize 0|1] --out clusters.txt
+            [--dedupe F] --out clusters.txt
             session control (see DESIGN.md, "The session layer"):
-            [--deadline-s S] [--max-iterations N] [--memo-budget-mb M]
+            [--deadline-s S] [--max-iterations N]
             [--checkpoint ckpt.dcs] [--resume ckpt.dcs]
             [--session-status[=status.json]]
             --deadline-s and --max-iterations bound the run by wall
@@ -57,16 +57,11 @@ commands:
             report. --checkpoint writes a resumable .dcs session
             snapshot when a budget stops the run; --resume continues
             one, and the resumed run's output is byte-identical to the
-            uninterrupted run's. --memo-budget-mb caps the gain memo's
-            resident bytes (0 = unbounded; eviction never changes
-            results). --session-status prints the final session status
-            as JSON (with =PATH, writes it; feed to tools/dcstat.py).
-            Environment defaults (flag wins): DELTACLUS_DEADLINE_S,
-            DELTACLUS_MAX_ITERATIONS, DELTACLUS_MEMO_BUDGET_MB,
+            uninterrupted run's. --session-status prints the final
+            session status as JSON (with =PATH, writes it; feed to
+            tools/dcstat.py). Environment defaults (flag wins):
+            DELTACLUS_DEADLINE_S, DELTACLUS_MAX_ITERATIONS,
             DELTACLUS_CHECKPOINT, DELTACLUS_RESUME.
-            --memoize 0 disables the epoch-stamped gain memo (default
-            on; results are identical either way, this is an ablation
-            and debugging switch).
             --threads N sizes the execution engine (default 1; 0 = all
             hardware threads; results are bit-identical at any count).
             The DELTACLUS_THREADS environment variable supplies the
@@ -361,7 +356,6 @@ int CmdMine(FlagParser& flags, std::ostream& out, std::ostream& err) {
   // default, all through the same checked parser. 0 means unbounded.
   double deadline_s = 0.0;
   double max_iterations = 0.0;
-  double memo_budget_mb = 0.0;
   if (int rc = ParseSizeFlag(flags, "deadline-s", "DELTACLUS_DEADLINE_S",
                              /*integer=*/false, 0.0, &deadline_s, err)) {
     return rc;
@@ -371,17 +365,8 @@ int CmdMine(FlagParser& flags, std::ostream& out, std::ostream& err) {
                              /*integer=*/true, 0.0, &max_iterations, err)) {
     return rc;
   }
-  // Fractional megabytes are deliberate: test-sized matrices have memo
-  // tables far below 1 MiB, so meaningful budgets there are fractional.
-  if (int rc = ParseSizeFlag(flags, "memo-budget-mb",
-                             "DELTACLUS_MEMO_BUDGET_MB",
-                             /*integer=*/false, 0.0, &memo_budget_mb, err)) {
-    return rc;
-  }
   config.deadline_seconds = deadline_s;
   config.max_total_iterations = static_cast<size_t>(max_iterations);
-  config.memo_budget_bytes =
-      static_cast<size_t>(memo_budget_mb * 1024.0 * 1024.0);
   // Checkpoint/resume paths follow the same flag > env precedence.
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   const char* checkpoint_env = std::getenv("DELTACLUS_CHECKPOINT");
@@ -392,9 +377,6 @@ int CmdMine(FlagParser& flags, std::ostream& out, std::ostream& err) {
   std::string resume_path =
       flags.StringOr("resume", resume_env != nullptr ? resume_env : "");
   config.rng_seed = static_cast<uint64_t>(flags.IntOr("seed", 1));
-  // Gain memoization (FlocConfig::memoize_gains): on by default, 0
-  // disables for ablation -- outputs are identical either way.
-  config.memoize_gains = flags.IntOr("memoize", 1) != 0;
   // Paper-literal mode: stale decisions and forced negative actions.
   if (flags.GetBool("paper-mode")) {
     config.fresh_gains_at_apply = false;
@@ -484,6 +466,11 @@ int CmdMine(FlagParser& flags, std::ostream& out, std::ostream& err) {
     matrix = ReadMatrixFile(*input, backend);
   } catch (const std::exception& e) {
     err << "error: " << e.what() << "\n";
+    return 2;
+  }
+  if (matrix.rows() == 0 || matrix.cols() == 0) {
+    err << "error: empty matrix in " << *input << " (" << matrix.rows()
+        << "x" << matrix.cols() << "): nothing to mine\n";
     return 2;
   }
   out << "mining " << matrix.rows() << "x" << matrix.cols() << " matrix ("

@@ -118,17 +118,6 @@ struct FlocConfig {
   /// an ablation. Stale decisions converge visibly worse.
   bool fresh_gains_at_apply = true;
 
-  /// If true (default), after-toggle residue evaluations are memoized
-  /// per (entity, cluster), keyed by the cluster's membership epoch
-  /// (src/core/gain_memo.h): a sweep re-evaluates only pairs whose
-  /// cluster changed since the last evaluation and serves the rest from
-  /// cache, bit-identical to recomputing (audit mode cross-checks every
-  /// hit). The main beneficiary is the apply sweep's fresh re-decisions,
-  /// which hit the entries the determination sweep just wrote for every
-  /// cluster not yet mutated. Off is an ablation/debugging escape hatch;
-  /// results are identical either way.
-  bool memoize_gains = true;
-
   /// The paper performs a row/column's best action even when its gain is
   /// negative, hoping the temporary degradation enables a bigger gain
   /// later (Section 4.1) -- the per-action best-prefix snapshot bounds
@@ -195,15 +184,6 @@ struct FlocConfig {
   /// best clustering so far. The natural checkpoint knob: run N
   /// iterations, checkpoint, resume later.
   size_t max_total_iterations = 0;
-
-  /// Byte budget for the gain memo's entry table (0 = unbounded, the
-  /// pre-budget behaviour). Under a budget only a subset of clusters has
-  /// resident memo stripes -- re-picked each iteration by churn heat,
-  /// hottest evicted first (see GainMemo::Rebalance) -- and evaluations
-  /// against non-resident clusters recompute exactly as with memoization
-  /// off, so the budget trades cache hit rate for memory without ever
-  /// changing results. Only consulted when memoize_gains is true.
-  size_t memo_budget_bytes = 0;
 
   /// Optional cooperative cancellation token (non-owning; must outlive
   /// the run). May be fired from any thread; the run polls it at session

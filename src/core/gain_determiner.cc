@@ -53,8 +53,7 @@ Action BestActionFor(bool is_row, size_t index, const GainContext& ctx,
     }
     size_t new_volume = 0;
     double after_residue = 0.0;
-    // Slot() is null for non-resident clusters under a memo byte budget;
-    // that path is identical to having no memo at all.
+    // No memo (the reference path) always recomputes.
     GainMemo::Entry* slot =
         ctx.memo != nullptr ? ctx.memo->Slot(is_row, index, c) : nullptr;
     uint64_t epoch = views[c].epoch();

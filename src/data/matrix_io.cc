@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -89,23 +90,32 @@ DataMatrix ReadCsv(std::istream& is, const std::string& missing_token) {
           ": has " + std::to_string(fields.size()) + " fields but line " +
           std::to_string(first_row_line) + " has " + std::to_string(cols));
     }
-    for (const std::string& raw : fields) {
-      std::string f = Trim(raw);
+    for (size_t col = 0; col < fields.size(); ++col) {
+      std::string f = Trim(fields[col]);
       if (f.empty() || f == missing_token) {
         values.push_back(0.0);
         mask.push_back(0);
         continue;
       }
+      // Out-of-range (1e400), trailing junk, and non-finite spellings
+      // (nan, inf) are all rejected: a specified cell must be a finite
+      // double, or every residue that touches it turns into nan.
+      double v = 0.0;
       try {
         size_t pos = 0;
-        double v = std::stod(f, &pos);
+        v = std::stod(f, &pos);
         if (pos != f.size()) throw std::invalid_argument(f);
-        values.push_back(v);
-        mask.push_back(1);
       } catch (const std::exception&) {
-        throw std::runtime_error("ReadCsv: bad number '" + f +
-                                 "' at line " + std::to_string(line_no));
+        v = std::numeric_limits<double>::quiet_NaN();
       }
+      if (!std::isfinite(v)) {
+        throw std::runtime_error("ReadCsv: bad number '" + f +
+                                 "' at line " + std::to_string(line_no) +
+                                 ", column " + std::to_string(col + 1) +
+                                 " (cells must be finite numbers)");
+      }
+      values.push_back(v);
+      mask.push_back(1);
     }
     ++rows;
   }

@@ -39,6 +39,7 @@ struct PoolMetrics {
 
 int ResolveThreads(int configured) {
   if (configured > 0) return configured;
+  if (configured < 0) return 1;
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

@@ -27,7 +27,6 @@ struct SessionMetrics {
   obs::Counter* steps;
   obs::Counter* checkpoints_written;
   obs::Counter* restores;
-  obs::Counter* memo_evictions;
   obs::Counter* constraints_disabled;
   obs::Gauge* memo_resident_bytes;
 
@@ -38,7 +37,6 @@ struct SessionMetrics {
           r.GetCounter("floc.session.steps"),
           r.GetCounter("floc.session.checkpoints_written"),
           r.GetCounter("floc.session.restores"),
-          r.GetCounter("floc.session.memo_evictions"),
           r.GetCounter("floc.constraints.disabled"),
           r.GetGauge("floc.session.memo_resident_bytes"),
       };
@@ -102,8 +100,6 @@ void SessionStatus::WriteJson(std::ostream& out) const {
   w.Key("iterations").Uint(iterations);
   w.Key("best_average_score").Number(best_average_score);
   w.Key("memo_resident_bytes").Uint(memo_resident_bytes);
-  w.Key("memo_budget_bytes").Uint(memo_budget_bytes);
-  w.Key("memo_evictions").Uint(memo_evictions);
   w.Key("pane_bytes").Uint(pane_bytes);
   w.Key("elapsed_seconds").Number(elapsed_seconds);
   w.Key("done").Bool(done);
@@ -128,9 +124,8 @@ MiningSession::MiningSession(Floc* floc, const DataMatrix& matrix,
       collector_(floc->config_.telemetry, floc->config_.telemetry_sink),
       engine_(floc->config_.norm),
       pool_(floc->EnsurePool()),
-      memo_(floc->config_.memoize_gains ? &gain_memo_ : nullptr),
       determiner_(floc->config_.norm, floc->config_.target_residue, pool_,
-                  engine::EngineConfig::kDefaultSerialCutoff, memo_,
+                  engine::EngineConfig::kDefaultSerialCutoff, &gain_memo_,
                   floc->config_.audit),
       scheduler_(floc->config_.ordering),
       applier_(
@@ -138,7 +133,7 @@ MiningSession::MiningSession(Floc* floc, const DataMatrix& matrix,
           [](void* self, const ClusterWorkspace& ws) {
             static_cast<const Floc*>(self)->MaybeAudit(ws, "move_phase");
           },
-          floc, memo_),
+          floc, &gain_memo_),
       tracker_(matrix, floc->config_.constraints) {
   // Samples the registry counters now (unless StartSession already did,
   // before seeding) so the perf report reflects only this run's deltas.
@@ -153,16 +148,9 @@ MiningSession::MiningSession(Floc* floc, const DataMatrix& matrix,
     return;
   }
 
-  if (memo_ != nullptr) {
-    gain_memo_.Configure(matrix.rows(), matrix.cols(), k_,
-                         config_.memo_budget_bytes);
-    if (config_.audit && config_.memo_budget_bytes > 0) {
-      DC_CHECK(gain_memo_.bytes() <= config_.memo_budget_bytes)
-          << "gain memo table (" << gain_memo_.bytes()
-          << " bytes) exceeds its budget (" << config_.memo_budget_bytes
-          << ")";
-    }
-  }
+  gain_memo_.Configure(matrix.rows(), matrix.cols(), k_);
+  SessionMetrics::Get().memo_resident_bytes->Set(
+      static_cast<double>(gain_memo_.bytes()));
 
   views_.reserve(k_);
   for (Cluster& seed : seeds) {
@@ -202,7 +190,6 @@ MiningSession::MiningSession(Floc* floc, const DataMatrix& matrix,
   scores_.resize(k_);
   score_sum_ = RecomputeScores();
   SnapshotBest();
-  heat_.assign(k_, 0);
   // Conservative: construction (and a checkpoint restore below, which
   // overwrites stats with captured incremental bits) leaves stats whose
   // bit-equality with a canonical rebuild is unknown, so the first
@@ -240,7 +227,6 @@ MiningSession::MiningSession(Floc* floc, const DataMatrix& matrix,
       saved_.push_back(ClusterFromMembers(matrix, m));
     }
     saved_scores_ = cp.saved_scores;
-    heat_ = cp.heat;
     // Overwrite the freshly built (canonical) stats with the captured
     // incremental bits, then recompute the scores from them: at every
     // step boundary the live scores are exactly RecomputeScores() over
@@ -337,25 +323,6 @@ void MiningSession::StepMove() {
   DC_TRACE_SPAN("floc/move_phase");
   Stopwatch phase_watch;
 
-  // Budgeted memo residency: re-pick the resident stripes from last
-  // iteration's churn heat before the sweeps run (performance-only --
-  // entries are served on exact epoch match, so residency can never
-  // change which actions are chosen).
-  if (memo_ != nullptr && gain_memo_.budget_bytes() > 0) {
-    gain_memo_.Rebalance(heat_);
-    const SessionMetrics& sm = SessionMetrics::Get();
-    uint64_t evictions = gain_memo_.evictions();
-    sm.memo_evictions->Inc(evictions - memo_evictions_seen_);
-    memo_evictions_seen_ = evictions;
-    sm.memo_resident_bytes->Set(static_cast<double>(gain_memo_.bytes()));
-    if (config_.audit) {
-      DC_CHECK(gain_memo_.bytes() <= gain_memo_.budget_bytes())
-          << "gain memo table (" << gain_memo_.bytes()
-          << " bytes) exceeds its budget (" << gain_memo_.budget_bytes()
-          << ")";
-    }
-  }
-
   {
     DC_TRACE_SPAN("floc/iteration");
     Stopwatch iter_watch;
@@ -369,19 +336,15 @@ void MiningSession::StepMove() {
     // rewind skipped them as clean) are served wholesale from the gain
     // memo below: every (entity, cluster) stripe still carries a
     // matching stamp, so the determiner performs zero rescans of them.
-    if (memo_ != nullptr) {
-      uint64_t clean = 0;
-      for (size_t c = 0; c < k_; ++c) {
-        if (last_sweep_epoch_[c] != 0 &&
-            views_[c].epoch() == last_sweep_epoch_[c]) {
-          ++clean;
-        }
-      }
-      FlocMetrics::Get().clusters_skipped_clean->Inc(clean);
-    }
+    uint64_t clean = 0;
     for (size_t c = 0; c < k_; ++c) {
+      if (last_sweep_epoch_[c] != 0 &&
+          views_[c].epoch() == last_sweep_epoch_[c]) {
+        ++clean;
+      }
       last_sweep_epoch_[c] = views_[c].epoch();
     }
+    FlocMetrics::Get().clusters_skipped_clean->Inc(clean);
 
     // --- Determine the best action for every row and column. ---
     Stopwatch determine_watch;
@@ -456,14 +419,6 @@ void MiningSession::StepMove() {
     }
     double apply_seconds = apply_watch.ElapsedSeconds();
     collector_.run().apply_seconds += apply_seconds;
-
-    // Memo churn heat: exponential decay plus this sweep's applied
-    // toggles per cluster (a hot cluster invalidates its own stripe
-    // constantly, so under a budget it is the *worst* cache citizen).
-    if (memo_ != nullptr && gain_memo_.budget_bytes() > 0) {
-      for (uint64_t& h : heat_) h /= 2;
-      for (const AppliedAction& act : applied) ++heat_[act.cluster];
-    }
 
     double needed =
         std::max(config_.min_improvement,
@@ -682,8 +637,6 @@ SessionStatus MiningSession::Status() const {
   s.iterations = result_.iterations;
   s.best_average_score = best_average_;
   s.memo_resident_bytes = gain_memo_.bytes();
-  s.memo_budget_bytes = gain_memo_.budget_bytes();
-  s.memo_evictions = gain_memo_.evictions();
   uint64_t pane_bytes = 0;
   for (const ClusterWorkspace& v : views_) pane_bytes += v.PaneBytes();
   s.pane_bytes = pane_bytes;
@@ -745,7 +698,6 @@ void MiningSession::Checkpoint(const std::string& path) const {
   cp.saved.reserve(saved_.size());
   for (const Cluster& c : saved_) cp.saved.push_back(MembersOf(c));
   cp.saved_scores = saved_scores_;
-  cp.heat = heat_;
   WriteSessionCheckpoint(cp, path);
   SessionMetrics::Get().checkpoints_written->Inc();
 }

@@ -55,16 +55,6 @@
 // bit-for-bit: scores are pure functions of the restored stats bits,
 // and the epoch-stamped caches of a restored workspace simply start
 // cold, recomputing exactly what a warm one would have served.
-//
-// The memo byte budget (FlocConfig::memo_budget_bytes) caps the gain
-// memo's entry table: under a budget only the `coolest` clusters (least
-// membership churn, measured by an exponentially-decayed applied-action
-// count) keep resident memo stripes, re-picked at each move-iteration
-// start (GainMemo::Rebalance). Eviction can never change results --
-// entries are only ever served on an exact epoch match, so a missing
-// stripe just recomputes -- which audit mode re-proves by DC_CHECKing
-// the table never exceeds the budget while the clusters mined stay
-// byte-identical (tests/session_test.cc).
 #ifndef DELTACLUS_SESSION_MINING_SESSION_H_
 #define DELTACLUS_SESSION_MINING_SESSION_H_
 
@@ -123,8 +113,6 @@ struct SessionStatus {
   uint64_t iterations = 0;  ///< Phase-2 iterations executed so far.
   double best_average_score = 0.0;
   uint64_t memo_resident_bytes = 0;  ///< Gain-memo entry table bytes.
-  uint64_t memo_budget_bytes = 0;    ///< 0 = unbounded.
-  uint64_t memo_evictions = 0;       ///< Stripes evicted by Rebalance.
   uint64_t pane_bytes = 0;           ///< Packed panes across all views.
   double elapsed_seconds = 0.0;      ///< Including pre-resume segments.
   bool done = false;
@@ -203,7 +191,6 @@ class MiningSession {
   ResidueEngine engine_;
   engine::ThreadPool* pool_ = nullptr;
   GainMemo gain_memo_;
-  GainMemo* memo_ = nullptr;
   GainDeterminer determiner_;
   ActionScheduler scheduler_;
   ActionApplier applier_;
@@ -228,14 +215,6 @@ class MiningSession {
   std::vector<size_t> stagnant_;
   std::vector<Cluster> saved_;
   std::vector<double> saved_scores_;
-
-  // Per-cluster memo churn heat: halved each move iteration, bumped by
-  // the iteration's applied-action count per cluster. Drives
-  // GainMemo::Rebalance under a byte budget; performance-only state
-  // (residency can never change results), but checkpointed anyway so a
-  // resumed run's cache behaviour matches the uninterrupted one.
-  std::vector<uint64_t> heat_;
-  uint64_t memo_evictions_seen_ = 0;
 
   // Cross-iteration memo reuse. stats_canonical_[c] is true when
   // views_[c]'s stats bits are known to equal a from-scratch

@@ -328,8 +328,6 @@ void WriteSessionCheckpoint(const SessionCheckpoint& cp,
   for (const ClusterMembers& m : cp.saved) w.Members(m);
   w.U64(cp.saved_scores.size());
   for (double s : cp.saved_scores) w.F64(s);
-  w.U64(cp.heat.size());
-  for (uint64_t h : cp.heat) w.U64(h);
   const std::vector<uint8_t>& payload = w.bytes();
 
   uint8_t header[kDcsHeaderBytes] = {};
@@ -475,8 +473,6 @@ SessionCheckpoint ReadSessionCheckpoint(const std::string& path,
   for (uint64_t t = 0; t < saved_scores; ++t) {
     cp.saved_scores.push_back(r.F64());
   }
-  uint64_t heat = r.U64();
-  for (uint64_t c = 0; c < heat; ++c) cp.heat.push_back(r.U64());
 
   if (cp.state > 3) {
     Reject(origin, "unknown state-machine position");
@@ -495,9 +491,6 @@ SessionCheckpoint ReadSessionCheckpoint(const std::string& path,
   }
   if (cp.pending_restore != 0 && cp.stagnant.empty()) {
     Reject(origin, "pending restore with no reseeded slots");
-  }
-  if (cp.heat.size() != static_cast<size_t>(k)) {
-    Reject(origin, "heat array length disagrees with the cluster count");
   }
   if (!r.exhausted()) {
     Reject(origin, "trailing bytes after the payload");

@@ -7,7 +7,7 @@
 //   offset  size  field
 //   ------  ----  -----------------------------------------------
 //        0     4  magic "dcs1"
-//        4     4  u32 format version (currently 1)
+//        4     4  u32 format version (currently 2)
 //        8     4  u32 endianness tag 0x01020304, written native
 //       12     4  u32 header size in bytes (128)
 //       16     8  u64 rows (of the mined matrix)
@@ -55,8 +55,7 @@
 // silently nonsensical) clustering. Fields that cannot affect mined
 // results -- threads, pool, audit, telemetry, and the session budgets
 // themselves -- stay out of the config fingerprint, so a checkpoint
-// taken on 8 threads resumes fine on 1, under a different deadline, or
-// with the memo budget changed.
+// taken on 8 threads resumes fine on 1 or under a different deadline.
 #ifndef DELTACLUS_SESSION_SESSION_FORMAT_H_
 #define DELTACLUS_SESSION_SESSION_FORMAT_H_
 
@@ -74,7 +73,7 @@ inline constexpr size_t kDcsHeaderBytes = 128;
 
 /// Format magic ("dcs1") and the current version.
 inline constexpr char kDcsMagic[4] = {'d', 'c', 's', '1'};
-inline constexpr uint32_t kDcsVersion = 1;
+inline constexpr uint32_t kDcsVersion = 2;
 
 /// One cluster's membership, as sorted parent-space id lists (the
 /// canonical form Cluster stores and Cluster::FromMembers accepts).
@@ -124,7 +123,6 @@ struct SessionCheckpoint {
   std::vector<uint64_t> stagnant;       ///< Reseeded slots (pending restore).
   std::vector<ClusterMembers> saved;    ///< Their pre-reseed memberships.
   std::vector<double> saved_scores;     ///< Their pre-reseed scores.
-  std::vector<uint64_t> heat;           ///< Per-cluster memo churn heat.
 };
 
 /// Digest over the result-affecting FlocConfig fields and the problem

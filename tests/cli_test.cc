@@ -253,6 +253,50 @@ TEST(CliTest, ThreadsEnvDefault) {
   EXPECT_EQ(sa.str(), sb.str());
 }
 
+TEST(CliTest, MineRejectsEmptyAndNonFiniteInputs) {
+  std::string empty_path = Tmp("empty.csv");
+  { std::ofstream(empty_path).flush(); }
+  CliRun empty = RunCliArgs({"mine", "--input", empty_path, "--k=3",
+                             "--out", Tmp("empty_clusters.txt")});
+  EXPECT_EQ(empty.exit_code, 2);
+  EXPECT_NE(empty.err.find("empty matrix"), std::string::npos) << empty.err;
+
+  std::string nan_path = Tmp("nan.csv");
+  { std::ofstream(nan_path) << "1,2\n3,nan\n"; }
+  CliRun nan = RunCliArgs({"mine", "--input", nan_path, "--k=1"});
+  EXPECT_EQ(nan.exit_code, 2);
+  EXPECT_NE(nan.err.find("line 2, column 2"), std::string::npos) << nan.err;
+}
+
+TEST(CliTest, ResumeRejectsCheckpointOfAnotherVersion) {
+  std::string matrix_path = Tmp("version.csv");
+  std::string checkpoint = Tmp("version.dcs");
+  ASSERT_EQ(RunCliArgs({"generate", "--rows=80", "--cols=20", "--clusters=2",
+                        "--seed=5", "--out", matrix_path})
+                .exit_code,
+            0);
+  CliRun stopped = RunCliArgs({"mine", "--input", matrix_path, "--k=4",
+                               "--seed=9", "--max-iterations=1",
+                               "--checkpoint", checkpoint});
+  ASSERT_EQ(stopped.exit_code, 0) << stopped.err;
+  ASSERT_NE(stopped.out.find("wrote session checkpoint"), std::string::npos)
+      << stopped.out;
+
+  // Rewrite the header's format version (u32 at offset 4) to 1, the
+  // previous layout.
+  std::fstream f(checkpoint, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(4);
+  const char v1[4] = {1, 0, 0, 0};
+  f.write(v1, sizeof(v1));
+  f.close();
+
+  CliRun resumed = RunCliArgs({"mine", "--input", matrix_path, "--k=4",
+                               "--seed=9", "--resume", checkpoint});
+  EXPECT_EQ(resumed.exit_code, 2);
+  EXPECT_NE(resumed.err.find("version mismatch"), std::string::npos)
+      << resumed.err;
+}
+
 TEST(CliTest, StatsRequiresFlags) {
   CliRun r = RunCliArgs({"stats"});
   EXPECT_EQ(r.exit_code, 1);

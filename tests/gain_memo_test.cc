@@ -1,15 +1,25 @@
 // Tests for the epoch-stamped gain memo (src/core/gain_memo.h) and its
 // integration into FLOC: memoization must be a pure optimization --
-// identical clusters at any thread count, with measurably less scanning
-// -- and audit mode must cross-check every served entry.
+// GainDeterminer with a memo determines the same actions as the
+// memo-less reference path, with measurably less scanning; whole runs
+// stay identical at any thread count -- and audit mode must cross-check
+// every served entry.
 #include "src/core/gain_memo.h"
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "src/core/cluster_workspace.h"
+#include "src/core/constraints.h"
 #include "src/core/floc.h"
+#include "src/core/floc_phases.h"
+#include "src/core/seeding.h"
 #include "src/data/synthetic.h"
+#include "src/engine/thread_pool.h"
 #include "src/obs/metrics.h"
+#include "src/util/rng.h"
 
 namespace deltaclus {
 namespace {
@@ -49,13 +59,62 @@ void ExpectSameClusters(const FlocResult& a, const FlocResult& b) {
   EXPECT_EQ(a.residues, b.residues);
 }
 
+// Runs the determination sweep three times over one evolving
+// clustering of Table2SmallData -- as seeded, after toggling a row of
+// cluster 0, after toggling a column of cluster 1 -- and returns every
+// sweep's actions. The clusters a toggle leaves alone keep their
+// epochs, so a memo serves their gains on the later sweeps.
+std::vector<std::vector<Action>> DetermineSweeps(const DataMatrix& matrix,
+                                                 GainMemo* memo,
+                                                 engine::ThreadPool* pool) {
+  FlocConfig config = Table2Config();
+  Rng rng(config.rng_seed);
+  std::vector<ClusterWorkspace> views;
+  for (Cluster& seed : GenerateSeeds(matrix, config.seeding,
+                                     config.num_clusters, rng)) {
+    views.emplace_back(matrix, std::move(seed));
+  }
+  if (memo != nullptr) {
+    memo->Configure(matrix.rows(), matrix.cols(), views.size());
+  }
+  ConstraintTracker tracker(matrix, config.constraints);
+  GainDeterminer determiner(config.norm, config.target_residue, pool,
+                            /*serial_cutoff=*/0, memo);
+  ResidueEngine engine(config.norm);
+
+  std::vector<std::vector<Action>> sweeps;
+  for (int sweep = 0; sweep < 3; ++sweep) {
+    if (sweep == 1) views[0].ToggleRow(0);
+    if (sweep == 2) views[1].ToggleCol(0);
+    tracker.Rebuild(views);
+    std::vector<double> scores;
+    for (const ClusterWorkspace& ws : views) {
+      scores.push_back(ObjectiveScore(engine.Residue(ws), ws.stats().Volume(),
+                                      config.target_residue));
+    }
+    sweeps.push_back(determiner.Determine(matrix, views, scores, tracker,
+                                          /*blocked=*/nullptr));
+  }
+  return sweeps;
+}
+
+void ExpectSameSweeps(const std::vector<std::vector<Action>>& a,
+                      const std::vector<std::vector<Action>>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t s = 0; s < a.size(); ++s) {
+    ASSERT_EQ(a[s].size(), b[s].size());
+    for (size_t t = 0; t < a[s].size(); ++t) {
+      EXPECT_EQ(a[s][t].cluster, b[s][t].cluster) << "sweep " << s << " " << t;
+      // Bit-identical, not merely close.
+      EXPECT_EQ(a[s][t].gain, b[s][t].gain) << "sweep " << s << " " << t;
+    }
+  }
+}
+
 TEST(GainMemoTest, SlotsAreEntityMajorAndZeroInitialized) {
   GainMemo memo;
-  EXPECT_FALSE(memo.configured());
   memo.Configure(/*rows=*/3, /*cols=*/2, /*clusters=*/4);
-  EXPECT_TRUE(memo.configured());
-  // Unbounded: every cluster resident.
-  EXPECT_EQ(memo.resident_clusters(), 4u);
+  EXPECT_EQ(memo.bytes(), 5 * 4 * sizeof(GainMemo::Entry));
   // Every slot starts at epoch 0, which can never match a live workspace
   // epoch (NextMembershipEpoch starts at 1).
   EXPECT_EQ(memo.Slot(true, 0, 0)->epoch, 0u);
@@ -70,54 +129,9 @@ TEST(GainMemoTest, SlotsAreEntityMajorAndZeroInitialized) {
   EXPECT_EQ(memo.Slot(true, 2, 0)->epoch, 0u);
   EXPECT_EQ(memo.Slot(true, 0, 1)->epoch, 0u);
 
-  memo.Clear();
+  // Re-configuring clears every entry.
+  memo.Configure(/*rows=*/3, /*cols=*/2, /*clusters=*/4);
   EXPECT_EQ(memo.Slot(true, 2, 1)->epoch, 0u);
-}
-
-TEST(GainMemoTest, ByteBudgetLimitsResidencyAndRebalanceFollowsHeat) {
-  GainMemo memo;
-  // 3 + 2 = 5 entities; a stripe is 5 * sizeof(Entry) bytes. Budget two
-  // stripes exactly: clusters 0 and 1 resident, 2 and 3 not.
-  size_t stripe = 5 * sizeof(GainMemo::Entry);
-  memo.Configure(/*rows=*/3, /*cols=*/2, /*clusters=*/4,
-                 /*budget_bytes=*/2 * stripe);
-  EXPECT_EQ(memo.resident_clusters(), 2u);
-  EXPECT_LE(memo.bytes(), memo.budget_bytes());
-  ASSERT_NE(memo.Slot(true, 0, 0), nullptr);
-  ASSERT_NE(memo.Slot(true, 0, 1), nullptr);
-  EXPECT_EQ(memo.Slot(true, 0, 2), nullptr);
-  EXPECT_EQ(memo.Slot(true, 0, 3), nullptr);
-
-  memo.Slot(true, 0, 0)->epoch = 7;
-  memo.Slot(true, 0, 1)->epoch = 9;
-
-  // Cluster 1 ran hot (many mutations), cluster 3 stayed cool: the
-  // rebalance keeps the two coolest clusters {0, 3}, evicting 1 and
-  // admitting 3 into the freed slot with a cleared stripe. Cluster 0's
-  // stripe survives untouched.
-  memo.Rebalance({/*c0=*/1, /*c1=*/50, /*c2=*/20, /*c3=*/0});
-  EXPECT_EQ(memo.evictions(), 1u);
-  ASSERT_NE(memo.Slot(true, 0, 0), nullptr);
-  EXPECT_EQ(memo.Slot(true, 0, 0)->epoch, 7u);
-  EXPECT_EQ(memo.Slot(true, 0, 1), nullptr);
-  ASSERT_NE(memo.Slot(true, 0, 3), nullptr);
-  EXPECT_EQ(memo.Slot(true, 0, 3)->epoch, 0u);
-  EXPECT_LE(memo.bytes(), memo.budget_bytes());
-
-  // A no-change rebalance (same resident set wins) evicts nothing.
-  memo.Rebalance({0, 50, 20, 1});
-  EXPECT_EQ(memo.evictions(), 1u);
-  EXPECT_EQ(memo.Slot(true, 0, 0)->epoch, 7u);
-}
-
-TEST(GainMemoTest, BudgetTooSmallForOneStripeDisablesTheTable) {
-  GainMemo memo;
-  memo.Configure(/*rows=*/3, /*cols=*/2, /*clusters=*/4, /*budget_bytes=*/1);
-  EXPECT_EQ(memo.resident_clusters(), 0u);
-  EXPECT_FALSE(memo.configured());
-  EXPECT_EQ(memo.Slot(true, 0, 0), nullptr);
-  EXPECT_EQ(memo.bytes(), 0u);
-  memo.Rebalance({0, 0, 0, 0});  // No-op; must not crash.
 }
 
 TEST(GainMemoTest, WorkspaceEpochAdvancesOnEveryMutation) {
@@ -155,15 +169,17 @@ TEST(GainMemoTest, WorkspaceEpochAdvancesOnEveryMutation) {
   EXPECT_NE(other.epoch(), ws.epoch());
 }
 
-TEST(GainMemoTest, MemoizationOnAndOffProduceIdenticalClusters) {
+TEST(GainMemoTest, MemoAndNoMemoDetermineIdenticalActions) {
   SyntheticDataset data = Table2SmallData();
-  FlocConfig on = Table2Config();
-  on.memoize_gains = true;
-  FlocConfig off = Table2Config();
-  off.memoize_gains = false;
-  FlocResult with_memo = Floc(on).Run(data.matrix);
-  FlocResult without_memo = Floc(off).Run(data.matrix);
-  ExpectSameClusters(with_memo, without_memo);
+  std::vector<std::vector<Action>> reference =
+      DetermineSweeps(data.matrix, /*memo=*/nullptr, /*pool=*/nullptr);
+  // Serial and sharded: parallel shards write disjoint memo ranges.
+  engine::ThreadPool pool(4);
+  for (engine::ThreadPool* p : {static_cast<engine::ThreadPool*>(nullptr),
+                                &pool}) {
+    GainMemo memo;
+    ExpectSameSweeps(reference, DetermineSweeps(data.matrix, &memo, p));
+  }
 }
 
 TEST(GainMemoTest, MemoizedRunIsThreadCountInvariant) {
@@ -180,17 +196,16 @@ TEST(GainMemoTest, MemoizedRunIsThreadCountInvariant) {
 TEST(GainMemoTest, AuditModeCrossChecksServedEntries) {
   SyntheticDataset data = Table2SmallData();
   FlocConfig config = Table2Config();
-  config.memoize_gains = true;
   config.audit = true;  // DC_CHECKs cached == recomputed on every hit.
   FlocResult audited = Floc(config).Run(data.matrix);
   FlocConfig plain = Table2Config();
   ExpectSameClusters(audited, Floc(plain).Run(data.matrix));
 }
 
-// The metrics-regression guard from the perf work: with memoization on,
-// the same run must (a) scan strictly fewer entries, (b) serve a
-// non-trivial number of evaluations from the cache, and (c) produce
-// byte-identical clusters. Fixed dataset and seeds make the counter
+// The metrics-regression guard from the perf work: with a memo, the
+// same sweeps must (a) scan strictly fewer entries, (b) serve a
+// non-trivial number of evaluations from the cache, and (c) determine
+// bit-identical actions. Fixed dataset and seeds make the counter
 // values deterministic.
 TEST(GainMemoTest, MemoizationReducesEntriesScanned) {
   SyntheticDataset data = Table2SmallData();
@@ -202,17 +217,16 @@ TEST(GainMemoTest, MemoizationReducesEntriesScanned) {
   obs::Counter* served =
       registry.GetCounter("floc.gain_evals_served_from_cache");
 
-  FlocConfig off = Table2Config();
-  off.memoize_gains = false;
   registry.ResetAll();
-  FlocResult without_memo = Floc(off).Run(data.matrix);
+  std::vector<std::vector<Action>> without_memo =
+      DetermineSweeps(data.matrix, /*memo=*/nullptr, /*pool=*/nullptr);
   uint64_t scanned_off = scanned->Value();
   uint64_t served_off = served->Value();
 
-  FlocConfig on = Table2Config();
-  on.memoize_gains = true;
+  GainMemo memo;
   registry.ResetAll();
-  FlocResult with_memo = Floc(on).Run(data.matrix);
+  std::vector<std::vector<Action>> with_memo =
+      DetermineSweeps(data.matrix, &memo, /*pool=*/nullptr);
   uint64_t scanned_on = scanned->Value();
   uint64_t served_on = served->Value();
 
@@ -221,7 +235,7 @@ TEST(GainMemoTest, MemoizationReducesEntriesScanned) {
   EXPECT_EQ(served_off, 0u);
   EXPECT_GT(served_on, 0u);
   EXPECT_LT(scanned_on, scanned_off);
-  ExpectSameClusters(with_memo, without_memo);
+  ExpectSameSweeps(with_memo, without_memo);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "src/data/matrix_io.h"
 
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -64,6 +65,25 @@ TEST(MatrixIoTest, RejectsRaggedCsv) {
 TEST(MatrixIoTest, RejectsNonNumeric) {
   std::stringstream ss("1,abc\n");
   EXPECT_THROW(ReadCsv(ss), std::runtime_error);
+}
+
+// A specified cell must be a finite double: out-of-range literals and
+// every non-finite spelling std::stod accepts are rejected with the
+// cell's line and column.
+TEST(MatrixIoTest, RejectsNonFiniteCells) {
+  for (const std::string cell : {"nan", "NaN", "inf", "-inf", "Infinity",
+                                 "1e400"}) {
+    std::stringstream ss("1,2\n3," + cell + "\n");
+    try {
+      ReadCsv(ss);
+      FAIL() << "accepted '" << cell << "'";
+    } catch (const std::runtime_error& e) {
+      std::string what = e.what();
+      EXPECT_NE(what.find("'" + cell + "' at line 2, column 2"),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(MatrixIoTest, SkipsBlankLines) {

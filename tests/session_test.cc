@@ -6,14 +6,12 @@
 //     a session checkpointed at *any* Step() boundary and resumed in a
 //     fresh process-worth of state finishes byte-identical to the
 //     uninterrupted run -- across thread counts, dense/sparse data,
-//     memoization on/off, and mem/mmap backends;
+//     audit on/off, and mem/mmap backends;
 //   * budget stops (deadline, iteration cap, cooperative cancellation)
 //     return a valid best-so-far clustering with stopped_reason set in
 //     the telemetry and the perf report, and stopped sessions keep
 //     their machine position so checkpoint+resume continues exactly
 //     where the budget cut in;
-//   * a size-budgeted gain memo never exceeds its byte budget (audit
-//     mode DC_CHECKs it) and eviction never changes mined results;
 //   * every corrupted, truncated, or mismatched .dcs checkpoint is
 //     rejected with an exception naming the defect (mirroring the .dcm
 //     rejection suite in tests/storage_test.cc);
@@ -37,6 +35,7 @@
 #include "src/core/cluster.h"
 #include "src/core/data_matrix.h"
 #include "src/core/floc.h"
+#include "src/core/gain_memo.h"
 #include "src/data/cluster_io.h"
 #include "src/data/matrix_io.h"
 #include "src/data/synthetic.h"
@@ -163,8 +162,9 @@ TEST(SessionTest, CheckpointAtEveryBoundaryResumesIdentically) {
 
 // The full configuration sweep the issue demands: stop at iteration k
 // via the budget machinery, resume under different thread counts and
-// memoization settings, dense and sparse data. All must reproduce the
-// single-threaded uninterrupted run exactly.
+// audit settings, dense and sparse data. All must reproduce the
+// single-threaded uninterrupted run exactly; the audited segments
+// DC_CHECK every gain-memo hit against a rescan on the way.
 TEST(SessionTest, StopResumeMatrixOfConfigs) {
   for (double missing : {0.0, 0.3}) {
     SyntheticDataset data = MakeData(13, missing);
@@ -174,7 +174,7 @@ TEST(SessionTest, StopResumeMatrixOfConfigs) {
     struct Case {
       int stop_threads;
       int resume_threads;
-      bool memoize;
+      bool audit;
       size_t cap;
     };
     const Case cases[] = {
@@ -185,13 +185,13 @@ TEST(SessionTest, StopResumeMatrixOfConfigs) {
       std::string label = "missing=" + std::to_string(missing) + " threads=" +
                           std::to_string(c.stop_threads) + "->" +
                           std::to_string(c.resume_threads) +
-                          " memoize=" + std::to_string(c.memoize) +
+                          " audit=" + std::to_string(c.audit) +
                           " cap=" + std::to_string(c.cap);
       std::string path = TempPath("session_sweep.dcs");
 
       FlocConfig stop_config = base;
       stop_config.threads = c.stop_threads;
-      stop_config.memoize_gains = c.memoize;
+      stop_config.audit = c.audit;
       stop_config.max_total_iterations = c.cap;
       Floc stopper(stop_config);
       std::unique_ptr<MiningSession> first =
@@ -212,7 +212,7 @@ TEST(SessionTest, StopResumeMatrixOfConfigs) {
 
       FlocConfig resume_config = base;
       resume_config.threads = c.resume_threads;
-      resume_config.memoize_gains = !c.memoize;  // Budgets/caches may change.
+      resume_config.audit = !c.audit;  // Result-neutral: may change.
       Floc resumer(resume_config);
       std::unique_ptr<MiningSession> second =
           resumer.ResumeSession(data.matrix, path);
@@ -345,54 +345,31 @@ TEST(SessionTest, AsynchronousCancelResumesIdentically) {
   }
 }
 
-// -- Memo budget -------------------------------------------------------
-
-TEST(SessionTest, MemoBudgetNeverChangesResultsAndStaysUnderBudget) {
-  SyntheticDataset data = MakeData(17, 0.2);
-  FlocConfig config = MakeConfig();
-  FlocResult reference = Floc(config).Run(data.matrix);
-
-  // First discover the unbounded working-set size.
-  uint64_t full_bytes = 0;
-  {
-    Floc floc(config);
-    std::unique_ptr<MiningSession> session = floc.StartSession(data.matrix);
-    while (session->Step()) {
-      full_bytes = std::max(full_bytes, session->Status().memo_resident_bytes);
-    }
-    ExpectSameResult(reference, session->Finish(), "unbounded");
-  }
-  ASSERT_GT(full_bytes, 0u);
-
-  for (uint64_t budget : {full_bytes / 2, full_bytes / 10}) {
-    FlocConfig budgeted = config;
-    budgeted.memo_budget_bytes = budget;
-    budgeted.audit = true;  // DC_CHECKs the byte ledger every rebalance.
-    Floc floc(budgeted);
-    std::unique_ptr<MiningSession> session = floc.StartSession(data.matrix);
-    while (session->Step()) {
-      SessionStatus status = session->Status();
-      EXPECT_LE(status.memo_resident_bytes, budget);
-      EXPECT_EQ(status.memo_budget_bytes, budget);
-    }
-    ExpectSameResult(reference, session->Finish(),
-                     "budget=" + std::to_string(budget));
-  }
-}
-
 // -- SessionStatus -----------------------------------------------------
 
 TEST(SessionTest, StatusSnapshotsProgressAndSerializesAsJson) {
   SyntheticDataset data = MakeData(5, 0.0);
   FlocConfig config = MakeConfig();
   Floc floc(config);
+  bool was_enabled = obs::MetricsRegistry::Enabled();
+  obs::MetricsRegistry::SetEnabled(true);
   std::unique_ptr<MiningSession> session = floc.StartSession(data.matrix);
+  obs::MetricsRegistry::SetEnabled(was_enabled);
 
   SessionStatus initial = session->Status();
   EXPECT_EQ(initial.state, SessionState::kMovePhase);
   EXPECT_EQ(initial.iterations, 0u);
   EXPECT_FALSE(initial.done);
   EXPECT_GT(initial.best_average_score, 0.0);
+  // The gain memo is sized once, when the session is built: one entry
+  // per (row or column, cluster) pair, mirrored into the gauge.
+  EXPECT_EQ(initial.memo_resident_bytes,
+            (data.matrix.rows() + data.matrix.cols()) * config.num_clusters *
+                sizeof(GainMemo::Entry));
+  EXPECT_EQ(obs::MetricsRegistry::Global()
+                .GetGauge("floc.session.memo_resident_bytes")
+                ->Value(),
+            static_cast<double>(initial.memo_resident_bytes));
 
   while (session->Step()) {
   }
@@ -518,11 +495,14 @@ TEST_F(SessionRejectTest, BadMagicRejected) {
 }
 
 TEST_F(SessionRejectTest, VersionMismatchRejected) {
-  std::vector<char> bytes = ReadAllBytes(*valid_path_);
-  bytes[4] = 99;
-  std::string path = TempPath("session_bad_version.dcs");
-  WriteAllBytes(path, bytes);
-  ExpectRejects(path, "version mismatch");
+  // 1 is the previous layout (it carried per-cluster memo heat).
+  for (char version : {1, 99}) {
+    std::vector<char> bytes = ReadAllBytes(*valid_path_);
+    bytes[4] = version;
+    std::string path = TempPath("session_bad_version.dcs");
+    WriteAllBytes(path, bytes);
+    ExpectRejects(path, "version mismatch");
+  }
 }
 
 TEST_F(SessionRejectTest, EndiannessMismatchRejected) {
@@ -596,13 +576,6 @@ TEST_F(SessionRejectTest, PendingRestoreWithoutSlotsRejected) {
       "session_bad_pending.dcs",
       [](SessionCheckpoint* cp) { cp->pending_restore = 1; },
       "pending restore with no reseeded slots");
-}
-
-TEST_F(SessionRejectTest, HeatLengthMismatchRejected) {
-  ExpectStructuralReject(
-      "session_bad_heat.dcs",
-      [](SessionCheckpoint* cp) { cp->heat.pop_back(); },
-      "heat array length");
 }
 
 TEST_F(SessionRejectTest, MemberIdOutOfBoundsRejected) {
@@ -683,7 +656,6 @@ TEST_F(SessionRejectTest, ResumeAcceptsResultNeutralConfigChanges) {
   other.threads = 8;
   other.audit = true;
   other.deadline_seconds = 3600.0;
-  other.memo_budget_bytes = 1 << 20;
   Floc floc(other);
   std::unique_ptr<MiningSession> session =
       floc.ResumeSession(data_->matrix, *valid_path_);
@@ -738,7 +710,6 @@ TEST(SessionTest, MemoizedSweepsSkipCleanClusters) {
   SyntheticDataset data = MakeData(47, 0.0);
   FlocConfig config = MakeConfig();
   config.num_clusters = 6;  // More clusters => more stay untouched.
-  ASSERT_TRUE(config.memoize_gains);
 
   bool was_enabled = obs::MetricsRegistry::Enabled();
   obs::MetricsRegistry::SetEnabled(true);
@@ -751,12 +722,13 @@ TEST(SessionTest, MemoizedSweepsSkipCleanClusters) {
   EXPECT_GT(skipped_clean, 0u)
       << "no sweep served a clean cluster from the memo";
 
-  // The skip is a pure perf optimization: results must match a run with
-  // memoization (and thus the skip path) disabled.
-  FlocConfig no_memo = config;
-  no_memo.memoize_gains = false;
-  ExpectSameResult(Floc(no_memo).Run(data.matrix), memoized,
-                   "memoized clean-skip vs full rescan");
+  // The skip is a pure perf optimization: an audited run, which
+  // DC_CHECKs every served memo entry bit-equal to a rescan, must mine
+  // the same clusters.
+  FlocConfig audited = config;
+  audited.audit = true;
+  ExpectSameResult(Floc(audited).Run(data.matrix), memoized,
+                   "memoized clean-skip vs audited rescan");
 
   obs::MetricsRegistry::SetEnabled(was_enabled);
 }

@@ -9,7 +9,8 @@
 //   2. End-to-end: full FLOC runs with --simd off vs auto must take
 //      identical actions and emit identical clusters, across thread
 //      counts {1, 8}, dense and sparse (missing-entry) data, both
-//      storage backends (mem / mmap), and memoization on/off.
+//      storage backends (mem / mmap), and audit on/off (audit recomputes
+//      every gain-memo hit, so both the memo and the rescan path run).
 //
 // On hardware without a vector table (or builds without the ISA TUs),
 // both modes resolve to the scalar kernels and the tests degenerate to
@@ -196,7 +197,7 @@ void ExpectIdenticalResults(const FlocResult& off, const FlocResult& on,
 }
 
 // Full mining runs, simd off vs auto, across the determinism matrix:
-// threads {1, 8} x dense/sparse x backend {mem, mmap} x memoize on/off.
+// threads {1, 8} x dense/sparse x backend {mem, mmap} x audit on/off.
 TEST(SimdDispatchTest, FlocBitIdenticalSimdOffVsAuto) {
   for (double missing : {0.0, 0.3}) {
     SyntheticDataset data = CmpData(missing);
@@ -207,16 +208,16 @@ TEST(SimdDispatchTest, FlocBitIdenticalSimdOffVsAuto) {
     DataMatrix mapped = ReadDcmFile(dcm_path, MatrixBackend::kMmap);
     for (const DataMatrix* matrix : {&data.matrix, &mapped}) {
       for (int threads : {1, 8}) {
-        for (bool memoize : {true, false}) {
+        for (bool audit : {false, true}) {
           FlocConfig config;
           config.num_clusters = 6;
           config.rng_seed = 17;
           config.threads = threads;
-          config.memoize_gains = memoize;
+          config.audit = audit;
           std::string label = std::string(matrix->BackendName()) +
                               (missing > 0.0 ? " sparse" : " dense") +
                               " threads=" + std::to_string(threads) +
-                              " memoize=" + (memoize ? "1" : "0");
+                              " audit=" + (audit ? "1" : "0");
           FlocResult off;
           {
             ScopedSimdMode mode(SimdMode::kOff);

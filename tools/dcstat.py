@@ -17,10 +17,15 @@ Subcommands:
 
   diff BASE NEW
       Compare two artifacts of the same kind.
-      bench records: per-benchmark speedups (same matching rules as
-        scripts/bench_compare.py, including synthesized "run:k=.."
-        names for whole-run rows); --min-ratio REGEX=F and
-        --threshold F gates carry over.
+      bench records: per-benchmark speedups matched by name (new/base
+        items_per_second, else inverse real_time, so > 1 is faster;
+        aggregate pseudo-rows with zero iterations are skipped).
+        Whole-run rows carry no "benchmark" key; they are named from
+        their sorted identity keys ("run:cols=20/k=10/rows=100") and
+        timed by "seconds". Gates: --threshold F fails on any speedup
+        below 1 - F; --min-ratio REGEX=F (repeatable) fails unless every
+        matching benchmark -- and at least one -- reaches F. These are
+        the trajectory floors scripts/check.sh bench and CI assert.
       perf reports: per-phase wall deltas with share-of-regression
         attribution -- when the run got slower, which phases moved.
       telemetry JSONL: run_end field deltas.
@@ -42,9 +47,9 @@ import json
 import re
 import sys
 
-# Keys that describe the measurement rather than identify the workload
-# (mirrors scripts/bench_compare.py so both tools synthesize identical
-# "run:..." names for whole-run rows).
+# Keys that describe the measurement rather than identify the workload;
+# every other key of a whole-run row goes into its synthesized
+# "run:..." name.
 _MEASUREMENT_KEYS = frozenset({
     "seconds", "real_time", "cpu_time", "time_unit", "items_per_second",
     "bytes_per_second", "iterations", "repetitions", "threads",
@@ -94,9 +99,8 @@ def load_artifact(path):
 
 
 def timed_results(record):
-    """Benchmark-name -> result-row map; same synthesis rules as
-    scripts/bench_compare.py (aggregate pseudo-rows skipped, whole-run
-    rows named from their identity keys)."""
+    """Benchmark-name -> result-row map (aggregate pseudo-rows skipped,
+    whole-run rows named from their identity keys)."""
     out = {}
     for r in record.get("results", []):
         if "benchmark" in r:
@@ -201,11 +205,7 @@ def summarize(path):
               f"stopped={stopped} done={doc.get('done')}")
         print(f"  best_average_score={doc.get('best_average_score', 0.0):.4g} "
               f"elapsed={doc.get('elapsed_seconds', 0.0):.4g}s")
-        budget = doc.get("memo_budget_bytes", 0)
-        budget_text = f"{budget}B" if budget else "unbounded"
-        print(f"  memo: resident={doc.get('memo_resident_bytes', 0)}B "
-              f"budget={budget_text} "
-              f"evictions={doc.get('memo_evictions', 0)}; "
+        print(f"  memo: resident={doc.get('memo_resident_bytes', 0)}B; "
               f"panes={doc.get('pane_bytes', 0)}B")
     return 0
 

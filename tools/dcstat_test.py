@@ -99,7 +99,7 @@ class BenchDiffTest(unittest.TestCase):
 
     def test_whole_run_rows_round_trip(self):
         # Whole-run records (no "benchmark" key) self-diff at 1.00x under
-        # the synthesized run:... names, matching bench_compare.py.
+        # the synthesized run:... names.
         rc, stdout, _ = run_dcstat("diff", _PR6_SCALING, _PR6_SCALING)
         self.assertEqual(rc, 0)
         self.assertIn("run:cols=20/k=10/rows=100", stdout)
@@ -267,8 +267,7 @@ class SummaryTest(unittest.TestCase):
             "kind": "session_status", "state": "move_phase",
             "stopped_reason": "iteration_cap", "round": 1,
             "iterations": 7, "best_average_score": 2.5,
-            "memo_resident_bytes": 9200, "memo_budget_bytes": 16384,
-            "memo_evictions": 3, "pane_bytes": 1422,
+            "memo_resident_bytes": 9200, "pane_bytes": 1422,
             "elapsed_seconds": 0.25, "done": False,
         }
         with tempfile.TemporaryDirectory() as tmp:
@@ -279,21 +278,19 @@ class SummaryTest(unittest.TestCase):
         self.assertIn("state=move_phase", stdout)
         self.assertIn("stopped=iteration_cap", stdout)
         self.assertIn("iterations=7", stdout)
-        self.assertIn("budget=16384B", stdout)
-        self.assertIn("evictions=3", stdout)
+        self.assertIn("memo: resident=9200B; panes=1422B", stdout)
 
-    def test_session_status_unbounded_budget(self):
+    def test_session_status_completed_run(self):
         status = {"kind": "session_status", "state": "done",
                   "stopped_reason": "", "round": 2, "iterations": 12,
                   "best_average_score": 0.6, "memo_resident_bytes": 9200,
-                  "memo_budget_bytes": 0, "memo_evictions": 0,
                   "pane_bytes": 1422, "elapsed_seconds": 1.5, "done": True}
         with tempfile.TemporaryDirectory() as tmp:
             path = write_json(tmp, "status.json", status)
             rc, stdout, _ = run_dcstat("summary", path)
         self.assertEqual(rc, 0, stdout)
         self.assertIn("stopped=none", stdout)
-        self.assertIn("budget=unbounded", stdout)
+        self.assertIn("done=True", stdout)
 
     def test_unrecognized_file_is_an_error(self):
         with tempfile.TemporaryDirectory() as tmp:
