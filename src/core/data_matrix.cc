@@ -2,17 +2,34 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "src/storage/in_memory_store.h"
 #include "src/util/check.h"
 
 namespace deltaclus {
 
+namespace {
+
+// The ingest policy of ReadCsv, enforced for every writer: one nan or
+// inf entry turns every residue that touches it into nan. Callers test
+// std::isfinite first, so the message is only built on failure.
+[[noreturn]] void ThrowNonFinite(const char* who, double value,
+                                 const std::string& where) {
+  throw std::invalid_argument(std::string(who) + ": non-finite value " +
+                              std::to_string(value) + " at " + where +
+                              " (entries must be finite numbers)");
+}
+
+}  // namespace
+
 DataMatrix::DataMatrix(size_t rows, size_t cols)
     : store_(std::make_shared<storage::InMemoryStore>(rows, cols)) {}
 
 DataMatrix::DataMatrix(size_t rows, size_t cols, double fill)
-    : store_(std::make_shared<storage::InMemoryStore>(rows, cols, fill)) {}
+    : store_(std::make_shared<storage::InMemoryStore>(rows, cols, fill)) {
+  if (!std::isfinite(fill)) ThrowNonFinite("DataMatrix", fill, "fill");
+}
 
 DataMatrix::DataMatrix(std::shared_ptr<storage::MatrixStore> store)
     : store_(std::move(store)) {
@@ -68,6 +85,10 @@ void DataMatrix::EnsureMutable() {
 }
 
 void DataMatrix::Set(size_t i, size_t j, double value) {
+  if (!std::isfinite(value)) {
+    ThrowNonFinite("DataMatrix::Set", value,
+                   "row " + std::to_string(i) + ", column " + std::to_string(j));
+  }
   EnsureMutable();
   store_->Set(i, j, value);
 }

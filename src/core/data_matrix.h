@@ -50,6 +50,7 @@ class DataMatrix {
   DataMatrix(size_t rows, size_t cols);
 
   /// Creates a rows x cols matrix with every entry specified as `fill`.
+  /// Throws std::invalid_argument if `fill` is nan or +-inf.
   DataMatrix(size_t rows, size_t cols, double fill);
 
   /// Wraps an existing backend (e.g. an MmapStore over a .dcm file, or an
@@ -88,7 +89,8 @@ class DataMatrix {
 
   /// Sets entry (i, j) to `value` (marking it specified). Materializes a
   /// private mutable backend first if the current one is shared or
-  /// read-only.
+  /// read-only. Throws std::invalid_argument, naming the entry, if
+  /// `value` is nan or +-inf (the same policy as ReadCsv).
   void Set(size_t i, size_t j, double value);
 
   /// Marks entry (i, j) missing. Copy-on-write like Set.

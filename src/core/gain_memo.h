@@ -10,7 +10,11 @@
 // evaluations are against clusters that have not changed since the
 // evaluation was first made: the apply sweep mutates one cluster per
 // performed action, leaving the other k-1 exactly as the determination
-// sweep saw them.
+// sweep saw them. Once a few dozen toggles have landed, though, nearly
+// every cluster is stale for the entities still ahead, so the apply
+// sweep refreshes the memo on the pool one window of entities at a
+// time (WarmGainMemo); the memo is then the validity table telling each
+// serial re-decision which clusters moved since the warm-up.
 //
 // The memo exploits that. It holds one Entry per (entity, cluster) pair
 // storing the after-toggle residue and post-toggle volume, stamped with
@@ -31,15 +35,25 @@
 // The table is (rows + cols) x clusters entries, sized once per run.
 //
 // Thread-safety -- DC_LOCK_FREE: no atomics and no locks, by
-// construction. The determination sweep's shards write disjoint entity
-// ranges (entries are laid out entity-major, matching the engine's
-// shard-stable partitioning of the entity axis -- engine::ShardOf), so
-// parallel sweeps never touch the same Entry; the coordinator's
-// join-side mutex acquire in ThreadPool::ParallelFor publishes every
-// shard's writes before anyone reads them. The sequential apply sweep
-// then reads/writes after the pool has joined, and results stay
-// bit-identical at any thread count. Clang TSA cannot express a
-// disjoint-ranges protocol, hence this comment carries the argument
+// construction. Two writers, each a disjoint-slots protocol:
+//
+//   * The determination sweep's shards write disjoint entity ranges
+//     (entries are laid out entity-major, matching the engine's
+//     shard-stable partitioning of the entity axis -- engine::ShardOf),
+//     so parallel shards never touch the same Entry.
+//   * The apply sweep's warm-up (WarmGainMemo, floc_phases.h) fans one
+//     window of distinct entities x all clusters out as flattened
+//     (entity, cluster) pairs; every pair is one Entry, each pair
+//     belongs to exactly one shard, so shards again write disjoint
+//     entries. The views they read are not mutated until the window's
+//     ParallelFor has joined, and the coordinator's serial commit loop
+//     only reads/writes the memo between warm-ups.
+//
+// In both, the coordinator's join-side mutex acquire in
+// ThreadPool::ParallelFor publishes every shard's writes before anyone
+// reads them, and no Entry is read concurrently with its write. Results
+// stay bit-identical at any thread count. Clang TSA cannot express a
+// disjoint-slots protocol, hence this comment carries the argument
 // (tools/lint/dclint.py rule `lock-free-comment` keeps it present).
 #ifndef DELTACLUS_CORE_GAIN_MEMO_H_
 #define DELTACLUS_CORE_GAIN_MEMO_H_

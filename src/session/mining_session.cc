@@ -133,7 +133,7 @@ MiningSession::MiningSession(Floc* floc, const DataMatrix& matrix,
           [](void* self, const ClusterWorkspace& ws) {
             static_cast<const Floc*>(self)->MaybeAudit(ws, "move_phase");
           },
-          floc, &gain_memo_),
+          floc, &gain_memo_, pool_),
       tracker_(matrix, floc->config_.constraints) {
   // Samples the registry counters now (unless StartSession already did,
   // before seeding) so the perf report reflects only this run's deltas.

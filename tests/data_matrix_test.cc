@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -62,6 +63,27 @@ TEST(DataMatrixTest, SetAndGetRoundTrip) {
   EXPECT_TRUE(m.IsSpecified(0, 1));
   EXPECT_DOUBLE_EQ(m.Value(0, 1), 3.25);
   EXPECT_FALSE(m.IsSpecified(1, 0));
+}
+
+TEST(DataMatrixTest, SetRejectsNonFiniteNamingTheEntry) {
+  DataMatrix m(3, 4);
+  m.Set(1, 1, 2.0);
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    try {
+      m.Set(2, 3, bad);
+      FAIL() << "accepted " << bad;
+    } catch (const std::invalid_argument& e) {
+      std::string what = e.what();
+      EXPECT_NE(what.find("DataMatrix::Set: non-finite"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("row 2, column 3"), std::string::npos) << what;
+    }
+  }
+  // The rejected writes left the matrix untouched.
+  EXPECT_FALSE(m.IsSpecified(2, 3));
+  EXPECT_EQ(m.NumSpecified(), 1u);
+  EXPECT_THROW(DataMatrix(2, 2, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(DataMatrix(2, 2, -HUGE_VAL), std::invalid_argument);
 }
 
 TEST(DataMatrixTest, SetMissingClearsEntry) {

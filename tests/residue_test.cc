@@ -1,6 +1,8 @@
 #include "src/core/residue.h"
 
 #include <cmath>
+#include <ostream>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -254,6 +256,14 @@ struct EngineCase {
   size_t cols;
   double density;
   ResidueNorm norm;
+
+  // Both the test-name suffix (e.g. r12_c7_d60_abs) and gtest's
+  // GetParam() printout, so neither depends on the struct's bytes.
+  friend std::ostream& operator<<(std::ostream& os, const EngineCase& c) {
+    return os << "r" << c.rows << "_c" << c.cols << "_d"
+              << std::lround(c.density * 100) << "_"
+              << (c.norm == ResidueNorm::kMeanSquared ? "sq" : "abs");
+  }
 };
 
 class ResidueEngineParamTest : public ::testing::TestWithParam<EngineCase> {};
@@ -363,7 +373,12 @@ INSTANTIATE_TEST_SUITE_P(
         EngineCase{20, 5, 0.4, ResidueNorm::kMeanAbsolute},
         EngineCase{6, 6, 1.0, ResidueNorm::kMeanSquared},
         EngineCase{12, 7, 0.6, ResidueNorm::kMeanSquared},
-        EngineCase{5, 20, 0.8, ResidueNorm::kMeanSquared}));
+        EngineCase{5, 20, 0.8, ResidueNorm::kMeanSquared}),
+    [](const ::testing::TestParamInfo<EngineCase>& info) {
+      std::ostringstream os;
+      os << info.param;
+      return os.str();
+    });
 
 TEST(ResidueEngineTest, ToggleToEmptyClusterIsZero) {
   DataMatrix m = DataMatrix::FromRows({{1, 2}, {3, 4}});
