@@ -56,12 +56,15 @@ void BM_ResidueNaive(benchmark::State& state) {
 BENCHMARK(BM_ResidueNaive)->Arg(16)->Arg(64)->Arg(256)->Complexity();
 
 void BM_ResidueEngine(benchmark::State& state) {
+  // One full lane-split scan per iteration: the residue cache is dropped
+  // each time (the pane stays fresh), so this times the scan, not a hit.
   size_t n = state.range(0);
   SyntheticDataset data = MakeData(1000, 100);
-  ClusterView view(data.matrix, MakeCluster(1000, 100, n, 20));
+  ClusterWorkspace ws(data.matrix, MakeCluster(1000, 100, n, 20));
   ResidueEngine engine;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Residue(view));
+    ws.InvalidateResidue();
+    benchmark::DoNotOptimize(engine.Residue(ws));
   }
   state.SetComplexityN(n);
 }
@@ -70,27 +73,27 @@ BENCHMARK(BM_ResidueEngine)->Arg(16)->Arg(64)->Arg(256)->Complexity();
 void BM_GainVirtualToggleRow(benchmark::State& state) {
   size_t n = state.range(0);
   SyntheticDataset data = MakeData(1000, 100);
-  ClusterView view(data.matrix, MakeCluster(1000, 100, n, 20));
+  ClusterWorkspace ws(data.matrix, MakeCluster(1000, 100, n, 20));
   ResidueEngine engine;
   size_t row = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine.ResidueAfterToggleRow(view, row % 1000));
+    benchmark::DoNotOptimize(engine.ResidueAfterToggleRow(ws, row % 1000));
     ++row;
   }
 }
 BENCHMARK(BM_GainVirtualToggleRow)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_GainCopyToggleRow(benchmark::State& state) {
-  // The alternative the engine's virtual toggles avoid: copy the view,
-  // apply the toggle, recompute.
+  // The alternative the engine's virtual toggles avoid: copy the
+  // workspace, apply the toggle (patching the copy's pane), rescan.
   size_t n = state.range(0);
   SyntheticDataset data = MakeData(1000, 100);
-  ClusterView view(data.matrix, MakeCluster(1000, 100, n, 20));
+  ClusterWorkspace ws(data.matrix, MakeCluster(1000, 100, n, 20));
+  ws.EnsurePane();
   ResidueEngine engine;
   size_t row = 0;
   for (auto _ : state) {
-    ClusterView copy = view;
+    ClusterWorkspace copy = ws;
     copy.ToggleRow(row % 1000);
     benchmark::DoNotOptimize(engine.Residue(copy));
     ++row;

@@ -59,9 +59,7 @@ commands:
             one, and the resumed run's output is byte-identical to the
             uninterrupted run's. --session-status prints the final
             session status as JSON (with =PATH, writes it; feed to
-            tools/dcstat.py). Environment defaults (flag wins):
-            DELTACLUS_DEADLINE_S, DELTACLUS_MAX_ITERATIONS,
-            DELTACLUS_CHECKPOINT, DELTACLUS_RESUME.
+            tools/dcstat.py).
             --threads N sizes the execution engine (default 1; 0 = all
             hardware threads; results are bit-identical at any count).
             The DELTACLUS_THREADS environment variable supplies the
@@ -352,30 +350,22 @@ int CmdMine(FlagParser& flags, std::ostream& out, std::ostream& err) {
     return rc;
   }
   config.threads = static_cast<int>(threads);
-  // Session budgets (DESIGN.md, "The session layer"): flag > env >
-  // default, all through the same checked parser. 0 means unbounded.
+  // Session budgets (DESIGN.md, "The session layer"), through the same
+  // checked parser. 0 means unbounded.
   double deadline_s = 0.0;
   double max_iterations = 0.0;
-  if (int rc = ParseSizeFlag(flags, "deadline-s", "DELTACLUS_DEADLINE_S",
+  if (int rc = ParseSizeFlag(flags, "deadline-s", /*env_var=*/nullptr,
                              /*integer=*/false, 0.0, &deadline_s, err)) {
     return rc;
   }
-  if (int rc = ParseSizeFlag(flags, "max-iterations",
-                             "DELTACLUS_MAX_ITERATIONS",
+  if (int rc = ParseSizeFlag(flags, "max-iterations", /*env_var=*/nullptr,
                              /*integer=*/true, 0.0, &max_iterations, err)) {
     return rc;
   }
   config.deadline_seconds = deadline_s;
   config.max_total_iterations = static_cast<size_t>(max_iterations);
-  // Checkpoint/resume paths follow the same flag > env precedence.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* checkpoint_env = std::getenv("DELTACLUS_CHECKPOINT");
-  std::string checkpoint_path = flags.StringOr(
-      "checkpoint", checkpoint_env != nullptr ? checkpoint_env : "");
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* resume_env = std::getenv("DELTACLUS_RESUME");
-  std::string resume_path =
-      flags.StringOr("resume", resume_env != nullptr ? resume_env : "");
+  std::string checkpoint_path = flags.StringOr("checkpoint", "");
+  std::string resume_path = flags.StringOr("resume", "");
   config.rng_seed = static_cast<uint64_t>(flags.IntOr("seed", 1));
   // Paper-literal mode: stale decisions and forced negative actions.
   if (flags.GetBool("paper-mode")) {

@@ -48,18 +48,6 @@ void AuditStatsMatchRecompute(const DataMatrix& m, const Cluster& c,
   }
 }
 
-void AuditResidueMatchesRebuild(const ClusterView& view, ResidueNorm norm,
-                                double tolerance, const char* context) {
-  ResidueEngine engine(norm);
-  double fast = engine.Residue(view);
-  // Rebinding the cluster rebuilds its stats from scratch.
-  ClusterView rebuilt(view.matrix(), view.cluster());
-  double reference = engine.Residue(rebuilt);
-  DC_CHECK(Near(fast, reference, tolerance))
-      << context << ": stats-backed residue " << fast
-      << " drifted from from-scratch recompute " << reference;
-}
-
 bool OccupancySatisfied(const DataMatrix& m, const Cluster& c, double alpha) {
   if (alpha <= 0.0) return true;
   size_t cols = c.NumCols();
@@ -98,40 +86,43 @@ void AuditOccupancy(const DataMatrix& m, const Cluster& c, double alpha,
   }
 }
 
-void AuditClusterView(const ClusterView& view, const Constraints& constraints,
-                      ResidueNorm norm, double tolerance, const char* context,
-                      bool check_occupancy) {
-  AuditStatsMatchRecompute(view.matrix(), view.cluster(), view.stats(),
-                           tolerance, context);
-  AuditResidueMatchesRebuild(view, norm, tolerance, context);
-  if (check_occupancy) {
-    AuditOccupancy(view.matrix(), view.cluster(), constraints.alpha, context);
-  }
-}
-
 void AuditClusterWorkspace(const ClusterWorkspace& ws,
                            const Constraints& constraints, ResidueNorm norm,
                            double tolerance, const char* context,
                            bool check_occupancy) {
-  AuditClusterView(ws.view(), constraints, norm, tolerance, context,
-                   check_occupancy);
+  AuditStatsMatchRecompute(ws.matrix(), ws.cluster(), ws.stats(), tolerance,
+                           context);
+
+  ResidueEngine engine(norm);
+  // A fresh workspace over the same cluster rebuilds its stats and pane
+  // from scratch.
+  ClusterWorkspace rebuilt(ws.matrix(), ws.cluster());
+  double reference = engine.Residue(rebuilt);
+  // A copy with its residue cache dropped rescans the live stats bits.
+  ClusterWorkspace live = ws;
+  live.InvalidateResidue();
+  double fast = engine.Residue(live);
+  DC_CHECK(Near(fast, reference, tolerance))
+      << context << ": stats-backed residue " << fast
+      << " drifted from from-scratch recompute " << reference;
+
+  if (check_occupancy) {
+    AuditOccupancy(ws.matrix(), ws.cluster(), constraints.alpha, context);
+  }
 
   CachedNormTag tag = norm == ResidueNorm::kMeanAbsolute
                           ? CachedNormTag::kMeanAbsolute
                           : CachedNormTag::kMeanSquared;
   if (!ws.ResidueCached(tag)) return;
 
-  // The cached quotient must match a from-scratch rebuild, and the cached
-  // volume must match the live stats exactly (both are integer entry
-  // counts over the same membership).
+  // The cached quotient must match the from-scratch residue, and the
+  // cached volume must match the live stats exactly (both are integer
+  // entry counts over the same membership).
   DC_CHECK_EQ(ws.CachedResidueVolume(), ws.stats().Volume())
       << context << ": cached residue volume went stale";
   size_t volume = ws.CachedResidueVolume();
   double cached =
       volume == 0 ? 0.0 : ws.CachedResidueNumerator() / volume;
-  ClusterView rebuilt(ws.matrix(), ws.cluster());
-  ResidueEngine engine(norm);
-  double reference = engine.Residue(rebuilt);
   DC_CHECK(Near(cached, reference, tolerance))
       << context << ": cached residue " << cached
       << " drifted from from-scratch recompute " << reference

@@ -36,14 +36,6 @@ void AuditStatsMatchRecompute(const DataMatrix& m, const Cluster& c,
                               const ClusterStats& stats, double tolerance,
                               const char* context);
 
-/// DC_CHECKs the residue computed from `view`'s incrementally-maintained
-/// stats against the residue of a from-scratch stats rebuild, within
-/// `tolerance`. (The O(volume^2) naive per-entry reference is already
-/// pinned against the fast path by the property-sweep tests; the audit
-/// uses an O(volume) rebuild so it can run after every action.)
-void AuditResidueMatchesRebuild(const ClusterView& view, ResidueNorm norm,
-                                double tolerance, const char* context);
-
 /// True if every member row/column of `c` is alpha-occupied on `m`
 /// (Definition 3.1): row i has >= alpha * |J| specified entries over the
 /// cluster's columns, and symmetrically for columns. Trivially true for
@@ -56,17 +48,21 @@ bool OccupancySatisfied(const DataMatrix& m, const Cluster& c, double alpha);
 void AuditOccupancy(const DataMatrix& m, const Cluster& c, double alpha,
                     const char* context);
 
-/// Full per-action audit of one cluster: stats vs recompute, fast-path
-/// residue vs naive, and (when `check_occupancy`) alpha-occupancy.
-void AuditClusterView(const ClusterView& view, const Constraints& constraints,
-                      ResidueNorm norm, double tolerance, const char* context,
-                      bool check_occupancy = true);
-
-/// Workspace audit: everything AuditClusterView checks, plus -- when the
-/// workspace holds a cached residue for `norm` -- a DC_CHECK that the
-/// cached numerator/volume reproduce the residue of a from-scratch stats
-/// rebuild. A stale cache (one that survived a membership toggle it
-/// should have been invalidated by) fails here.
+/// Full per-action audit of one cluster workspace:
+///  - its incremental stats against a from-scratch recompute
+///    (AuditStatsMatchRecompute);
+///  - the residue scanned over those live stats (and the live pane),
+///    against the residue of a freshly built workspace over the same
+///    cluster, within `tolerance`;
+///  - when the workspace holds a cached residue for `norm`, the cached
+///    volume against the live stats exactly and the cached quotient
+///    against that fresh residue -- a stale cache (one that survived a
+///    membership toggle it should have been invalidated by) fails here;
+///  - when `check_occupancy`, alpha-occupancy of every member.
+/// The residue scans run on a copy, so the audited workspace's caches
+/// and pane are left as they were. (The O(volume^2) naive per-entry
+/// reference is pinned against the engine by the property-sweep tests;
+/// the audit uses O(volume) rebuilds so it can run after every action.)
 void AuditClusterWorkspace(const ClusterWorkspace& ws,
                            const Constraints& constraints, ResidueNorm norm,
                            double tolerance, const char* context,

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <tuple>
 
-#include "src/core/cluster_stats.h"
+#include "src/core/cluster_workspace.h"
 #include "src/eval/metrics.h"
 
 namespace deltaclus {
@@ -15,15 +15,15 @@ std::vector<ClusterSummary> SummarizeClusters(
   ResidueEngine engine;
   for (size_t c = 0; c < clusters.size(); ++c) {
     const Cluster& cluster = clusters[c];
-    ClusterView view(matrix, cluster);
+    ClusterWorkspace ws(matrix, cluster);
     ClusterSummary s;
     s.index = c;
     s.rows = cluster.NumRows();
     s.cols = cluster.NumCols();
-    s.volume = view.stats().Volume();
+    s.volume = ws.stats().Volume();
     size_t grid = s.rows * s.cols;
     s.occupancy = grid == 0 ? 0.0 : static_cast<double>(s.volume) / grid;
-    s.residue = engine.Residue(view);
+    s.residue = engine.Residue(ws);
     s.diameter = ClusterDiameter(matrix, cluster);
     out.push_back(s);
   }
@@ -44,9 +44,9 @@ std::vector<Cluster> RankByResidue(const DataMatrix& matrix,
   std::vector<std::tuple<double, long long, size_t>> keyed;
   keyed.reserve(clusters.size());
   for (size_t c = 0; c < clusters.size(); ++c) {
-    ClusterView view(matrix, clusters[c]);
-    keyed.emplace_back(engine.Residue(view),
-                       -static_cast<long long>(view.stats().Volume()), c);
+    ClusterWorkspace ws(matrix, clusters[c]);
+    keyed.emplace_back(engine.Residue(ws),
+                       -static_cast<long long>(ws.stats().Volume()), c);
   }
   std::sort(keyed.begin(), keyed.end());
   std::vector<Cluster> out;
@@ -81,9 +81,9 @@ std::vector<Cluster> FilterClusters(const DataMatrix& matrix,
   ResidueEngine engine;
   std::vector<Cluster> out;
   for (const Cluster& cluster : clusters) {
-    ClusterView view(matrix, cluster);
-    if (view.stats().Volume() < min_volume) continue;
-    if (engine.Residue(view) > max_residue) continue;
+    ClusterWorkspace ws(matrix, cluster);
+    if (ws.stats().Volume() < min_volume) continue;
+    if (engine.Residue(ws) > max_residue) continue;
     out.push_back(cluster);
   }
   return out;

@@ -313,8 +313,8 @@ bool Floc::ReanchorCluster(const DataMatrix& matrix,
   }
 
   if (candidate == view.cluster()) return false;
-  ClusterView cand_view(matrix, candidate);
-  if (!SatisfiesUnaryConstraints(cand_view, cons)) return false;
+  ClusterWorkspace cand_ws(matrix, candidate);
+  if (!SatisfiesUnaryConstraints(cand_ws.view(), cons)) return false;
   if (cons.overlap_active()) {
     size_t cand_size = candidate.NumRows() * candidate.NumCols();
     for (size_t d = 0; d < views.size(); ++d) {
@@ -331,9 +331,11 @@ bool Floc::ReanchorCluster(const DataMatrix& matrix,
     }
   }
   double cand_score =
-      ClusterScore(engine.Residue(cand_view), cand_view.stats().Volume());
+      ClusterScore(engine.Residue(cand_ws), cand_ws.stats().Volume());
   if (cand_score >= *score - config_.min_improvement) return false;
-  view.Reset(std::move(candidate));
+  // The candidate's workspace already holds freshly built stats, its
+  // cached residue and its pane; adopting it equals Reset(candidate).
+  view = std::move(cand_ws);
   MaybeAudit(view, "ReanchorCluster");
   *score = cand_score;
   return true;
@@ -346,8 +348,8 @@ double AverageResidue(const DataMatrix& matrix,
   ResidueEngine engine(norm);
   double sum = 0.0;
   for (const Cluster& c : clusters) {
-    ClusterView view(matrix, c);
-    sum += engine.Residue(view);
+    ClusterWorkspace ws(matrix, c);
+    sum += engine.Residue(ws);
   }
   return sum / clusters.size();
 }

@@ -14,9 +14,9 @@ ClusterPredictor::ClusterPredictor(const DataMatrix& matrix,
   residues_.resize(clusters_.size());
   ResidueEngine engine;
   for (size_t c = 0; c < clusters_.size(); ++c) {
-    stats_[c].Build(matrix, clusters_[c]);
-    ClusterView view(matrix, clusters_[c]);
-    residues_[c] = engine.Residue(view);
+    ClusterWorkspace ws(matrix, clusters_[c]);
+    stats_[c] = ws.stats();
+    residues_[c] = engine.Residue(ws);
   }
 }
 

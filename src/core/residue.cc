@@ -170,24 +170,17 @@ double ClusterResidueNaive(const DataMatrix& m, const Cluster& c,
   return acc / volume;
 }
 
-double ResidueEngine::Residue(const ClusterView& view) {
-  const ClusterStats& stats = view.stats();
-  if (stats.Volume() == 0) return 0.0;
-  return ResidueNumerator(view) / stats.Volume();
-}
-
 double ResidueEngine::Residue(const ClusterWorkspace& ws) {
   CachedNormTag tag = TagFor(norm_);
   if (!ws.ResidueCached(tag)) {
-    // Cache miss: one full pane scan (bit-identical to the ClusterView
-    // gather path), then remember its numerator/volume (stamped with the
-    // membership epoch) so repeated reads are O(1).
+    // Cache miss: one full pane scan, then remember its numerator/volume
+    // (stamped with the membership epoch) so repeated reads are O(1).
     size_t volume = ws.stats().Volume();
     double numerator =
         volume == 0 ? 0.0
                     : (norm_ == ResidueNorm::kMeanSquared
-                           ? NumeratorPaneImpl<true>(ws)
-                           : NumeratorPaneImpl<false>(ws));
+                           ? NumeratorImpl<true>(ws)
+                           : NumeratorImpl<false>(ws));
     GainEvalEntriesCounter()->Inc(volume);
     if (dense_entries_last_scan_ != 0) {
       GainEvalEntriesDenseCounter()->Inc(dense_entries_last_scan_);
@@ -199,56 +192,13 @@ double ResidueEngine::Residue(const ClusterWorkspace& ws) {
   return ws.CachedResidueNumerator() / volume;
 }
 
-double ResidueEngine::ResidueNumerator(const ClusterView& view) {
-  return norm_ == ResidueNorm::kMeanSquared ? NumeratorImpl<true>(view)
-                                            : NumeratorImpl<false>(view);
-}
-
-template <bool kSquared>
-double ResidueEngine::NumeratorImpl(const ClusterView& view) {
-  const DataMatrix& m = view.matrix();
-  const Cluster& c = view.cluster();
-  const ClusterStats& stats = view.stats();
-  dense_entries_last_scan_ = 0;
-  if (stats.Volume() == 0) return 0.0;
-
-  const auto& col_ids = c.col_ids();
-  size_t n = col_ids.size();
-  scratch_col_base_.resize(n);
-  for (size_t idx = 0; idx < n; ++idx) {
-    scratch_col_base_[idx] = stats.ColBase(col_ids[idx]);
-  }
-  double cluster_base = stats.ClusterBase();
-
-  const uint32_t* cols = col_ids.data();
-  const double* col_bases = scratch_col_base_.data();
-  double acc = 0.0;
-  size_t dense_entries = 0;
-  for (uint32_t i : c.row_ids()) {
-    const double* row_values = m.RowValues(i).data();
-    double row_base = stats.RowBase(i);
-    // A member row whose specified count over the cluster's columns
-    // equals |J| has no gaps to skip: take the branch-free pass.
-    if (stats.RowCount(i) == n) {
-      acc += RowPassDenseScalar<kSquared>(row_values, cols, col_bases, n,
-                                          row_base, cluster_base);
-      dense_entries += n;
-    } else {
-      acc += RowPassMasked<kSquared>(row_values, m.RowMask(i).data(), cols,
-                                     col_bases, n, row_base, cluster_base);
-    }
-  }
-  dense_entries_last_scan_ = dense_entries;
-  return acc;
-}
-
 double ResidueEngine::ResidueAfterToggleRow(const ClusterWorkspace& ws,
                                             size_t i,
                                             size_t* new_volume_out) {
   size_t new_volume = 0;
   double residue = norm_ == ResidueNorm::kMeanSquared
-                       ? AfterToggleRowPaneImpl<true>(ws, i, &new_volume)
-                       : AfterToggleRowPaneImpl<false>(ws, i, &new_volume);
+                       ? AfterToggleRowImpl<true>(ws, i, &new_volume)
+                       : AfterToggleRowImpl<false>(ws, i, &new_volume);
   // The after-toggle scan visits exactly the post-toggle cluster's
   // specified entries.
   GainEvalEntriesCounter()->Inc(new_volume);
@@ -264,8 +214,8 @@ double ResidueEngine::ResidueAfterToggleCol(const ClusterWorkspace& ws,
                                             size_t* new_volume_out) {
   size_t new_volume = 0;
   double residue = norm_ == ResidueNorm::kMeanSquared
-                       ? AfterToggleColPaneImpl<true>(ws, j, &new_volume)
-                       : AfterToggleColPaneImpl<false>(ws, j, &new_volume);
+                       ? AfterToggleColImpl<true>(ws, j, &new_volume)
+                       : AfterToggleColImpl<false>(ws, j, &new_volume);
   GainEvalEntriesCounter()->Inc(new_volume);
   if (dense_entries_last_scan_ != 0) {
     GainEvalEntriesDenseCounter()->Inc(dense_entries_last_scan_);
@@ -274,206 +224,15 @@ double ResidueEngine::ResidueAfterToggleCol(const ClusterWorkspace& ws,
   return residue;
 }
 
-double ResidueEngine::ResidueAfterToggleRow(const ClusterView& view, size_t i,
-                                            size_t* new_volume_out) {
-  return norm_ == ResidueNorm::kMeanSquared
-             ? AfterToggleRowImpl<true>(view, i, new_volume_out)
-             : AfterToggleRowImpl<false>(view, i, new_volume_out);
-}
-
-template <bool kSquared>
-double ResidueEngine::AfterToggleRowImpl(const ClusterView& view, size_t i,
-                                         size_t* new_volume_out) {
-  const DataMatrix& m = view.matrix();
-  const Cluster& c = view.cluster();
-  const ClusterStats& stats = view.stats();
-  const auto& col_ids = c.col_ids();
-  const double* row_values_i = m.RowValues(i).data();
-  const uint8_t* row_mask_i = m.RowMask(i).data();
-  dense_entries_last_scan_ = 0;
-
-  bool removing = c.HasRow(i);
-
-  // Row i's sums over the cluster's columns.
-  double toggled_sum = 0.0;
-  size_t toggled_cnt = 0;
-  if (removing) {
-    toggled_sum = stats.RowSum(i);
-    toggled_cnt = stats.RowCount(i);
-  } else {
-    ClusterStats::RowSumOverCols(m, col_ids, i, &toggled_sum, &toggled_cnt);
-  }
-
-  double new_total =
-      removing ? stats.Total() - toggled_sum : stats.Total() + toggled_sum;
-  size_t new_volume =
-      removing ? stats.Volume() - toggled_cnt : stats.Volume() + toggled_cnt;
-  if (new_volume_out != nullptr) *new_volume_out = new_volume;
-  if (new_volume == 0) return 0.0;
-  double cluster_base = new_total / new_volume;
-
-  size_t n = col_ids.size();
-  // Adjusted column bases: only the columns where row i is specified move.
-  scratch_col_base_.resize(n);
-  bool row_i_dense = toggled_cnt == n;
-  for (size_t idx = 0; idx < n; ++idx) {
-    uint32_t j = col_ids[idx];
-    double sum = stats.ColSum(j);
-    size_t cnt = stats.ColCount(j);
-    if (row_i_dense || row_mask_i[j]) {
-      double v = row_values_i[j];
-      if (removing) {
-        sum -= v;
-        --cnt;
-      } else {
-        sum += v;
-        ++cnt;
-      }
-    }
-    scratch_col_base_[idx] = cnt == 0 ? 0.0 : sum / cnt;
-  }
-
-  const uint32_t* cols = col_ids.data();
-  const double* col_bases = scratch_col_base_.data();
-  double acc = 0.0;
-  size_t dense_entries = 0;
-  // Existing member rows (their row bases are unchanged by a row toggle).
-  for (uint32_t r : c.row_ids()) {
-    if (removing && r == i) continue;
-    const double* row_values = m.RowValues(r).data();
-    double row_base = stats.RowBase(r);
-    if (stats.RowCount(r) == n) {
-      acc += RowPassDenseScalar<kSquared>(row_values, cols, col_bases, n,
-                                          row_base, cluster_base);
-      dense_entries += n;
-    } else {
-      acc += RowPassMasked<kSquared>(row_values, m.RowMask(r).data(), cols,
-                                     col_bases, n, row_base, cluster_base);
-    }
-  }
-  // The newly-added row, if this is an addition.
-  if (!removing && toggled_cnt > 0) {
-    double row_base = toggled_sum / toggled_cnt;
-    if (row_i_dense) {
-      acc += RowPassDenseScalar<kSquared>(row_values_i, cols, col_bases, n,
-                                          row_base, cluster_base);
-      dense_entries += n;
-    } else {
-      acc += RowPassMasked<kSquared>(row_values_i, row_mask_i, cols,
-                                     col_bases, n, row_base, cluster_base);
-    }
-  }
-  dense_entries_last_scan_ = dense_entries;
-  return acc / new_volume;
-}
-
-double ResidueEngine::ResidueAfterToggleCol(const ClusterView& view, size_t j,
-                                            size_t* new_volume_out) {
-  return norm_ == ResidueNorm::kMeanSquared
-             ? AfterToggleColImpl<true>(view, j, new_volume_out)
-             : AfterToggleColImpl<false>(view, j, new_volume_out);
-}
-
-template <bool kSquared>
-double ResidueEngine::AfterToggleColImpl(const ClusterView& view, size_t j,
-                                         size_t* new_volume_out) {
-  const DataMatrix& m = view.matrix();
-  const Cluster& c = view.cluster();
-  const ClusterStats& stats = view.stats();
-  const auto& col_ids = c.col_ids();
-  const auto& row_ids = c.row_ids();
-  dense_entries_last_scan_ = 0;
-
-  bool removing = c.HasCol(j);
-
-  double toggled_sum = 0.0;
-  size_t toggled_cnt = 0;
-  if (removing) {
-    toggled_sum = stats.ColSum(j);
-    toggled_cnt = stats.ColCount(j);
-  } else {
-    ClusterStats::ColSumOverRows(m, row_ids, j, &toggled_sum, &toggled_cnt);
-  }
-
-  double new_total =
-      removing ? stats.Total() - toggled_sum : stats.Total() + toggled_sum;
-  size_t new_volume =
-      removing ? stats.Volume() - toggled_cnt : stats.Volume() + toggled_cnt;
-  if (new_volume_out != nullptr) *new_volume_out = new_volume;
-  if (new_volume == 0) return 0.0;
-  double cluster_base = new_total / new_volume;
-
-  // The post-toggle column set, compacted into a visited-column list with
-  // its bases: member columns (minus j on removal, their bases unchanged
-  // by a column toggle), plus j appended last on addition -- the same
-  // visit order per row as toggling for real and rescanning.
-  double toggled_col_base =
-      toggled_cnt == 0 ? 0.0 : toggled_sum / toggled_cnt;
-  scratch_cols_.clear();
-  scratch_col_base_.clear();
-  for (uint32_t col : col_ids) {
-    if (removing && col == j) continue;
-    scratch_cols_.push_back(col);
-    scratch_col_base_.push_back(stats.ColBase(col));
-  }
-  if (!removing) {
-    scratch_cols_.push_back(static_cast<uint32_t>(j));
-    scratch_col_base_.push_back(toggled_col_base);
-  }
-  size_t n = scratch_cols_.size();
-  const uint32_t* cols = scratch_cols_.data();
-  const double* col_bases = scratch_col_base_.data();
-
-  // Column j's entries, read stride-1 on the column-major mirror (the
-  // row-major reads would hop a full row stride per member row).
-  const double* col_values_j = m.ColValues(j).data();
-  const uint8_t* col_mask_j = m.ColMask(j).data();
-
-  double acc = 0.0;
-  size_t dense_entries = 0;
-  for (uint32_t i : row_ids) {
-    const double* row_values = m.RowValues(i).data();
-    // Adjusted row base: moves only if (i, j) is specified. row_cnt
-    // becomes the row's specified count over the post-toggle column
-    // set, which doubles as the dense-dispatch predicate below.
-    double row_sum = stats.RowSum(i);
-    size_t row_cnt = stats.RowCount(i);
-    if (col_mask_j[i]) {
-      double v = col_values_j[i];
-      if (removing) {
-        row_sum -= v;
-        --row_cnt;
-      } else {
-        row_sum += v;
-        ++row_cnt;
-      }
-    }
-    double row_base = row_cnt == 0 ? 0.0 : row_sum / row_cnt;
-
-    if (row_cnt == n) {
-      acc += RowPassDenseScalar<kSquared>(row_values, cols, col_bases, n,
-                                          row_base, cluster_base);
-      dense_entries += n;
-    } else {
-      acc += RowPassMasked<kSquared>(row_values, m.RowMask(i).data(), cols,
-                                     col_bases, n, row_base, cluster_base);
-    }
-  }
-  dense_entries_last_scan_ = dense_entries;
-  return acc / new_volume;
-}
-
 // ---------------------------------------------------------------------------
-// Pane kernels: the ClusterWorkspace paths. Same scan semantics as the
-// view impls above, but member rows stream from the workspace's packed
-// pane (contiguous, vectorizable) instead of gathering through the
-// column-id list. Entries outside the pane -- a row being added, or the
-// column being added -- are the only gathered reads, and they are O(|J|)
-// / O(|I|) per evaluation.
+// Scan kernels. Member rows stream from the workspace's packed pane
+// (contiguous, vectorizable) in cluster row/column order. Entries outside
+// the pane -- a row being added, or the column being added -- are the
+// only gathered reads, and they are O(|J|) / O(|I|) per evaluation.
 // ---------------------------------------------------------------------------
 
 template <bool kSquared>
-double ResidueEngine::NumeratorPaneImpl(const ClusterWorkspace& ws) {
+double ResidueEngine::NumeratorImpl(const ClusterWorkspace& ws) {
   const Cluster& c = ws.cluster();
   const ClusterStats& stats = ws.stats();
   dense_entries_last_scan_ = 0;
@@ -495,7 +254,7 @@ double ResidueEngine::NumeratorPaneImpl(const ClusterWorkspace& ws) {
       kSquared ? simd.seg_full_sq : simd.seg_full_abs;
   // The pane's columns are always one contiguous run, so a dense row is
   // a single whole-row call that keeps the lanes in registers --
-  // bit-identical to the gather path by the LaneAcc contract, and
+  // bit-identical to the masked pass by the LaneAcc contract, and
   // roughly half the per-row cost of a spill-around-the-call shape on
   // short rows.
   double acc = 0.0;
@@ -516,7 +275,7 @@ double ResidueEngine::NumeratorPaneImpl(const ClusterWorkspace& ws) {
 }
 
 template <bool kSquared>
-double ResidueEngine::AfterToggleRowPaneImpl(const ClusterWorkspace& ws,
+double ResidueEngine::AfterToggleRowImpl(const ClusterWorkspace& ws,
                                              size_t i,
                                              size_t* new_volume_out) {
   const DataMatrix& m = ws.matrix();
@@ -548,7 +307,7 @@ double ResidueEngine::AfterToggleRowPaneImpl(const ClusterWorkspace& ws,
   double cluster_base = new_total / new_volume;
 
   size_t n = col_ids.size();
-  // Adjusted column bases, exactly as the gather path builds them.
+  // Adjusted column bases: only the columns where row i is specified move.
   scratch_col_base_.resize(n);
   bool row_i_dense = toggled_cnt == n;
   for (size_t idx = 0; idx < n; ++idx) {
@@ -610,7 +369,7 @@ double ResidueEngine::AfterToggleRowPaneImpl(const ClusterWorkspace& ws,
 }
 
 template <bool kSquared>
-double ResidueEngine::AfterToggleColPaneImpl(const ClusterWorkspace& ws,
+double ResidueEngine::AfterToggleColImpl(const ClusterWorkspace& ws,
                                              size_t j,
                                              size_t* new_volume_out) {
   const DataMatrix& m = ws.matrix();
@@ -642,11 +401,11 @@ double ResidueEngine::AfterToggleColPaneImpl(const ClusterWorkspace& ws,
       toggled_cnt == 0 ? 0.0 : toggled_sum / toggled_cnt;
 
   // Compacted visited-column bases in pane-column order (skipping j on
-  // removal, appending j's base on addition), exactly as the gather path
-  // builds them. `jj` is j's position within the pane on removal, which
-  // splits each pane row into two contiguous segments; the lane phase
-  // carried across the split keeps the visit sequence -- and hence the
-  // per-lane addition chains -- identical to the single-pass scan.
+  // removal, appending j's base on addition). `jj` is j's position
+  // within the pane on removal, which splits each pane row into two
+  // contiguous segments; the lane phase carried across the split keeps
+  // the visit sequence -- and hence the per-lane addition chains --
+  // identical to a single pass over the compacted columns.
   size_t n_pane = col_ids.size();
   size_t jj = n_pane;
   scratch_col_base_.clear();
@@ -705,14 +464,14 @@ double ResidueEngine::AfterToggleColPaneImpl(const ClusterWorkspace& ws,
     if (removing) {
       // Skip pane column jj: two contiguous chunks with the lane phase
       // carried across the split, which keeps the visit sequence -- and
-      // hence the per-lane addition chains -- identical to the
-      // single-pass scan the gather path performs.
+      // hence the per-lane addition chains -- identical to a single-pass
+      // scan over the post-toggle columns.
       if (jj > 0) scan(0, col_bases, jj);
       if (jj + 1 < n_pane) scan(jj + 1, col_bases + jj, n_pane - jj - 1);
     } else {
       scan(0, col_bases, n_pane);
       // Column j is outside the pane; it is visited last, matching the
-      // gather path's compacted column order.
+      // compacted column-base order.
       if (col_mask_j[i]) {
         lanes.l[lanes.p & 3] += Contribution<kSquared>(
             col_values_j[i], row_base, toggled_col_base, cluster_base);

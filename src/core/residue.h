@@ -6,36 +6,31 @@
 // specified entries (the paper also mentions square mean; both are
 // supported via ResidueNorm).
 //
-// ResidueEngine additionally evaluates the residue a cluster *would* have
-// after toggling one row or column membership, without mutating the
-// cluster and without copying its stats -- this is the kernel behind
-// FLOC's gain computation (Section 4.1), where gain(Action(x, c)) is the
-// reduction of c's residue caused by the action.
+// ResidueEngine computes the residue of a ClusterWorkspace's cluster and
+// evaluates the residue the cluster *would* have after toggling one row
+// or column membership, without mutating the cluster and without copying
+// its stats -- this is the kernel behind FLOC's gain computation
+// (Section 4.1), where gain(Action(x, c)) is the reduction of c's residue
+// caused by the action.
 //
-// The scan kernels are lane-split: each row's contributions accumulate
-// into four independent lanes (the p-th *visited* entry lands in lane
-// p mod 4) that reduce as (l0 + l1) + (l2 + l3). Rows that are fully
-// specified over the visited columns dispatch to a branch-free unrolled
-// dense pass; rows with gaps take a masked pass that reproduces the
-// exact same lane pattern, so the two paths are bit-identical on dense
-// rows and the result never depends on which path ran.
-//
-// The ClusterWorkspace overloads additionally run their row passes over
-// the workspace's epoch-cached *packed pane* (a contiguous copy of the
-// submatrix, src/core/cluster_workspace.h) instead of gathering through
-// the column-id list -- the gather is the kernels' real bottleneck, and
-// the unit-stride pane stream vectorizes. Lane indices are tied to visit
-// order, not memory position, so the pane passes are bit-identical to
-// the gather passes entry for entry. See DESIGN.md "The gain kernel".
+// Every scan runs over the workspace's epoch-cached *packed pane* (a
+// contiguous copy of the submatrix, src/core/cluster_workspace.h), so
+// member rows stream unit-stride instead of gathering through the
+// column-id list. The kernels are lane-split: each row's contributions
+// accumulate into four independent lanes (the p-th *visited* entry lands
+// in lane p mod 4) that reduce as (l0 + l1) + (l2 + l3). Rows that are
+// fully specified over the visited columns dispatch to a branch-free
+// dense pass; rows with gaps take a masked pass that reproduces the exact
+// same lane pattern, so the two paths are bit-identical on dense rows
+// and the result never depends on which path ran. See DESIGN.md "The
+// gain kernel".
 #ifndef DELTACLUS_CORE_RESIDUE_H_
 #define DELTACLUS_CORE_RESIDUE_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "src/core/cluster.h"
-#include "src/core/cluster_stats.h"
 #include "src/core/cluster_workspace.h"
 #include "src/core/data_matrix.h"
 
@@ -80,9 +75,13 @@ double ClusterResidueNaive(const DataMatrix& m, const Cluster& c,
 // ResidueEngine: stats-backed fast path.
 // ---------------------------------------------------------------------------
 
-/// Computes cluster residues and virtual-toggle residues using a cluster's
-/// incrementally-maintained ClusterStats. One engine may serve many
-/// clusters over the same matrix; it only holds scratch buffers.
+/// Computes cluster residues and virtual-toggle residues using a
+/// workspace's incrementally-maintained ClusterStats and packed pane. One
+/// engine may serve many clusters over the same matrix; it only holds
+/// scratch buffers. To evaluate a bare Cluster, build a ClusterWorkspace
+/// over it first. Every scan counts its entries in the
+/// floc.gain_eval_entries_scanned counter (and dense-kernel entries in
+/// floc.gain_eval_entries_dense).
 class ResidueEngine {
  public:
   explicit ResidueEngine(ResidueNorm norm = ResidueNorm::kMeanAbsolute)
@@ -90,29 +89,20 @@ class ResidueEngine {
 
   ResidueNorm norm() const { return norm_; }
 
-  /// Residue of the cluster as it stands: one lane-split pass over the
-  /// submatrix, O(volume) entries visited (fully-specified rows via the
-  /// dense kernel, others via the bit-identical masked kernel).
-  double Residue(const ClusterView& view);
-
   /// Residue of a workspace's cluster, served from the workspace's
   /// epoch-stamped cache when membership has not changed since the last
   /// computation under this engine's norm. First call after a toggle is
-  /// one O(volume) pass; repeated calls are O(1) and bit-identical to
-  /// the pass result (the cache stores the scan's numerator and volume,
-  /// and the quotient is formed the same way).
+  /// one O(volume) lane-split pass; repeated calls are O(1) and
+  /// bit-identical to the pass result (the cache stores the scan's
+  /// numerator and volume, and the quotient is formed the same way).
   double Residue(const ClusterWorkspace& ws);
 
   /// Residue the cluster would have after toggling row i's membership.
   /// Does not modify the cluster. One pass over the *post-toggle*
   /// submatrix plus an O(|J|) adjusted-column-base pass: member rows
-  /// fully specified over the cluster's columns take the dense kernel,
-  /// the rest the masked kernel. The workspace overload streams member
-  /// rows from the packed pane (unit-stride, vectorizable) instead of
-  /// gathering; both overloads return bit-identical residues. If
-  /// `new_volume` is non-null it receives the post-toggle volume.
-  double ResidueAfterToggleRow(const ClusterView& view, size_t i,
-                               size_t* new_volume = nullptr);
+  /// stream from the pane, and an added row (outside the pane) takes one
+  /// gathered pass. If `new_volume` is non-null it receives the
+  /// post-toggle volume.
   double ResidueAfterToggleRow(const ClusterWorkspace& ws, size_t i,
                                size_t* new_volume = nullptr);
 
@@ -121,28 +111,14 @@ class ResidueEngine {
   /// submatrix plus an O(|I|) pass down column j on the column-major
   /// plane (for the toggled sums and per-row adjusted row bases). If
   /// `new_volume` is non-null it receives the post-toggle volume.
-  double ResidueAfterToggleCol(const ClusterView& view, size_t j,
-                               size_t* new_volume = nullptr);
   double ResidueAfterToggleCol(const ClusterWorkspace& ws, size_t j,
                                size_t* new_volume = nullptr);
 
-  /// Gain of the action "toggle row i in this cluster": current residue
-  /// minus post-action residue. Positive gain = improvement. The view
-  /// overloads pay a full standing-residue scan per call.
-  double GainToggleRow(const ClusterView& view, size_t i) {
-    return Residue(view) - ResidueAfterToggleRow(view, i);
-  }
-
-  /// Gain of the action "toggle column j in this cluster".
-  double GainToggleCol(const ClusterView& view, size_t j) {
-    return Residue(view) - ResidueAfterToggleCol(view, j);
-  }
-
-  /// Workspace gain evaluations: the standing residue comes from the
-  /// workspace cache, so evaluating many candidate toggles against the
-  /// same cluster costs one after-toggle scan each instead of two full
-  /// scans. Both contribute to the floc.gain_eval_entries_scanned
-  /// counter (and dense-kernel entries to floc.gain_eval_entries_dense).
+  /// Gain of the action "toggle row i / column j in this cluster":
+  /// current residue minus post-action residue (positive gain =
+  /// improvement). The standing residue comes from the workspace cache,
+  /// so evaluating many candidate toggles against the same cluster costs
+  /// one after-toggle scan each.
   double GainToggleRow(const ClusterWorkspace& ws, size_t i) {
     return Residue(ws) - ResidueAfterToggleRow(ws, i);
   }
@@ -151,43 +127,24 @@ class ResidueEngine {
   }
 
  private:
-  /// The full-scan residue numerator (sum of per-entry contributions in
-  /// the current norm) over the cluster's specified entries. Shared by
-  /// the uncached and cache-filling paths so both accumulate in the same
-  /// order.
-  double ResidueNumerator(const ClusterView& view);
-
   // Norm-templated kernel bodies (defined in residue.cc); the public
   // entry points dispatch on norm_ once per call so the per-entry loop
-  // carries no norm branch. The view impls gather through the column-id
-  // list; the workspace (pane) impls stream the packed pane. Either
-  // pairing produces bit-identical numerators.
+  // carries no norm branch.
   template <bool kSquared>
-  double NumeratorImpl(const ClusterView& view);
+  double NumeratorImpl(const ClusterWorkspace& ws);
   template <bool kSquared>
-  double AfterToggleRowImpl(const ClusterView& view, size_t i,
+  double AfterToggleRowImpl(const ClusterWorkspace& ws, size_t i,
                             size_t* new_volume_out);
   template <bool kSquared>
-  double AfterToggleColImpl(const ClusterView& view, size_t j,
+  double AfterToggleColImpl(const ClusterWorkspace& ws, size_t j,
                             size_t* new_volume_out);
-  template <bool kSquared>
-  double NumeratorPaneImpl(const ClusterWorkspace& ws);
-  template <bool kSquared>
-  double AfterToggleRowPaneImpl(const ClusterWorkspace& ws, size_t i,
-                                size_t* new_volume_out);
-  template <bool kSquared>
-  double AfterToggleColPaneImpl(const ClusterWorkspace& ws, size_t j,
-                                size_t* new_volume_out);
 
   ResidueNorm norm_;
   // Scratch: column bases aligned with the visited-column list of the
-  // current scan, and (for column toggles) the compacted visited-column
-  // list itself.
+  // current scan.
   std::vector<double> scratch_col_base_;
-  std::vector<uint32_t> scratch_cols_;
-  // Entries the most recent scan accumulated through the dense kernel;
-  // the workspace overloads flush this into the
-  // floc.gain_eval_entries_dense counter.
+  // Entries the most recent scan accumulated through the dense kernel,
+  // flushed into the floc.gain_eval_entries_dense counter.
   size_t dense_entries_last_scan_ = 0;
 };
 

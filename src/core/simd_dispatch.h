@@ -40,8 +40,8 @@ enum class SimdMode { kAuto, kOff };
 /// the table: vgatherdpd costs more than four pipelined scalar loads on
 /// the server Xeons we target (measured 0.67x at n=200), so no ISA ever
 /// overrides it -- and keeping it out of the table lets the scalar
-/// template inline into the view-scan loops instead of paying an
-/// indirect call per row.
+/// template inline into the added-row pass of the row-toggle kernel
+/// instead of paying an indirect call.
 struct SimdKernels {
   using SegDenseFn = void (*)(const double* values, const double* col_bases,
                               size_t n, double row_base, double cluster_base,

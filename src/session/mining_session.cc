@@ -716,8 +716,8 @@ FlocResult MiningSession::Finish() {
   result_.residues.resize(k_);
   double sum = 0.0;
   for (size_t c = 0; c < k_; ++c) {
-    ClusterView v(matrix_, result_.clusters[c]);
-    result_.residues[c] = engine_.Residue(v);
+    ClusterWorkspace ws(matrix_, result_.clusters[c]);
+    result_.residues[c] = engine_.Residue(ws);
     sum += result_.residues[c];
   }
   result_.average_residue = sum / static_cast<double>(k_);

@@ -421,6 +421,17 @@ SessionCheckpoint ReadSessionCheckpoint(const std::string& path,
        << ")";
     Reject(origin, os.str());
   }
+  // Every cluster encodes at least an empty live view (two id-list
+  // lengths, total, volume) and its best-so-far members (two id-list
+  // lengths), so a k the payload cannot hold is rejected before anything
+  // is sized from it.
+  constexpr uint64_t kMinClusterBytes = 4 * 8 + 2 * 8;
+  if (k > payload_bytes / kMinClusterBytes) {
+    std::ostringstream os;
+    os << "cluster count " << k << " exceeds what the " << payload_bytes
+       << "-byte payload can hold";
+    Reject(origin, os.str());
+  }
   const uint8_t* payload = buf + kDcsHeaderBytes;
   if (Fnv1a64(payload, payload_bytes) != payload_checksum) {
     Reject(origin, "payload checksum mismatch (corrupt session state)");

@@ -1,5 +1,6 @@
 #include "src/storage/dcm_format.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -63,6 +64,28 @@ std::vector<PlaneExtent> PlaneExtents(const DcmHeader& h) {
       {h.off_row_specified, h.rows * sizeof(uint64_t), "row_specified"},
       {h.off_col_specified, h.cols * sizeof(uint64_t), "col_specified"},
   };
+}
+
+/// Rejects the first specified non-finite cell of one values/mask plane
+/// pair, naming its (0-based) row and column. `row_major` says how a
+/// cell index maps back to (row, column).
+void RejectNonFinite(const uint8_t* buf, const DcmHeader& h,
+                     uint64_t values_off, uint64_t mask_off, bool row_major,
+                     const std::string& origin) {
+  uint64_t cells = h.rows * h.cols;
+  for (uint64_t idx = 0; idx < cells; ++idx) {
+    if (buf[mask_off + idx] == 0) continue;
+    double v = 0.0;
+    std::memcpy(&v, buf + values_off + idx * sizeof(double), sizeof(v));
+    if (std::isfinite(v)) continue;
+    uint64_t row = row_major ? idx / h.cols : idx % h.rows;
+    uint64_t col = row_major ? idx % h.cols : idx / h.rows;
+    std::ostringstream os;
+    os << "non-finite value " << v << " at row " << row << ", column "
+       << col << " (" << (row_major ? "values_rm" : "values_cm")
+       << " plane; specified cells must be finite numbers)";
+    Reject(origin, os.str());
+  }
 }
 
 }  // namespace
@@ -163,6 +186,13 @@ void VerifyDcmPayload(const void* data, const DcmHeader& header,
   if (digest != header.payload_checksum) {
     Reject(origin, "payload checksum mismatch (corrupt plane data)");
   }
+  // A specified cell must be finite, the policy ReadCsv and
+  // DataMatrix::Set enforce: one nan turns every residue it touches into
+  // nan. Both layouts are checked because the kernels read both.
+  RejectNonFinite(buf, header, header.off_values_rm, header.off_mask_rm,
+                  /*row_major=*/true, origin);
+  RejectNonFinite(buf, header, header.off_values_cm, header.off_mask_cm,
+                  /*row_major=*/false, origin);
 }
 
 void WriteDcmFile(const MatrixStore& store, const std::string& path) {

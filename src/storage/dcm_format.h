@@ -31,8 +31,9 @@
 // offset/extent are checked eagerly from the header alone; the payload
 // checksum covers all plane bytes and is verified only on request
 // (DcmVerify::kFull, used by `dcm_convert --verify` and the rejection
-// tests), because verifying it reads every page the mmap backend
-// exists to avoid touching.
+// tests), together with a check that every specified cell is finite,
+// because both read every page the mmap backend exists to avoid
+// touching.
 #ifndef DELTACLUS_STORAGE_DCM_FORMAT_H_
 #define DELTACLUS_STORAGE_DCM_FORMAT_H_
 
@@ -57,6 +58,7 @@ inline constexpr uint32_t kDcmVersion = 1;
 enum class DcmVerify {
   kHeader,  ///< magic/version/endianness/header checksum/offsets only
   kFull,    ///< kHeader plus the payload checksum over all plane bytes
+            ///< and a finiteness check of every specified cell
 };
 
 /// Parsed, validated header. Offsets are absolute file offsets.
@@ -91,8 +93,9 @@ DcmHeader ParseDcmHeader(const void* data, size_t file_size,
                          const std::string& origin);
 
 /// Verifies the payload checksum over the plane bytes of a fully
-/// readable image. Throws std::runtime_error ("payload checksum
-/// mismatch") when the digest disagrees with the header.
+/// readable image, then that every specified cell of both value planes
+/// is finite. Throws std::runtime_error naming the defect ("payload
+/// checksum mismatch", or "non-finite value" with its row and column).
 void VerifyDcmPayload(const void* data, const DcmHeader& header,
                       const std::string& origin);
 

@@ -24,16 +24,19 @@ Cluster SmallCluster() {
   return Cluster::FromMembers(4, 4, {0, 1, 2}, {0, 2, 3});
 }
 
-TEST(ClusterWorkspaceTest, CachedResidueMatchesClusterViewResidue) {
+TEST(ClusterWorkspaceTest, CachedResidueMatchesFreshWorkspace) {
   DataMatrix m = SmallMatrix();
   ClusterWorkspace ws(m, SmallCluster());
-  ClusterView view(m, SmallCluster());
   ResidueEngine engine;
   // First call fills the cache; repeated calls serve from it. All must be
-  // bit-identical to the ClusterView path, which rescans every time.
-  double expected = engine.Residue(view);
-  EXPECT_EQ(engine.Residue(ws), expected);
+  // bit-identical to the same cluster scanned in a freshly built
+  // workspace, and agree with the naive reference.
+  double first = engine.Residue(ws);
   EXPECT_TRUE(ws.ResidueCached(CachedNormTag::kMeanAbsolute));
+  EXPECT_NEAR(first, ClusterResidueNaive(m, SmallCluster()), 1e-12);
+  ClusterWorkspace fresh(m, SmallCluster());
+  double expected = engine.Residue(fresh);
+  EXPECT_EQ(first, expected);
   EXPECT_EQ(engine.Residue(ws), expected);
   EXPECT_EQ(engine.Residue(ws), expected);
 }
@@ -69,32 +72,49 @@ TEST(ClusterWorkspaceTest, NormChangeMissesTheCache) {
   double sq_residue = sq_engine.Residue(ws);
   EXPECT_TRUE(ws.ResidueCached(CachedNormTag::kMeanSquared));
   // And refilling under the second norm computed the right value.
-  ClusterView view(m, SmallCluster());
-  EXPECT_EQ(sq_residue, sq_engine.Residue(view));
-  EXPECT_EQ(abs_residue, abs_engine.Residue(view));
+  ClusterWorkspace fresh(m, SmallCluster());
+  EXPECT_EQ(sq_residue, sq_engine.Residue(fresh));
+  fresh.InvalidateResidue();
+  EXPECT_EQ(abs_residue, abs_engine.Residue(fresh));
 }
 
-TEST(ClusterWorkspaceTest, AfterToggleAndGainMatchViewOverloads) {
+TEST(ClusterWorkspaceTest, AfterToggleAndGainMatchRealToggle) {
+  // Every virtual toggle -- additions and removals, rows and columns,
+  // over a cluster with gaps -- against toggling a copy for real and
+  // rescanning, and against the naive reference on the toggled cluster.
   DataMatrix m = SmallMatrix();
   ClusterWorkspace ws(m, SmallCluster());
-  ClusterView view(m, SmallCluster());
   ResidueEngine engine;
+  double before = engine.Residue(ws);
   for (size_t i = 0; i < m.rows(); ++i) {
-    size_t ws_volume = 0;
-    size_t view_volume = 0;
-    EXPECT_EQ(engine.ResidueAfterToggleRow(ws, i, &ws_volume),
-              engine.ResidueAfterToggleRow(view, i, &view_volume));
-    EXPECT_EQ(ws_volume, view_volume);
-    EXPECT_EQ(engine.GainToggleRow(ws, i), engine.GainToggleRow(view, i));
+    size_t new_volume = 0;
+    double predicted = engine.ResidueAfterToggleRow(ws, i, &new_volume);
+    ClusterWorkspace toggled = ws;
+    toggled.ToggleRow(i);
+    double actual = engine.Residue(toggled);
+    EXPECT_NEAR(predicted, actual, 1e-12) << "row " << i;
+    EXPECT_NEAR(predicted, ClusterResidueNaive(m, toggled.cluster()), 1e-12)
+        << "row " << i;
+    EXPECT_EQ(new_volume, toggled.stats().Volume()) << "row " << i;
+    EXPECT_NEAR(engine.GainToggleRow(ws, i), before - actual, 1e-12)
+        << "row " << i;
   }
   for (size_t j = 0; j < m.cols(); ++j) {
-    EXPECT_EQ(engine.ResidueAfterToggleCol(ws, j),
-              engine.ResidueAfterToggleCol(view, j));
-    EXPECT_EQ(engine.GainToggleCol(ws, j), engine.GainToggleCol(view, j));
+    size_t new_volume = 0;
+    double predicted = engine.ResidueAfterToggleCol(ws, j, &new_volume);
+    ClusterWorkspace toggled = ws;
+    toggled.ToggleCol(j);
+    double actual = engine.Residue(toggled);
+    EXPECT_NEAR(predicted, actual, 1e-12) << "col " << j;
+    EXPECT_NEAR(predicted, ClusterResidueNaive(m, toggled.cluster()), 1e-12)
+        << "col " << j;
+    EXPECT_EQ(new_volume, toggled.stats().Volume()) << "col " << j;
+    EXPECT_NEAR(engine.GainToggleCol(ws, j), before - actual, 1e-12)
+        << "col " << j;
   }
 }
 
-TEST(ClusterWorkspaceTest, RandomizedToggleWalkStaysBitIdenticalToView) {
+TEST(ClusterWorkspaceTest, RandomizedToggleWalkStaysBitIdenticalToRescan) {
   SyntheticConfig config;
   config.rows = 40;
   config.cols = 30;
@@ -104,28 +124,38 @@ TEST(ClusterWorkspaceTest, RandomizedToggleWalkStaysBitIdenticalToView) {
   config.seed = 11;
   SyntheticDataset data = GenerateSynthetic(config);
 
+  // `ws` keeps its cache and patches its pane across toggles; `twin`
+  // takes the same toggles (so its stats hold the same bits) but drops
+  // its residue cache and pane before every read, so each of its reads
+  // is a full rescan over a freshly rebuilt pane.
   ClusterWorkspace ws(data.matrix,
                       Cluster::FromMembers(40, 30, {0, 1, 2, 3}, {0, 1, 2}));
-  ClusterView view(data.matrix,
-                   Cluster::FromMembers(40, 30, {0, 1, 2, 3}, {0, 1, 2}));
+  ClusterWorkspace twin = ws;
   ResidueEngine engine;
   Rng rng(99);
   for (int step = 0; step < 400; ++step) {
     if (rng.Bernoulli(0.5)) {
       size_t i = rng.UniformIndex(40);
       ws.ToggleRow(i);
-      view.ToggleRow(i);
+      twin.ToggleRow(i);
     } else {
       size_t j = rng.UniformIndex(30);
       ws.ToggleCol(j);
-      view.ToggleCol(j);
+      twin.ToggleCol(j);
     }
     // Read the cached residue twice per step (fill + hit) and require
-    // bit-identity with the always-rescanning view path.
-    double expected = engine.Residue(view);
+    // bit-identity with the always-rescanning twin.
+    twin.InvalidateResidue();
+    twin.InvalidatePane();
+    double expected = engine.Residue(twin);
     ASSERT_EQ(engine.Residue(ws), expected) << "step " << step;
     ASSERT_EQ(engine.Residue(ws), expected) << "step " << step;
   }
+  // The walk's incrementally-updated stats still agree with the naive
+  // reference on the final membership.
+  EXPECT_NEAR(engine.Residue(ws), ClusterResidueNaive(data.matrix,
+                                                      ws.cluster()),
+              1e-9);
 }
 
 TEST(ClusterWorkspaceTest, AuditAcceptsConsistentWorkspace) {
@@ -176,16 +206,21 @@ TEST(ClusterWorkspaceTest, AlternatingNormsNeverServeStaleNumerators) {
   // numerator accumulated under the other norm must never leak through.
   DataMatrix m = SmallMatrix();
   ClusterWorkspace ws(m, SmallCluster());
-  ClusterView view(m, SmallCluster());
+  ClusterWorkspace twin = ws;
   ResidueEngine abs_engine(ResidueNorm::kMeanAbsolute);
   ResidueEngine sq_engine(ResidueNorm::kMeanSquared);
+  // `twin` holds the same stats bits but rescans on every read.
+  auto rescan = [&twin](ResidueEngine& engine) {
+    twin.InvalidateResidue();
+    return engine.Residue(twin);
+  };
   for (int round = 0; round < 3; ++round) {
-    ASSERT_EQ(abs_engine.Residue(ws), abs_engine.Residue(view));
-    ASSERT_EQ(sq_engine.Residue(ws), sq_engine.Residue(view));
-    ASSERT_EQ(abs_engine.Residue(ws), abs_engine.Residue(view));
+    ASSERT_EQ(abs_engine.Residue(ws), rescan(abs_engine));
+    ASSERT_EQ(sq_engine.Residue(ws), rescan(sq_engine));
+    ASSERT_EQ(abs_engine.Residue(ws), rescan(abs_engine));
     size_t i = static_cast<size_t>(round) % m.rows();
     ws.ToggleRow(i);
-    view.ToggleRow(i);
+    twin.ToggleRow(i);
   }
 }
 

@@ -32,26 +32,32 @@ DataMatrix MakeMatrix(size_t rows, size_t cols, double density,
 
 TEST(AuditTest, ConsistentViewPassesAfterToggleStream) {
   DataMatrix m = MakeMatrix(20, 12, 0.8, 1);
-  ClusterView view(m, Cluster::FromMembers(20, 12, {0, 3, 5, 9}, {1, 2, 7}));
+  ClusterWorkspace ws(m,
+                      Cluster::FromMembers(20, 12, {0, 3, 5, 9}, {1, 2, 7}));
+  ResidueEngine engine;
+  Constraints cons;
   Rng rng(2);
   for (int step = 0; step < 200; ++step) {
     if (rng.Bernoulli(0.5)) {
-      view.ToggleRow(rng.UniformIndex(20));
+      ws.ToggleRow(rng.UniformIndex(20));
     } else {
-      view.ToggleCol(rng.UniformIndex(12));
+      ws.ToggleCol(rng.UniformIndex(12));
     }
-    AuditStatsMatchRecompute(m, view.cluster(), view.stats(), kTol, "test");
-    AuditResidueMatchesRebuild(view, ResidueNorm::kMeanAbsolute, kTol,
-                               "test");
+    // Alternate between an empty and a filled residue cache so the audit
+    // runs both with and without its cached-residue check.
+    if (step % 2 == 0) engine.Residue(ws);
+    AuditClusterWorkspace(ws, cons, ResidueNorm::kMeanAbsolute, kTol,
+                          "test");
   }
 }
 
 TEST(AuditTest, FullViewAuditPassesOnBothNorms) {
   DataMatrix m = MakeMatrix(15, 15, 0.6, 3);
-  ClusterView view(m, Cluster::FromMembers(15, 15, {1, 4, 6, 8}, {0, 3, 9}));
+  ClusterWorkspace ws(m,
+                      Cluster::FromMembers(15, 15, {1, 4, 6, 8}, {0, 3, 9}));
   Constraints cons;
-  AuditClusterView(view, cons, ResidueNorm::kMeanAbsolute, kTol, "test");
-  AuditClusterView(view, cons, ResidueNorm::kMeanSquared, kTol, "test");
+  AuditClusterWorkspace(ws, cons, ResidueNorm::kMeanAbsolute, kTol, "test");
+  AuditClusterWorkspace(ws, cons, ResidueNorm::kMeanSquared, kTol, "test");
 }
 
 TEST_F(AuditDeathTest, CatchesVolumeCorruption) {
@@ -79,6 +85,22 @@ TEST_F(AuditDeathTest, CatchesColumnSumCorruption) {
   stats.AddCol(m, c, 2);
   EXPECT_DEATH(AuditStatsMatchRecompute(m, c, stats, kTol, "corrupt"),
                "corrupt");
+}
+
+TEST_F(AuditDeathTest, CatchesResidueDriftFromACorruptPane) {
+  DataMatrix m = MakeMatrix(10, 8, 1.0, 8);
+  ClusterWorkspace ws(m, Cluster::FromMembers(10, 8, {1, 3, 5}, {0, 2, 4}));
+  // Deliberate corruption: one pane entry no longer mirrors the matrix,
+  // so a scan over the live workspace drifts from a fresh rebuild while
+  // the stats still match their recompute.
+  const PackedPane& pane = ws.EnsurePane();
+  const_cast<PackedPane&>(pane).values[pane.row_slots[0] * pane.phys_stride] +=
+      100.0;
+  Constraints cons;
+  EXPECT_DEATH(AuditClusterWorkspace(ws, cons, ResidueNorm::kMeanAbsolute,
+                                     kTol, "pane"),
+               "pane: stats-backed residue .* drifted from from-scratch "
+               "recompute");
 }
 
 TEST_F(AuditDeathTest, CatchesOccupancyViolation) {

@@ -9,6 +9,7 @@
 
 #include "src/core/cluster_stats.h"
 #include "src/core/cluster_tools.h"
+#include "src/core/cluster_workspace.h"
 #include "src/core/floc.h"
 #include "src/core/residue.h"
 #include "src/data/synthetic.h"
@@ -74,29 +75,29 @@ TEST_P(PropertySweepTest, EngineResidueMatchesNaive) {
   DataMatrix m = MakeMatrix(p);
   for (uint64_t salt = 0; salt < 3; ++salt) {
     Cluster c = MakeCluster(p, salt);
-    ClusterView view(m, c);
+    ClusterWorkspace ws(m, c);
     ResidueEngine engine;
-    EXPECT_NEAR(engine.Residue(view), ClusterResidueNaive(m, c), 1e-9);
+    EXPECT_NEAR(engine.Residue(ws), ClusterResidueNaive(m, c), 1e-9);
   }
 }
 
 TEST_P(PropertySweepTest, VirtualtogglesMatchRealOnes) {
   const SweepCase& p = GetParam();
   DataMatrix m = MakeMatrix(p);
-  ClusterView view(m, MakeCluster(p, 2));
+  ClusterWorkspace ws(m, MakeCluster(p, 2));
   ResidueEngine engine;
   Rng rng(p.seed + 13);
   for (int rep = 0; rep < 20; ++rep) {
     if (rng.Bernoulli(0.5)) {
       size_t i = rng.UniformIndex(p.rows);
-      double predicted = engine.ResidueAfterToggleRow(view, i);
-      ClusterView toggled = view;
+      double predicted = engine.ResidueAfterToggleRow(ws, i);
+      ClusterWorkspace toggled = ws;
       toggled.ToggleRow(i);
       EXPECT_NEAR(predicted, engine.Residue(toggled), 1e-9);
     } else {
       size_t j = rng.UniformIndex(p.cols);
-      double predicted = engine.ResidueAfterToggleCol(view, j);
-      ClusterView toggled = view;
+      double predicted = engine.ResidueAfterToggleCol(ws, j);
+      ClusterWorkspace toggled = ws;
       toggled.ToggleCol(j);
       EXPECT_NEAR(predicted, engine.Residue(toggled), 1e-9);
     }

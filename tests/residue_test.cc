@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/cluster_stats.h"
+#include "src/core/cluster_workspace.h"
 #include "src/util/rng.h"
 
 namespace deltaclus {
@@ -274,10 +274,14 @@ TEST_P(ResidueEngineParamTest, EngineMatchesNaive) {
     DataMatrix m = RandomMatrix(p.rows, p.cols, p.density, seed * 100);
     Cluster c = RandomCluster(p.rows, p.cols, p.rows / 2 + 1, p.cols / 2 + 1,
                               seed * 100 + 1);
-    ClusterView view(m, c);
+    ClusterWorkspace ws(m, c);
     ResidueEngine engine(p.norm);
-    EXPECT_NEAR(engine.Residue(view), ClusterResidueNaive(m, c, p.norm),
+    EXPECT_NEAR(engine.Residue(ws), ClusterResidueNaive(m, c, p.norm),
                 1e-9);
+    // The cached read is bit-identical to the same cluster scanned in a
+    // freshly built workspace.
+    ClusterWorkspace fresh(m, c);
+    EXPECT_EQ(engine.Residue(ws), engine.Residue(fresh));
   }
 }
 
@@ -288,10 +292,10 @@ TEST_P(ResidueEngineParamTest, VirtualRowToggleMatchesRealToggle) {
     DataMatrix m = RandomMatrix(p.rows, p.cols, p.density, seed * 200);
     Cluster c = RandomCluster(p.rows, p.cols, p.rows / 2 + 1, p.cols / 2 + 1,
                               seed * 200 + 1);
-    ClusterView view(m, c);
+    ClusterWorkspace ws(m, c);
     for (size_t i = 0; i < p.rows; ++i) {
-      double predicted = engine.ResidueAfterToggleRow(view, i);
-      ClusterView toggled = view;
+      double predicted = engine.ResidueAfterToggleRow(ws, i);
+      ClusterWorkspace toggled = ws;
       toggled.ToggleRow(i);
       double actual = engine.Residue(toggled);
       EXPECT_NEAR(predicted, actual, 1e-9)
@@ -307,10 +311,10 @@ TEST_P(ResidueEngineParamTest, VirtualColToggleMatchesRealToggle) {
     DataMatrix m = RandomMatrix(p.rows, p.cols, p.density, seed * 300);
     Cluster c = RandomCluster(p.rows, p.cols, p.rows / 2 + 1, p.cols / 2 + 1,
                               seed * 300 + 1);
-    ClusterView view(m, c);
+    ClusterWorkspace ws(m, c);
     for (size_t j = 0; j < p.cols; ++j) {
-      double predicted = engine.ResidueAfterToggleCol(view, j);
-      ClusterView toggled = view;
+      double predicted = engine.ResidueAfterToggleCol(ws, j);
+      ClusterWorkspace toggled = ws;
       toggled.ToggleCol(j);
       double actual = engine.Residue(toggled);
       EXPECT_NEAR(predicted, actual, 1e-9)
@@ -325,17 +329,17 @@ TEST_P(ResidueEngineParamTest, GainEqualsObservedResidueDelta) {
   DataMatrix m = RandomMatrix(p.rows, p.cols, p.density, 999);
   Cluster c = RandomCluster(p.rows, p.cols, p.rows / 2 + 1, p.cols / 2 + 1,
                             998);
-  ClusterView view(m, c);
-  double before = engine.Residue(view);
+  ClusterWorkspace ws(m, c);
+  double before = engine.Residue(ws);
   for (size_t i = 0; i < p.rows; ++i) {
-    double gain = engine.GainToggleRow(view, i);
-    ClusterView toggled = view;
+    double gain = engine.GainToggleRow(ws, i);
+    ClusterWorkspace toggled = ws;
     toggled.ToggleRow(i);
     EXPECT_NEAR(gain, before - engine.Residue(toggled), 1e-9);
   }
   for (size_t j = 0; j < p.cols; ++j) {
-    double gain = engine.GainToggleCol(view, j);
-    ClusterView toggled = view;
+    double gain = engine.GainToggleCol(ws, j);
+    ClusterWorkspace toggled = ws;
     toggled.ToggleCol(j);
     EXPECT_NEAR(gain, before - engine.Residue(toggled), 1e-9);
   }
@@ -347,18 +351,18 @@ TEST_P(ResidueEngineParamTest, VirtualToggleReportsNewVolume) {
   DataMatrix m = RandomMatrix(p.rows, p.cols, p.density, 777);
   Cluster c = RandomCluster(p.rows, p.cols, p.rows / 2 + 1, p.cols / 2 + 1,
                             776);
-  ClusterView view(m, c);
+  ClusterWorkspace ws(m, c);
   for (size_t i = 0; i < p.rows; ++i) {
     size_t predicted_volume = 0;
-    engine.ResidueAfterToggleRow(view, i, &predicted_volume);
-    ClusterView toggled = view;
+    engine.ResidueAfterToggleRow(ws, i, &predicted_volume);
+    ClusterWorkspace toggled = ws;
     toggled.ToggleRow(i);
     EXPECT_EQ(predicted_volume, toggled.stats().Volume()) << "row " << i;
   }
   for (size_t j = 0; j < p.cols; ++j) {
     size_t predicted_volume = 0;
-    engine.ResidueAfterToggleCol(view, j, &predicted_volume);
-    ClusterView toggled = view;
+    engine.ResidueAfterToggleCol(ws, j, &predicted_volume);
+    ClusterWorkspace toggled = ws;
     toggled.ToggleCol(j);
     EXPECT_EQ(predicted_volume, toggled.stats().Volume()) << "col " << j;
   }
@@ -382,10 +386,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ResidueEngineTest, ToggleToEmptyClusterIsZero) {
   DataMatrix m = DataMatrix::FromRows({{1, 2}, {3, 4}});
-  ClusterView view(m, Cluster::FromMembers(2, 2, {0}, {0, 1}));
+  ClusterWorkspace ws(m, Cluster::FromMembers(2, 2, {0}, {0, 1}));
   ResidueEngine engine;
   // Removing the only row empties the cluster: residue 0 by convention.
-  EXPECT_DOUBLE_EQ(engine.ResidueAfterToggleRow(view, 0), 0.0);
+  EXPECT_DOUBLE_EQ(engine.ResidueAfterToggleRow(ws, 0), 0.0);
 }
 
 TEST(ResidueEngineTest, AddRowWithAllMissingEntriesKeepsResidue) {
@@ -394,11 +398,11 @@ TEST(ResidueEngineTest, AddRowWithAllMissingEntriesKeepsResidue) {
       {3.0, 4.0},
       {std::nullopt, std::nullopt},
   });
-  ClusterView view(m, Cluster::FromMembers(3, 2, {0, 1}, {0, 1}));
+  ClusterWorkspace ws(m, Cluster::FromMembers(3, 2, {0, 1}, {0, 1}));
   ResidueEngine engine;
-  double before = engine.Residue(view);
+  double before = engine.Residue(ws);
   // Row 2 contributes no specified entries; residue must not change.
-  EXPECT_NEAR(engine.ResidueAfterToggleRow(view, 2), before, 1e-12);
+  EXPECT_NEAR(engine.ResidueAfterToggleRow(ws, 2), before, 1e-12);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -42,6 +43,7 @@
 #include "src/obs/metrics.h"
 #include "src/session/mining_session.h"
 #include "src/session/session_format.h"
+#include "src/storage/dcm_format.h"
 #include "src/util/stop_token.h"
 
 namespace deltaclus {
@@ -543,6 +545,19 @@ TEST_F(SessionRejectTest, TrailingBytesRejected) {
   std::string path = TempPath("session_trailing.dcs");
   WriteAllBytes(path, bytes);
   ExpectRejects(path, "truncated");
+}
+
+TEST_F(SessionRejectTest, OversizedClusterCountRejected) {
+  // A header whose k no payload could hold, with both checksums valid:
+  // the reader must name the defect, not die sizing vectors from k.
+  std::vector<char> bytes = ReadAllBytes(*valid_path_);
+  uint64_t k = uint64_t{1} << 60;
+  std::memcpy(bytes.data() + 32, &k, sizeof(k));
+  uint64_t header_checksum = storage::Fnv1a64(bytes.data(), 64);
+  std::memcpy(bytes.data() + 64, &header_checksum, sizeof(header_checksum));
+  std::string path = TempPath("session_huge_k.dcs");
+  WriteAllBytes(path, bytes);
+  ExpectRejects(path, "cluster count 1152921504606846976 exceeds");
 }
 
 TEST_F(SessionRejectTest, MissingFileRejected) {

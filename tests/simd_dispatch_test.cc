@@ -120,10 +120,10 @@ TEST(SimdDispatchTest, SegKernelsBitIdenticalToScalarAcrossPhases) {
 }
 
 // The gathered matrix-row pass is not dispatched (no ISA beats scalar
-// on a gather), but it must still follow the LaneAcc contract so the
-// view scans agree to the bit with the dispatched pane scans over the
-// same entries in the same order -- the property that lets a memoized
-// residue computed through one path be reused by the other.
+// on a gather), but it must still follow the LaneAcc contract: the
+// row-toggle kernel scans an added row (outside the pane) through it,
+// and that row's contribution must be the bits the dispatched pane pass
+// gives the same entries once the row is a member.
 TEST(SimdDispatchTest, GatheredRowPassBitIdenticalToPanePass) {
   ScopedSimdMode on(SimdMode::kAuto);
   const SimdKernels& simd = ActiveSimdKernels();

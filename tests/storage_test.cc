@@ -15,6 +15,7 @@
 //     shard along.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -310,6 +311,61 @@ TEST(DcmRejection, PayloadChecksumMismatchOnFullVerifyOnly) {
   // ...and the explicit full-verify opt-in reads every plane byte and
   // rejects, naming the defect.
   ExpectRejects(path, "payload checksum mismatch", storage::DcmVerify::kFull);
+}
+
+TEST(DcmRejection, NonFiniteCellOnFullVerifyOnly) {
+  // A crafted file whose checksums are valid but whose specified cells
+  // hold nan/inf: the full verify must name the cell, in either layout.
+  struct Case {
+    const char* name;
+    double value;
+    bool in_row_major;
+    const char* defect;
+  };
+  for (const Case& c :
+       {Case{"storage_nan_cell.dcm", std::nan(""), true,
+             "non-finite value nan at row "},
+        Case{"storage_inf_cell.dcm", -INFINITY, false,
+             "non-finite value -inf at row "}}) {
+    std::string path = WriteValidDcm(c.name);
+    std::vector<char> bytes = ReadAllBytes(path);
+    storage::DcmHeader h =
+        storage::ParseDcmHeader(bytes.data(), bytes.size(), path);
+    auto* buf = reinterpret_cast<uint8_t*>(bytes.data());
+    // The first specified cell past row 0, patched in one or both
+    // layouts.
+    uint64_t idx = h.cols;
+    while (buf[h.off_mask_rm + idx] == 0) ++idx;
+    uint64_t row = idx / h.cols;
+    uint64_t col = idx % h.cols;
+    uint64_t cm_idx = col * h.rows + row;
+    ASSERT_NE(buf[h.off_mask_cm + cm_idx], 0);
+    if (c.in_row_major) {
+      std::memcpy(buf + h.off_values_rm + idx * sizeof(double), &c.value,
+                  sizeof(double));
+    }
+    std::memcpy(buf + h.off_values_cm + cm_idx * sizeof(double), &c.value,
+                sizeof(double));
+    // Re-seal both checksums so only the finiteness check can object.
+    uint64_t cells = h.rows * h.cols;
+    uint64_t digest = storage::kFnvOffsetBasis;
+    for (auto [off, len] :
+         {std::pair{h.off_values_rm, cells * 8}, {h.off_mask_rm, cells},
+          {h.off_values_cm, cells * 8}, {h.off_mask_cm, cells},
+          {h.off_row_specified, h.rows * 8},
+          {h.off_col_specified, h.cols * 8}}) {
+      digest = storage::Fnv1a64(buf + off, len, digest);
+    }
+    std::memcpy(buf + 96, &digest, sizeof(digest));
+    uint64_t header_checksum = storage::Fnv1a64(buf, 104);
+    std::memcpy(buf + 104, &header_checksum, sizeof(header_checksum));
+    WriteAllBytes(path, bytes);
+
+    EXPECT_NO_THROW(storage::MmapStore::Open(path));
+    std::ostringstream defect;
+    defect << c.defect << row << ", column " << col;
+    ExpectRejects(path, defect.str(), storage::DcmVerify::kFull);
+  }
 }
 
 TEST(DcmRejection, MissingFile) {
