@@ -127,8 +127,10 @@ class BenchReport {
     w.Key("quick").Bool(quick_);
     w.Key("threads").Int(Threads());
     // Machine identity for the kernel numbers: trajectory records are
-    // only comparable when the CPU features and the SIMD path that
-    // actually ran match.
+    // only comparable when the core count, the CPU features and the
+    // SIMD path that actually ran match.
+    w.Key("logical_cores")
+        .Int(static_cast<int64_t>(std::thread::hardware_concurrency()));
     w.Key("cpu_features").String(DetectedCpuFeatures());
     w.Key("simd_path").String(ActiveSimdPath());
     std::time_t now = std::time(nullptr);

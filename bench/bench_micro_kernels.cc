@@ -136,9 +136,10 @@ void BM_GainEvalColToggleWide(benchmark::State& state) {
 BENCHMARK(BM_GainEvalColToggleWide)->Unit(benchmark::kMicrosecond);
 
 // Sparse twins of the two gain-eval kernels (30% missing entries): these
-// exercise the masked lane pass, whereas the dense variants above run
-// almost entirely on the branch-free dense pass. Comparing the two pairs
-// in BENCH_micro_kernels.json shows what the dense fast path buys.
+// exercise the masked compaction pass (rows with holes), whereas the
+// dense variants above run almost entirely on the dense pass, which
+// reads no mask. Comparing the two pairs in BENCH_micro_kernels.json
+// shows what the dense fast path still buys over compaction.
 void BM_GainEvalRowToggleTallSparse(benchmark::State& state) {
   SyntheticDataset data = MakeData(10000, 100, 0.3);
   ClusterWorkspace ws(data.matrix, MakeCluster(10000, 100, 600, 60));

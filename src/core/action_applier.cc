@@ -12,9 +12,12 @@ std::vector<AppliedAction> ActionApplier::Apply(
     Rng& rng, BestPrefixSelector& selector) const {
   const FlocConfig& config = *config_;
   size_t k = views.size();
-  ResidueEngine engine(config.norm);
+  // The sweep's counters are tallied locally and published once at the
+  // end, like the determination shards'.
+  SweepTally tally;
+  ResidueEngine engine(config.norm, &tally.scan);
   GainContext ctx{&views, &scores, &tracker, config.target_residue,
-                  /*blocked=*/nullptr, memo_, config.audit};
+                  /*blocked=*/nullptr, memo_, config.audit, &tally};
 
   std::vector<AppliedAction> applied;
   applied.reserve(actions.size());
@@ -83,6 +86,7 @@ std::vector<AppliedAction> ActionApplier::Apply(
 
     selector.Observe(score_sum / k, applied.size());
   }
+  tally.Flush();
   return applied;
 }
 

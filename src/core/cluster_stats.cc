@@ -116,10 +116,13 @@ void ClusterStats::RowSumOverCols(const DataMatrix& m,
     for (uint32_t j : col_ids) s += values[j];
     c = col_ids.size();
   } else {
+    // Branch-free: select on the *result* (adding 0.0 instead would turn
+    // a -0.0 sum into +0.0, and an unspecified payload may be nan/inf).
     for (uint32_t j : col_ids) {
-      if (!mask[j]) continue;
-      s += values[j];
-      ++c;
+      bool specified = mask[j] != 0;
+      double added = s + values[j];
+      s = specified ? added : s;
+      c += specified;
     }
   }
   *sum = s;
@@ -140,10 +143,12 @@ void ClusterStats::ColSumOverRows(const DataMatrix& m,
     for (uint32_t i : row_ids) s += col_values[i];
     c = row_ids.size();
   } else {
+    // Branch-free, selecting on the result as in RowSumOverCols.
     for (uint32_t i : row_ids) {
-      if (!col_mask[i]) continue;
-      s += col_values[i];
-      ++c;
+      bool specified = col_mask[i] != 0;
+      double added = s + col_values[i];
+      s = specified ? added : s;
+      c += specified;
     }
   }
   *sum = s;

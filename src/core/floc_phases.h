@@ -54,6 +54,27 @@ inline double ObjectiveScore(double residue, size_t volume,
                        std::log(static_cast<double>(std::max<size_t>(volume, 1)));
 }
 
+/// One shard's tally of a sweep's evaluation counters: the entries its
+/// ResidueEngine scanned, and the after-toggle evaluations rescanned
+/// (floc.gain_evals_recomputed) or served by the memo
+/// (floc.gain_evals_served_from_cache). The parallel sweeps keep one per
+/// shard and publish them once, merged in shard order, so the workers
+/// share no counter cache line; the totals equal per-evaluation counting.
+struct SweepTally {
+  ScanTally scan;
+  uint64_t recomputed = 0;
+  uint64_t served = 0;
+
+  void Merge(const SweepTally& other) {
+    scan.Merge(other.scan);
+    recomputed += other.recomputed;
+    served += other.served;
+  }
+  /// Adds the tally to the global counters (no-op while metrics are
+  /// disabled). Does not reset it.
+  void Flush() const;
+};
+
 /// Read-only inputs of one best-action decision. Shared by the parallel
 /// determination shards and the (sequential) fresh-gain re-decisions of
 /// the apply sweep.
@@ -73,6 +94,9 @@ struct GainContext {
   // Audit mode: every memo hit is recomputed and DC_CHECKed bit-equal
   // to the cached value before being used.
   bool audit_memo = false;
+  // Required: recomputed/served evaluations are tallied here for the
+  // caller to publish (SweepTally::Flush).
+  SweepTally* tally = nullptr;
 };
 
 /// The best of the k candidate actions for one row (is_row) or column:
@@ -92,8 +116,8 @@ Action BestActionFor(bool is_row, size_t index, const GainContext& ctx,
 /// entities must be distinct, which makes the shards' slot writes
 /// disjoint; `views` must not change until this returns. Builds every
 /// cluster's pane on the calling thread first. Rescans count toward
-/// floc.gain_evals_recomputed, tallied per shard and merged once per
-/// call.
+/// floc.gain_evals_recomputed (and their entries toward the scan
+/// counters), tallied per shard and merged once per call.
 void WarmGainMemo(const std::vector<Action>& actions, const size_t* window,
                   size_t count, const std::vector<ClusterWorkspace>& views,
                   GainMemo& memo, ResidueNorm norm, engine::ThreadPool* pool);

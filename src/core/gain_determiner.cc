@@ -54,7 +54,21 @@ bool LookupOrRescan(bool is_row, size_t index, const ClusterWorkspace& ws,
   return true;
 }
 
+// Publishes per-shard tallies, merged in shard order: one atomic add per
+// counter per sweep.
+void FlushShardTallies(const std::vector<SweepTally>& tallies) {
+  SweepTally total;
+  for (const SweepTally& t : tallies) total.Merge(t);
+  total.Flush();
+}
+
 }  // namespace
+
+void SweepTally::Flush() const {
+  scan.Flush();
+  if (recomputed != 0) GainMemoRecomputedCounter()->Inc(recomputed);
+  if (served != 0) GainMemoServedCounter()->Inc(served);
+}
 
 Action BestActionFor(bool is_row, size_t index, const GainContext& ctx,
                      ResidueEngine& engine) {
@@ -85,9 +99,9 @@ Action BestActionFor(bool is_row, size_t index, const GainContext& ctx,
         ctx.memo != nullptr ? ctx.memo->Slot(is_row, index, c) : nullptr;
     if (LookupOrRescan(is_row, index, views[c], slot, engine, &after_residue,
                        &new_volume)) {
-      GainMemoRecomputedCounter()->Inc();
+      ++ctx.tally->recomputed;
     } else {
-      GainMemoServedCounter()->Inc();
+      ++ctx.tally->served;
       if (ctx.audit_memo) {
         size_t check_volume = 0;
         double check_residue =
@@ -129,32 +143,39 @@ std::vector<Action> GainDeterminer::Determine(
   // stamp matches, the shard bodies' EnsurePane calls are read-only.
   for (const ClusterWorkspace& ws : views) ws.EnsurePane();
 
-  // Per-shard blocked-toggle tallies, merged in shard order after the
-  // sweep. Shard count is a function of `total` only, so the merged
-  // counts -- like the action vector -- are identical at any pool size.
+  // Per-shard blocked-toggle and evaluation tallies, merged in shard
+  // order after the sweep. Shard count is a function of `total` only, so
+  // the merged counts -- like the action vector -- are identical at any
+  // pool size.
   size_t shards = engine::ShardCount(total, engine::ShardGrain(total));
   std::vector<obs::BlockCounts> shard_counts(blocked != nullptr ? shards : 0);
+  std::vector<SweepTally> shard_tallies(shards);
 
   engine::ParallelApply(
       pool_, total,
       [&](size_t begin, size_t end, size_t shard) {
+        // Tallied on the shard's stack and stored once, so neighbouring
+        // shards never write one cache line per evaluation.
+        SweepTally tally;
         GainContext ctx{&views, &scores, &tracker, target_residue_,
                         blocked != nullptr ? &shard_counts[shard] : nullptr,
-                        memo_, audit_memo_};
+                        memo_, audit_memo_, &tally};
         // Per-shard scratch: ResidueEngine's buffers must not be shared
         // across threads, and construction is trivial next to the scan.
-        ResidueEngine engine(norm_);
+        ResidueEngine engine(norm_, &tally.scan);
         for (size_t t = begin; t < end; ++t) {
           bool is_row = t < num_rows;
           size_t index = is_row ? t : t - num_rows;
           actions[t] = BestActionFor(is_row, index, ctx, engine);
         }
+        shard_tallies[shard] = tally;
       },
       serial_cutoff_, stop);
 
   if (blocked != nullptr) {
     for (const obs::BlockCounts& sc : shard_counts) blocked->Merge(sc);
   }
+  FlushShardTallies(shard_tallies);
   return actions;
 }
 
@@ -171,11 +192,12 @@ void WarmGainMemo(const std::vector<Action>& actions, const size_t* window,
   size_t k = views.size();
   size_t total = count * k;
   size_t shards = engine::ShardCount(total, engine::ShardGrain(total));
-  std::vector<uint64_t> shard_rescans(shards, 0);
+  std::vector<SweepTally> shard_tallies(shards);
   engine::ParallelApply(pool, total, [&](size_t begin, size_t end,
                                          size_t shard) {
-    ResidueEngine engine(norm);  // per-shard scratch, as in Determine
-    uint64_t rescans = 0;
+    SweepTally tally;  // stored once, as in Determine
+    // Per-shard scratch, as in Determine.
+    ResidueEngine engine(norm, &tally.scan);
     for (size_t p = begin; p < end; ++p) {
       const Action& action = actions[window[p / k]];
       bool is_row = action.target == ActionTarget::kRow;
@@ -185,14 +207,12 @@ void WarmGainMemo(const std::vector<Action>& actions, const size_t* window,
       if (LookupOrRescan(is_row, action.index, views[c],
                          memo.Slot(is_row, action.index, c), engine,
                          &after_residue, &new_volume)) {
-        ++rescans;
+        ++tally.recomputed;
       }
     }
-    shard_rescans[shard] = rescans;
+    shard_tallies[shard] = tally;
   });
-  uint64_t rescans = 0;
-  for (uint64_t r : shard_rescans) rescans += r;
-  GainMemoRecomputedCounter()->Inc(rescans);
+  FlushShardTallies(shard_tallies);
 }
 
 }  // namespace deltaclus

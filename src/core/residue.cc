@@ -43,63 +43,12 @@ obs::Counter* GainEvalEntriesDenseCounter() {
 // position) makes every pass bit-identical whenever every visited entry
 // is specified, so dispatch between them can never change a result.
 //
-// The *dense* bodies (LaneAcc, Contribution, SegPassDenseScalar,
-// RowPassDenseScalar) live in src/core/residue_kernels.h, shared with
-// the per-ISA SIMD translation units; the scan loops below call them
+// The bodies (LaneAcc, Contribution, the dense passes and the masked
+// compaction passes) live in src/core/residue_kernels.h, shared with the
+// per-ISA SIMD translation units; the pane scan loops below call them
 // through the runtime-dispatched table (src/core/simd_dispatch.h),
-// which is bit-invisible by the same lane contract. The masked
-// (gap-skipping) passes stay scalar here.
-
-// Masked pass: skips unspecified entries; p counts only visited ones.
-// `values`/`mask` are one matrix row (DataMatrix::RowValues/RowMask),
-// indexed by column id.
-template <bool kSquared>
-inline double RowPassMasked(const double* values, const uint8_t* mask,
-                            const uint32_t* cols, const double* col_bases,
-                            size_t n, double row_base, double cluster_base) {
-  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
-  size_t p = 0;
-  for (size_t idx = 0; idx < n; ++idx) {
-    size_t pos = cols[idx];
-    if (!mask[pos]) continue;
-    lanes[p & 3] += Contribution<kSquared>(values[pos], row_base,
-                                           col_bases[idx], cluster_base);
-    ++p;
-  }
-  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-}
-
-// Masked segment: skips unspecified entries; the phase advances only on
-// visited ones, exactly like RowPassMasked.
-template <bool kSquared>
-inline void SegPassMasked(const double* values, const uint8_t* mask,
-                          const double* col_bases, size_t n, double row_base,
-                          double cluster_base, LaneAcc& acc) {
-  for (size_t k = 0; k < n; ++k) {
-    if (!mask[k]) continue;
-    acc.l[acc.p & 3] += Contribution<kSquared>(values[k], row_base,
-                                               col_bases[k], cluster_base);
-    ++acc.p;
-  }
-}
-
-// Whole masked pane row from fresh lanes, reduced -- the masked twin of
-// the table's seg_full_* slots. Deliberately out of line: inlined into
-// the big scan loops the lane array lands deep in the caller's frame
-// and the loop's encodings bloat past the uop-cache sweet spot (a
-// measured ~25% tax on sparse scans); as a leaf with its own tiny frame
-// the loop stays compact.
-template <bool kSquared>
-[[gnu::noinline]] double PaneRowMaskedFull(const double* values,
-                                           const uint8_t* mask,
-                                           const double* col_bases, size_t n,
-                                           double row_base,
-                                           double cluster_base) {
-  LaneAcc acc;
-  SegPassMasked<kSquared>(values, mask, col_bases, n, row_base, cluster_base,
-                          acc);
-  return acc.Reduce();
-}
+// which is bit-invisible by the same lane contract. Only the gathered
+// added row calls the scalar bodies directly.
 
 }  // namespace
 
@@ -170,6 +119,23 @@ double ClusterResidueNaive(const DataMatrix& m, const Cluster& c,
   return acc / volume;
 }
 
+void ScanTally::Flush() const {
+  if (entries != 0) GainEvalEntriesCounter()->Inc(entries);
+  if (dense_entries != 0) GainEvalEntriesDenseCounter()->Inc(dense_entries);
+}
+
+void ResidueEngine::CountScan(size_t entries) {
+  if (tally_ != nullptr) {
+    tally_->entries += entries;
+    tally_->dense_entries += dense_entries_last_scan_;
+    return;
+  }
+  GainEvalEntriesCounter()->Inc(entries);
+  if (dense_entries_last_scan_ != 0) {
+    GainEvalEntriesDenseCounter()->Inc(dense_entries_last_scan_);
+  }
+}
+
 double ResidueEngine::Residue(const ClusterWorkspace& ws) {
   CachedNormTag tag = TagFor(norm_);
   if (!ws.ResidueCached(tag)) {
@@ -181,10 +147,7 @@ double ResidueEngine::Residue(const ClusterWorkspace& ws) {
                     : (norm_ == ResidueNorm::kMeanSquared
                            ? NumeratorImpl<true>(ws)
                            : NumeratorImpl<false>(ws));
-    GainEvalEntriesCounter()->Inc(volume);
-    if (dense_entries_last_scan_ != 0) {
-      GainEvalEntriesDenseCounter()->Inc(dense_entries_last_scan_);
-    }
+    CountScan(volume);
     ws.CacheResidue(tag, numerator, volume);
   }
   size_t volume = ws.CachedResidueVolume();
@@ -201,10 +164,7 @@ double ResidueEngine::ResidueAfterToggleRow(const ClusterWorkspace& ws,
                        : AfterToggleRowImpl<false>(ws, i, &new_volume);
   // The after-toggle scan visits exactly the post-toggle cluster's
   // specified entries.
-  GainEvalEntriesCounter()->Inc(new_volume);
-  if (dense_entries_last_scan_ != 0) {
-    GainEvalEntriesDenseCounter()->Inc(dense_entries_last_scan_);
-  }
+  CountScan(new_volume);
   if (new_volume_out != nullptr) *new_volume_out = new_volume;
   return residue;
 }
@@ -216,10 +176,7 @@ double ResidueEngine::ResidueAfterToggleCol(const ClusterWorkspace& ws,
   double residue = norm_ == ResidueNorm::kMeanSquared
                        ? AfterToggleColImpl<true>(ws, j, &new_volume)
                        : AfterToggleColImpl<false>(ws, j, &new_volume);
-  GainEvalEntriesCounter()->Inc(new_volume);
-  if (dense_entries_last_scan_ != 0) {
-    GainEvalEntriesDenseCounter()->Inc(dense_entries_last_scan_);
-  }
+  CountScan(new_volume);
   if (new_volume_out != nullptr) *new_volume_out = new_volume;
   return residue;
 }
@@ -252,11 +209,13 @@ double ResidueEngine::NumeratorImpl(const ClusterWorkspace& ws) {
   const SimdKernels& simd = ActiveSimdKernels();
   SimdKernels::SegDenseFullFn seg_full =
       kSquared ? simd.seg_full_sq : simd.seg_full_abs;
-  // The pane's columns are always one contiguous run, so a dense row is
-  // a single whole-row call that keeps the lanes in registers --
-  // bit-identical to the masked pass by the LaneAcc contract, and
-  // roughly half the per-row cost of a spill-around-the-call shape on
-  // short rows.
+  SimdKernels::SegMaskedFullFn seg_masked_full =
+      kSquared ? simd.seg_masked_full_sq : simd.seg_masked_full_abs;
+  // The pane's columns are always one contiguous run, so every row is a
+  // single whole-row call that keeps the lanes in registers --
+  // bit-identical between the dense and masked slots by the LaneAcc
+  // contract, and roughly half the per-row cost of a
+  // spill-around-the-call shape on short rows.
   double acc = 0.0;
   size_t dense_entries = 0;
   for (size_t pr = 0; pr < row_ids.size(); ++pr) {
@@ -266,8 +225,8 @@ double ResidueEngine::NumeratorImpl(const ClusterWorkspace& ws) {
       dense_entries += n;
       acc += seg_full(pane.Row(pr), col_bases, n, row_base, cluster_base);
     } else {
-      acc += PaneRowMaskedFull<kSquared>(pane.Row(pr), pane.MaskRow(pr),
-                                         col_bases, n, row_base, cluster_base);
+      acc += seg_masked_full(pane.Row(pr), pane.MaskRow(pr), col_bases, n,
+                             row_base, cluster_base);
     }
   }
   dense_entries_last_scan_ = dense_entries;
@@ -307,23 +266,22 @@ double ResidueEngine::AfterToggleRowImpl(const ClusterWorkspace& ws,
   double cluster_base = new_total / new_volume;
 
   size_t n = col_ids.size();
-  // Adjusted column bases: only the columns where row i is specified move.
+  // Adjusted column bases: only the columns where row i is specified
+  // move. Branch-free: the adjusted sum is always formed and selected
+  // on the mask (a select on the result, not an added 0.0, keeps the
+  // unadjusted sum's bits -- and an unspecified payload -- out of it).
   scratch_col_base_.resize(n);
   bool row_i_dense = toggled_cnt == n;
   for (size_t idx = 0; idx < n; ++idx) {
     uint32_t jcol = col_ids[idx];
     double sum = stats.ColSum(jcol);
     size_t cnt = stats.ColCount(jcol);
-    if (row_i_dense || row_mask_i[jcol]) {
-      double v = row_values_i[jcol];
-      if (removing) {
-        sum -= v;
-        --cnt;
-      } else {
-        sum += v;
-        ++cnt;
-      }
-    }
+    bool moves = row_i_dense || row_mask_i[jcol] != 0;
+    double v = row_values_i[jcol];
+    double moved_sum = removing ? sum - v : sum + v;
+    size_t moved_cnt = removing ? cnt - 1 : cnt + 1;
+    sum = moves ? moved_sum : sum;
+    cnt = moves ? moved_cnt : cnt;
     scratch_col_base_[idx] = cnt == 0 ? 0.0 : sum / cnt;
   }
   const double* col_bases = scratch_col_base_.data();
@@ -332,9 +290,11 @@ double ResidueEngine::AfterToggleRowImpl(const ClusterWorkspace& ws,
   const SimdKernels& simd = ActiveSimdKernels();
   SimdKernels::SegDenseFullFn seg_full =
       kSquared ? simd.seg_full_sq : simd.seg_full_abs;
+  SimdKernels::SegMaskedFullFn seg_masked_full =
+      kSquared ? simd.seg_masked_full_sq : simd.seg_masked_full_abs;
   // This loop is the determination sweep's hot interior (it runs per
   // candidate row eval), so the per-row call shape matters as much as
-  // the kernel: dense rows take the one-call whole-row pass.
+  // the kernel: every row takes a one-call whole-row pass.
   double acc = 0.0;
   size_t dense_entries = 0;
   // Existing member rows stream from the pane (their row bases are
@@ -347,8 +307,8 @@ double ResidueEngine::AfterToggleRowImpl(const ClusterWorkspace& ws,
       dense_entries += n;
       acc += seg_full(pane.Row(pr), col_bases, n, row_base, cluster_base);
     } else {
-      acc += PaneRowMaskedFull<kSquared>(pane.Row(pr), pane.MaskRow(pr),
-                                         col_bases, n, row_base, cluster_base);
+      acc += seg_masked_full(pane.Row(pr), pane.MaskRow(pr), col_bases, n,
+                             row_base, cluster_base);
     }
   }
   // The newly-added row lives outside the pane: one gathered row pass.
@@ -360,8 +320,9 @@ double ResidueEngine::AfterToggleRowImpl(const ClusterWorkspace& ws,
                                           row_base, cluster_base);
       dense_entries += n;
     } else {
-      acc += RowPassMasked<kSquared>(row_values_i, row_mask_i, cols,
-                                     col_bases, n, row_base, cluster_base);
+      acc += RowPassMaskedScalar<kSquared>(row_values_i, row_mask_i, cols,
+                                           col_bases, n, row_base,
+                                           cluster_base);
     }
   }
   dense_entries_last_scan_ = dense_entries;
@@ -428,25 +389,24 @@ double ResidueEngine::AfterToggleColImpl(const ClusterWorkspace& ws,
   const SimdKernels& simd = ActiveSimdKernels();
   SimdKernels::SegDenseFn seg_dense =
       kSquared ? simd.seg_dense_sq : simd.seg_dense_abs;
+  SimdKernels::SegMaskedFn seg_masked =
+      kSquared ? simd.seg_masked_sq : simd.seg_masked_abs;
   double acc = 0.0;
   size_t dense_entries = 0;
   for (size_t pr = 0; pr < row_ids.size(); ++pr) {
     uint32_t i = row_ids[pr];
-    // Adjusted row base: moves only if (i, j) is specified. row_cnt
+    // Adjusted row base: moves only if (i, j) is specified (selected
+    // branch-free, as for the column bases of a row toggle). row_cnt
     // becomes the row's specified count over the post-toggle column
     // set, which doubles as the dense-dispatch predicate.
+    bool j_specified = col_mask_j[i] != 0;
+    double v = col_values_j[i];
     double row_sum = stats.RowSum(i);
     size_t row_cnt = stats.RowCount(i);
-    if (col_mask_j[i]) {
-      double v = col_values_j[i];
-      if (removing) {
-        row_sum -= v;
-        --row_cnt;
-      } else {
-        row_sum += v;
-        ++row_cnt;
-      }
-    }
+    double moved_sum = removing ? row_sum - v : row_sum + v;
+    size_t moved_cnt = removing ? row_cnt - 1 : row_cnt + 1;
+    row_sum = j_specified ? moved_sum : row_sum;
+    row_cnt = j_specified ? moved_cnt : row_cnt;
     double row_base = row_cnt == 0 ? 0.0 : row_sum / row_cnt;
 
     const double* row = pane.Row(pr);
@@ -457,8 +417,8 @@ double ResidueEngine::AfterToggleColImpl(const ClusterWorkspace& ws,
       if (dense) {
         seg_dense(row + pos, bases, len, row_base, cluster_base, lanes);
       } else {
-        SegPassMasked<kSquared>(row + pos, mrow + pos, bases, len, row_base,
-                                cluster_base, lanes);
+        seg_masked(row + pos, mrow + pos, bases, len, row_base, cluster_base,
+                   lanes);
       }
     };
     if (removing) {
@@ -471,12 +431,14 @@ double ResidueEngine::AfterToggleColImpl(const ClusterWorkspace& ws,
     } else {
       scan(0, col_bases, n_pane);
       // Column j is outside the pane; it is visited last, matching the
-      // compacted column-base order.
-      if (col_mask_j[i]) {
-        lanes.l[lanes.p & 3] += Contribution<kSquared>(
-            col_values_j[i], row_base, toggled_col_base, cluster_base);
-        ++lanes.p;
-      }
+      // compacted column-base order. Branch-free: the lane keeps its
+      // bits unless (i, j) is specified.
+      double& lane = lanes.l[lanes.p & 3];
+      double added =
+          lane + Contribution<kSquared>(v, row_base, toggled_col_base,
+                                        cluster_base);
+      lane = j_specified ? added : lane;
+      lanes.p += j_specified;
     }
     if (dense) dense_entries += n;
     acc += lanes.Reduce();

@@ -19,11 +19,12 @@
 // column-id list. The kernels are lane-split: each row's contributions
 // accumulate into four independent lanes (the p-th *visited* entry lands
 // in lane p mod 4) that reduce as (l0 + l1) + (l2 + l3). Rows that are
-// fully specified over the visited columns dispatch to a branch-free
-// dense pass; rows with gaps take a masked pass that reproduces the exact
-// same lane pattern, so the two paths are bit-identical on dense rows
-// and the result never depends on which path ran. See DESIGN.md "The
-// gain kernel".
+// fully specified over the visited columns dispatch to the dense pass;
+// rows with gaps take a masked pass that compacts the specified entries'
+// contributions branch-free and adds them in the exact same lane
+// pattern, so the two paths are bit-identical on dense rows and the
+// result never depends on which path ran. Both are slots of the
+// runtime-dispatched SIMD table. See DESIGN.md "The gain kernel".
 #ifndef DELTACLUS_CORE_RESIDUE_H_
 #define DELTACLUS_CORE_RESIDUE_H_
 
@@ -75,17 +76,37 @@ double ClusterResidueNaive(const DataMatrix& m, const Cluster& c,
 // ResidueEngine: stats-backed fast path.
 // ---------------------------------------------------------------------------
 
+/// Entries counted by one caller's scans, published to the
+/// floc.gain_eval_entries_scanned / floc.gain_eval_entries_dense
+/// counters in one step (Flush). A parallel sweep gives each shard's
+/// engine its own tally and flushes once, instead of every evaluation
+/// doing a shared atomic add from every worker.
+struct ScanTally {
+  uint64_t entries = 0;
+  uint64_t dense_entries = 0;
+
+  void Merge(const ScanTally& other) {
+    entries += other.entries;
+    dense_entries += other.dense_entries;
+  }
+  /// Adds the tally to the global counters (no-op while metrics are
+  /// disabled). Does not reset it.
+  void Flush() const;
+};
+
 /// Computes cluster residues and virtual-toggle residues using a
 /// workspace's incrementally-maintained ClusterStats and packed pane. One
 /// engine may serve many clusters over the same matrix; it only holds
 /// scratch buffers. To evaluate a bare Cluster, build a ClusterWorkspace
 /// over it first. Every scan counts its entries in the
 /// floc.gain_eval_entries_scanned counter (and dense-kernel entries in
-/// floc.gain_eval_entries_dense).
+/// floc.gain_eval_entries_dense): directly, or into `tally` when one is
+/// given, for the owner to flush.
 class ResidueEngine {
  public:
-  explicit ResidueEngine(ResidueNorm norm = ResidueNorm::kMeanAbsolute)
-      : norm_(norm) {}
+  explicit ResidueEngine(ResidueNorm norm = ResidueNorm::kMeanAbsolute,
+                         ScanTally* tally = nullptr)
+      : norm_(norm), tally_(tally) {}
 
   ResidueNorm norm() const { return norm_; }
 
@@ -138,13 +159,17 @@ class ResidueEngine {
   template <bool kSquared>
   double AfterToggleColImpl(const ClusterWorkspace& ws, size_t j,
                             size_t* new_volume_out);
+  // Counts a finished scan of `entries` entries (and the dense ones it
+  // recorded) into tally_, or into the global counters without one.
+  void CountScan(size_t entries);
 
   ResidueNorm norm_;
+  ScanTally* tally_;
   // Scratch: column bases aligned with the visited-column list of the
   // current scan.
   std::vector<double> scratch_col_base_;
   // Entries the most recent scan accumulated through the dense kernel,
-  // flushed into the floc.gain_eval_entries_dense counter.
+  // counted into floc.gain_eval_entries_dense.
   size_t dense_entries_last_scan_ = 0;
 };
 

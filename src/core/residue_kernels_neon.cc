@@ -1,12 +1,13 @@
-// NEON dense gain kernels (AArch64). Same LaneAcc bit-identity argument
+// NEON gain kernels (AArch64). Same LaneAcc bit-identity argument
 // as the AVX2 TU, with the four lanes split across two float64x2
 // vectors: vector pair element p carries scalar lane p, vsubq/vaddq/
 // vmulq perform the scalar operations' exact IEEE-754 roundings, and
 // vabsq clears the sign bit exactly like std::fabs. Compiled with
 // -ffp-contract=off (src/CMakeLists.txt) so the compiler cannot fuse a
 // vmulq/vaddq pair into the FMA the scalar build never performs. NEON
-// has no gather, so the gathered row pass stays scalar here -- only the
-// contiguous pane segments vectorize.
+// has no gather, so the gathered row passes stay scalar here -- only the
+// contiguous dense pane segments vectorize; the masked slots point at
+// the scalar compaction bodies.
 #include "src/core/simd_dispatch.h"
 
 #if defined(__aarch64__)
@@ -95,6 +96,10 @@ const SimdKernels* NeonKernelsOrNull() {
   static const SimdKernels table = {
       SegPassDenseNeon<false>,     SegPassDenseNeon<true>,
       SegPassDenseFullNeon<false>, SegPassDenseFullNeon<true>,
+      // Masked slots: the scalar compaction bodies. A NEON left-pack
+      // needs an aarch64 host to verify against the scalar reference.
+      SegPassMaskedScalar<false>,     SegPassMaskedScalar<true>,
+      SegPassMaskedFullScalar<false>, SegPassMaskedFullScalar<true>,
       "neon"};
   return &table;
 }

@@ -1,4 +1,4 @@
-// Runtime CPU-feature dispatch for the dense gain kernels.
+// Runtime CPU-feature dispatch for the gain kernels (dense and masked).
 //
 // The CPU is probed once (first use); the best available kernel table --
 // AVX2 on x86-64 that reports it, NEON on AArch64, the scalar bodies in
@@ -29,18 +29,20 @@ namespace deltaclus {
 /// reports; kOff pins the scalar reference table.
 enum class SimdMode { kAuto, kOff };
 
-/// A complete dense-kernel table for one ISA. seg_* stream a contiguous
+/// A complete gain-kernel table for one ISA. seg_* stream a contiguous
 /// packed-pane slice into a caller-carried LaneAcc; seg_full_* scan a
 /// whole row from fresh lanes and return the reduction (the hot per-row
-/// call -- no LaneAcc spills around the call). _abs/_sq select the
+/// call -- no LaneAcc spills around the call). The seg_masked_* twins
+/// take the slice's mask bytes too and visit only specified entries, by
+/// branch-free compaction (residue_kernels.h). _abs/_sq select the
 /// residue norm (|r| vs r^2).
 ///
 /// Only the unit-stride pane passes are dispatched. The gathered
-/// matrix-row pass (RowPassDenseScalar in residue_kernels.h) is NOT in
+/// matrix-row passes (RowPass*Scalar in residue_kernels.h) are NOT in
 /// the table: vgatherdpd costs more than four pipelined scalar loads on
 /// the server Xeons we target (measured 0.67x at n=200), so no ISA ever
-/// overrides it -- and keeping it out of the table lets the scalar
-/// template inline into the added-row pass of the row-toggle kernel
+/// overrides them -- and keeping them out of the table lets the scalar
+/// templates inline into the added-row pass of the row-toggle kernel
 /// instead of paying an indirect call.
 struct SimdKernels {
   using SegDenseFn = void (*)(const double* values, const double* col_bases,
@@ -49,10 +51,22 @@ struct SimdKernels {
   using SegDenseFullFn = double (*)(const double* values,
                                     const double* col_bases, size_t n,
                                     double row_base, double cluster_base);
+  using SegMaskedFn = void (*)(const double* values, const uint8_t* mask,
+                               const double* col_bases, size_t n,
+                               double row_base, double cluster_base,
+                               LaneAcc& acc);
+  using SegMaskedFullFn = double (*)(const double* values,
+                                     const uint8_t* mask,
+                                     const double* col_bases, size_t n,
+                                     double row_base, double cluster_base);
   SegDenseFn seg_dense_abs;
   SegDenseFn seg_dense_sq;
   SegDenseFullFn seg_full_abs;
   SegDenseFullFn seg_full_sq;
+  SegMaskedFn seg_masked_abs;
+  SegMaskedFn seg_masked_sq;
+  SegMaskedFullFn seg_masked_full_abs;
+  SegMaskedFullFn seg_masked_full_sq;
   const char* name;  ///< "scalar" | "avx2" | "neon"
 };
 
