@@ -238,5 +238,43 @@ TEST(GainMemoTest, MemoizationReducesEntriesScanned) {
   ExpectSameSweeps(with_memo, without_memo);
 }
 
+// The sweep's evaluation counters are tallied per shard and published
+// once per sweep. Every evaluation must still be counted exactly once:
+// the totals do not depend on the pool size, and the memo only moves an
+// evaluation from floc.gain_evals_recomputed to
+// floc.gain_evals_served_from_cache.
+TEST(GainMemoTest, SweepCountersCountEveryEvaluationOnce) {
+  SyntheticDataset data = Table2SmallData();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  bool was_enabled = obs::MetricsRegistry::Enabled();
+  obs::MetricsRegistry::SetEnabled(true);
+  const char* kNames[] = {"floc.gain_eval_entries_scanned",
+                          "floc.gain_eval_entries_dense",
+                          "floc.gain_evals_recomputed",
+                          "floc.gain_evals_served_from_cache"};
+  auto counts = [&](GainMemo* memo, engine::ThreadPool* pool) {
+    registry.ResetAll();
+    DetermineSweeps(data.matrix, memo, pool);
+    std::vector<uint64_t> values;
+    for (const char* name : kNames) {
+      values.push_back(registry.GetCounter(name)->Value());
+    }
+    return values;
+  };
+  engine::ThreadPool pool(4);
+  std::vector<uint64_t> off = counts(nullptr, nullptr);
+  EXPECT_EQ(off, counts(nullptr, &pool));
+  GainMemo memo_inline;
+  std::vector<uint64_t> on = counts(&memo_inline, nullptr);
+  GainMemo memo_pooled;
+  EXPECT_EQ(on, counts(&memo_pooled, &pool));
+  obs::MetricsRegistry::SetEnabled(was_enabled);
+
+  EXPECT_GT(off[2], 0u);
+  EXPECT_EQ(off[3], 0u);
+  EXPECT_GT(on[3], 0u);
+  EXPECT_EQ(off[2] + off[3], on[2] + on[3]);
+}
+
 }  // namespace
 }  // namespace deltaclus
