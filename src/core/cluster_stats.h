@@ -9,6 +9,13 @@
 // ClusterView couples a Cluster with its ClusterStats and keeps them
 // consistent under membership toggles; this is what makes FLOC's
 // per-action residue evaluation a single tight pass over the submatrix.
+//
+// Incremental updates are path-dependent in their low-order float bits
+// (a toggle's +=/-= associates differently than Build's single pass).
+// The mining session keeps that drift inside a step: at every Step()
+// boundary it rebuilds each cluster it changed, so stats there equal a
+// Build() of the membership and a checkpoint needs only memberships
+// (src/session/mining_session.h).
 #ifndef DELTACLUS_CORE_CLUSTER_STATS_H_
 #define DELTACLUS_CORE_CLUSTER_STATS_H_
 
@@ -62,31 +69,6 @@ class ClusterStats {
   /// Sum of all specified entries in the submatrix.
   double Total() const { return total_; }
 
-  // --- Checkpoint-restore plumbing (src/session/session_format.h) ---
-  // Incremental updates are path-dependent in their float bits (+=/-=
-  // reassociates differently than Build's single pass), so a resumed
-  // MiningSession restores the *captured* bits on top of a fresh Build()
-  // instead of recomputing them. Non-member entries are exact zeros
-  // either way (Remove* zeroes them, Build never touches them), so only
-  // member rows/columns need overwriting. Whatever is written must
-  // describe the current membership; audit mode re-verifies.
-
-  /// Overwrites row i's accumulator with exact captured bits.
-  void SetRowExact(size_t i, double sum, size_t cnt) {
-    row_sum_[i] = sum;
-    row_cnt_[i] = cnt;
-  }
-  /// Overwrites column j's accumulator with exact captured bits.
-  void SetColExact(size_t j, double sum, size_t cnt) {
-    col_sum_[j] = sum;
-    col_cnt_[j] = cnt;
-  }
-  /// Overwrites the cluster-wide total and volume with captured bits.
-  void SetTotalsExact(double total, size_t volume) {
-    total_ = total;
-    volume_ = volume;
-  }
-
   /// Computes sum and count of row i's specified entries over the given
   /// column list without touching state (used for virtual-toggle residue
   /// evaluation).
@@ -132,11 +114,6 @@ class ClusterView {
   /// Membership toggles; keep stats incrementally up to date.
   void ToggleRow(size_t i);
   void ToggleCol(size_t j);
-
-  /// Checkpoint-restore plumbing: mutable stats access for the exact-bits
-  /// restore (see ClusterStats::SetRowExact). The membership itself is
-  /// not touched; anything written must describe it.
-  ClusterStats& StatsForRestore() { return stats_; }
 
  private:
   const DataMatrix* matrix_;

@@ -16,6 +16,9 @@
 // taken from a different workspace or an earlier membership: equal
 // epochs always mean "same object, same membership". Copies share their
 // source's epoch, which is correct -- they hold the same membership.
+// The mining session reads the epoch at step boundaries too: a cluster
+// whose epoch moved during a step is rebuilt with Reset(), so its stats
+// equal a Build() again, and one whose epoch stayed keeps every cache.
 //
 // The residue cache exists because the hot loop asks for a cluster's
 // residue far more often than the cluster changes: every gain
@@ -168,15 +171,6 @@ class ClusterWorkspace {
   void Reset(Cluster cluster) {
     view_.Reset(std::move(cluster));
     epoch_ = NextMembershipEpoch();
-  }
-
-  /// Checkpoint-restore plumbing: mutable stats access for an exact-bits
-  /// overwrite (see ClusterStats::SetRowExact), advancing the epoch so
-  /// every cache derived from the pre-restore bits goes cold. Recomputes
-  /// against the restored bits reproduce the warm values bit-for-bit.
-  ClusterStats& StatsForRestore() {
-    epoch_ = NextMembershipEpoch();
-    return view_.StatsForRestore();
   }
 
   /// Membership toggles: stats stay incrementally consistent and the

@@ -92,11 +92,11 @@ std::unique_ptr<session::MiningSession> Floc::ResumeSession(
         checkpoint_path +
         ": checkpoint does not match this run: matrix content mismatch (the "
         "shape agrees but the values or missing-entry mask differ; a "
-        "checkpoint's stats bits are only meaningful against the exact data "
+        "checkpoint's memberships are only meaningful against the exact data "
         "set that produced them)");
   }
   uint64_t fingerprint =
-      session::FingerprintConfig(config_, cp.rows, cp.cols, cp.current.size());
+      session::FingerprintConfig(config_, cp.rows, cp.cols, cp.clusters.size());
   if (fingerprint != cp.config_fingerprint) {
     throw std::runtime_error(
         checkpoint_path +
@@ -106,12 +106,12 @@ std::unique_ptr<session::MiningSession> Floc::ResumeSession(
         "free to change, everything else must agree)");
   }
   std::vector<Cluster> seeds;
-  seeds.reserve(cp.current.size());
-  for (const session::ViewState& v : cp.current) {
+  seeds.reserve(cp.clusters.size());
+  for (const session::ClusterMembers& m : cp.clusters) {
     seeds.push_back(Cluster::FromMembers(
         matrix.rows(), matrix.cols(),
-        std::vector<size_t>(v.members.rows.begin(), v.members.rows.end()),
-        std::vector<size_t>(v.members.cols.begin(), v.members.cols.end())));
+        std::vector<size_t>(m.rows.begin(), m.rows.end()),
+        std::vector<size_t>(m.cols.begin(), m.cols.end())));
   }
   return std::unique_ptr<session::MiningSession>(
       new session::MiningSession(this, matrix, std::move(seeds), &cp));

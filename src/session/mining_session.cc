@@ -190,15 +190,11 @@ MiningSession::MiningSession(Floc* floc, const DataMatrix& matrix,
   scores_.resize(k_);
   score_sum_ = RecomputeScores();
   SnapshotBest();
-  // Conservative: construction (and a checkpoint restore below, which
-  // overwrites stats with captured incremental bits) leaves stats whose
-  // bit-equality with a canonical rebuild is unknown, so the first
-  // rewind must Reset every cluster. False is always safe -- it only
-  // forces work the skip would have avoided.
-  stats_canonical_.assign(k_, 0);
   last_sweep_epoch_.assign(k_, 0);
 
   if (restore_from != nullptr) {
+    // The views were just built from the checkpoint's memberships, so
+    // their stats and scores already are the checkpointing session's.
     const SessionCheckpoint& cp = *restore_from;
     state_ = static_cast<SessionState>(cp.state);
     round_ = cp.round;
@@ -210,6 +206,8 @@ MiningSession::MiningSession(Floc* floc, const DataMatrix& matrix,
     best_average_ = cp.best_average;
     prior_elapsed_seconds_ = cp.prior_elapsed_seconds;
     seeding_seconds_ = cp.seeding_seconds;
+    // ResumeSession verified it against this matrix.
+    matrix_fingerprint_ = cp.matrix_fingerprint;
     {
       std::istringstream is(cp.rng_state);
       is >> rng_.engine();
@@ -217,40 +215,19 @@ MiningSession::MiningSession(Floc* floc, const DataMatrix& matrix,
                                          "(ReadSessionCheckpoint validated "
                                          "it)";
     }
-    best_clusters_.clear();
-    for (const ClusterMembers& m : cp.best) {
-      best_clusters_.push_back(ClusterFromMembers(matrix, m));
-    }
     stagnant_.assign(cp.stagnant.begin(), cp.stagnant.end());
     saved_.clear();
     for (const ClusterMembers& m : cp.saved) {
       saved_.push_back(ClusterFromMembers(matrix, m));
     }
     saved_scores_ = cp.saved_scores;
-    // Overwrite the freshly built (canonical) stats with the captured
-    // incremental bits, then recompute the scores from them: at every
-    // step boundary the live scores are exactly RecomputeScores() over
-    // the live stats, so this reproduces them bit-for-bit.
-    for (size_t c = 0; c < k_; ++c) {
-      const ViewState& vs = cp.current[c];
-      ClusterStats& st = views_[c].StatsForRestore();
-      for (size_t i = 0; i < vs.members.rows.size(); ++i) {
-        st.SetRowExact(vs.members.rows[i], vs.row_sums[i],
-                       static_cast<size_t>(vs.row_counts[i]));
-      }
-      for (size_t j = 0; j < vs.members.cols.size(); ++j) {
-        st.SetColExact(vs.members.cols[j], vs.col_sums[j],
-                       static_cast<size_t>(vs.col_counts[j]));
-      }
-      st.SetTotalsExact(vs.total, static_cast<size_t>(vs.volume));
-    }
-    score_sum_ = RecomputeScores();
     SessionMetrics::Get().restores->Inc();
   }
 
   floc_->audit_check_occupancy_ = config_.audit &&
                                   config_.constraints.alpha > 0.0 &&
                                   seeds_compliant_;
+  AuditBoundary(restore_from != nullptr ? "restore" : "start");
 }
 
 MiningSession::~MiningSession() = default;
@@ -267,10 +244,17 @@ double MiningSession::RecomputeScores() {
 
 void MiningSession::SnapshotBest() {
   best_average_ = score_sum_ / static_cast<double>(k_);
-  best_clusters_.clear();
+}
+
+void MiningSession::AuditBoundary(const char* context) const {
+  if (!config_.audit) return;
+  // Tolerance 0: at a boundary the stats are a Build(), not incremental.
   for (const ClusterWorkspace& v : views_) {
-    best_clusters_.push_back(v.cluster());
+    AuditStatsMatchRecompute(matrix_, v.cluster(), v.stats(), 0.0, context);
   }
+  DC_CHECK(best_average_ == score_sum_ / static_cast<double>(k_))
+      << context << ": best average " << best_average_
+      << " is not the live clustering's " << score_sum_ / k_;
 }
 
 double MiningSession::ElapsedSeconds() const {
@@ -299,6 +283,7 @@ bool MiningSession::Step() {
   if (BudgetStop()) return false;
   SessionMetrics::Get().steps->Inc();
   DC_TRACE_SPAN("floc/run");
+  const SessionState stepped = state_;
   switch (state_) {
     case SessionState::kMovePhase:
       StepMove();
@@ -312,6 +297,7 @@ bool MiningSession::Step() {
     case SessionState::kDone:
       break;
   }
+  AuditBoundary(SessionStateName(stepped));
   return !finished_ && !stopped_ && state_ != SessionState::kDone;
 }
 
@@ -444,12 +430,41 @@ void MiningSession::StepMove() {
           selector.has_best() ? selector.best_average() : best_average_;
       itel->improved = improved;
     }
-    // Seals the iteration record. Called after the rewind on improving
-    // iterations so best_so_far and the kFull cluster snapshot reflect
-    // the updated best clustering, and before the phase exit on the
-    // final one.
-    auto seal_iteration = [&]() {
-      if (itel == nullptr) return;
+    // Rewind to the kept prefix -- the winning prefix on an improving
+    // sweep, nothing on the final non-improving one -- applied to the
+    // start-of-sweep memberships, then rebuild every cluster an applied
+    // action touched. The result is the best clustering with canonical
+    // stats: it seeds the next iteration, or the refine stage. A cluster
+    // no applied action touched already holds its start membership and
+    // canonical stats, so it keeps its epoch -- and with it the residue
+    // cache, the packed pane and every (entity, cluster) gain-memo stripe
+    // the next determination sweep can serve without a rescan.
+    size_t kept = improved ? selector.best_prefix() : 0;
+    for (size_t a = 0; a < kept; ++a) {
+      const AppliedAction& act = applied[a];
+      if (act.target == ActionTarget::kRow) {
+        start_clusters[act.cluster].ToggleRow(act.index);
+      } else {
+        start_clusters[act.cluster].ToggleCol(act.index);
+      }
+    }
+    std::vector<uint8_t> touched(k_, 0);
+    for (const AppliedAction& act : applied) touched[act.cluster] = 1;
+    for (size_t c = 0; c < k_; ++c) {
+      if (touched[c] != 0) views_[c].Reset(std::move(start_clusters[c]));
+    }
+    score_sum_ = RecomputeScores();
+    tracker_.Rebuild(views_);
+    if (improved) {
+      SnapshotBest();
+      ++move_iteration_;
+    } else {
+      state_ = SessionState::kRefine;
+    }
+
+    // Seals the iteration record after the rewind, so best_so_far and the
+    // kFull cluster snapshot show the clustering the sweep kept.
+    if (itel != nullptr) {
       itel->best_so_far = best_average_;
       if (collector_.full()) {
         itel->cluster_residues.resize(k_);
@@ -461,79 +476,21 @@ void MiningSession::StepMove() {
       }
       itel->wall_seconds = iter_watch.ElapsedSeconds();
       collector_.FinishIteration();
-    };
-
-    if (!improved) {
-      // The final, non-improving sweep is never rewound: views keep its
-      // full applied-action membership and incremental stats, exactly as
-      // the monolithic loop's `break` left them (checkpoints capture
-      // those stats bits verbatim, so this dirty state is resumable).
-      seal_iteration();
-      state_ = SessionState::kRefine;
-      collector_.run().move_phase_seconds += phase_watch.ElapsedSeconds();
-      return;
     }
-
-    // Rewind to the start of the iteration and replay the winning
-    // prefix; that clustering both becomes best_clustering and seeds the
-    // next iteration. Clusters no applied action touched are *skipped*
-    // wholesale when their stats are already canonical: for them the
-    // Reset pair below would be a bit-identical no-op that only burns a
-    // stats rebuild and -- critically -- advances the epoch, which would
-    // invalidate the residue cache, the packed pane, and every
-    // (entity, cluster) gain-memo stripe for a membership that did not
-    // change. Preserving the epoch is what lets the next determination
-    // sweep serve the whole cluster from the memo without a rescan.
-    std::vector<uint8_t> dirty(k_, 0);
-    for (const AppliedAction& act : applied) dirty[act.cluster] = 1;
-    auto rewind_skips = [&](size_t c) {
-      return dirty[c] == 0 && stats_canonical_[c] != 0;
-    };
-    for (size_t c = 0; c < k_; ++c) {
-      if (rewind_skips(c)) continue;
-      views_[c].Reset(std::move(start_clusters[c]));
-    }
-    for (size_t a = 0; a < selector.best_prefix(); ++a) {
-      const AppliedAction& act = applied[a];
-      if (act.target == ActionTarget::kRow) {
-        views_[act.cluster].ToggleRow(act.index);
-      } else {
-        views_[act.cluster].ToggleCol(act.index);
-      }
-    }
-    // Rebuild stats-derived state from scratch: cheap relative to the
-    // iteration and keeps floating-point drift from accumulating. After
-    // this loop every cluster's stats are canonical for its membership.
-    for (size_t c = 0; c < k_; ++c) {
-      if (rewind_skips(c)) continue;
-      views_[c].Reset(views_[c].cluster());
-      stats_canonical_[c] = 1;
-    }
-    score_sum_ = RecomputeScores();
-    tracker_.Rebuild(views_);
-
-    SnapshotBest();
-    seal_iteration();
-    ++move_iteration_;
   }
   collector_.run().move_phase_seconds += phase_watch.ElapsedSeconds();
 }
 
 void MiningSession::StepRefine() {
-  // Refinement and the reseed round mutate views outside the rewind's
-  // canonicalizing discipline, so a later move phase (after a reseed)
-  // must not trust any cluster's stats bits until it re-canonicalizes
-  // them itself.
-  stats_canonical_.assign(k_, 0);
   // Cluster-centric refinement of the best clustering (see
-  // FlocConfig::refine_passes). The move phase left `views_` on its
-  // end-of-sweep membership, so restore the best clustering first.
+  // FlocConfig::refine_passes), which the views already hold. The passes
+  // toggle in place; rebuilding every cluster whose epoch moved hands
+  // the next step canonical stats again.
   if (config_.refine_passes > 0) {
     DC_TRACE_SPAN("floc/refine");
     Stopwatch refine_watch;
-    for (size_t c = 0; c < k_; ++c) views_[c].Reset(best_clusters_[c]);
-    RecomputeScores();
-    tracker_.Rebuild(views_);
+    std::vector<uint64_t> start_epochs(k_);
+    for (size_t c = 0; c < k_; ++c) start_epochs[c] = views_[c].epoch();
     // Wholesale reassignment cannot shrink coverage-constrained
     // clusterings safely, so it only runs when coverage is off; overlap
     // bounds are validated directly against the candidate.
@@ -548,6 +505,11 @@ void MiningSession::StepRefine() {
       }
       changes += floc_->RefineSweep(matrix_, views_, scores_, tracker_);
       if (changes == 0) break;
+    }
+    for (size_t c = 0; c < k_; ++c) {
+      if (views_[c].epoch() != start_epochs[c]) {
+        views_[c].Reset(views_[c].cluster());
+      }
     }
     score_sum_ = RecomputeScores();
     SnapshotBest();
@@ -592,8 +554,8 @@ void MiningSession::StepReseedCheck() {
   // detection, fresh seeding, restore) -- the rerun move phase and
   // refinement accumulate into their own phase timers.
   Stopwatch reseed_watch;
-  // `views_` holds best_clusters after refine (or the canonicalized
-  // end-of-move state when refinement is off).
+  // `views_` holds the best clustering, as at every step boundary, so
+  // the stagnant slots are judged -- and every other slot kept -- on it.
   stagnant_.clear();
   for (size_t c = 0; c < k_; ++c) {
     if (engine_.Residue(views_[c]) > 2.0 * config_.target_residue) {
@@ -655,7 +617,8 @@ void MiningSession::Checkpoint(const std::string& path) const {
   cp.cols = matrix_.cols();
   cp.config_fingerprint =
       FingerprintConfig(config_, cp.rows, cp.cols, k_);
-  cp.matrix_fingerprint = FingerprintMatrix(matrix_);
+  if (!matrix_fingerprint_) matrix_fingerprint_ = FingerprintMatrix(matrix_);
+  cp.matrix_fingerprint = *matrix_fingerprint_;
   cp.state = static_cast<uint32_t>(state_);
   cp.round = round_;
   cp.move_iteration = move_iteration_;
@@ -670,29 +633,10 @@ void MiningSession::Checkpoint(const std::string& path) const {
     os << rng_.engine();
     cp.rng_state = os.str();
   }
-  cp.current.reserve(k_);
+  cp.clusters.reserve(k_);
   for (const ClusterWorkspace& v : views_) {
-    ViewState vs;
-    vs.members = MembersOf(v.cluster());
-    const ClusterStats& st = v.stats();
-    vs.row_sums.reserve(vs.members.rows.size());
-    vs.row_counts.reserve(vs.members.rows.size());
-    for (uint32_t i : vs.members.rows) {
-      vs.row_sums.push_back(st.RowSum(i));
-      vs.row_counts.push_back(st.RowCount(i));
-    }
-    vs.col_sums.reserve(vs.members.cols.size());
-    vs.col_counts.reserve(vs.members.cols.size());
-    for (uint32_t j : vs.members.cols) {
-      vs.col_sums.push_back(st.ColSum(j));
-      vs.col_counts.push_back(st.ColCount(j));
-    }
-    vs.total = st.Total();
-    vs.volume = st.Volume();
-    cp.current.push_back(std::move(vs));
+    cp.clusters.push_back(MembersOf(v.cluster()));
   }
-  cp.best.reserve(best_clusters_.size());
-  for (const Cluster& c : best_clusters_) cp.best.push_back(MembersOf(c));
   cp.history = result_.history;
   cp.stagnant.assign(stagnant_.begin(), stagnant_.end());
   cp.saved.reserve(saved_.size());
@@ -712,12 +656,12 @@ FlocResult MiningSession::Finish() {
     return FlocResult{};
   }
 
-  result_.clusters = std::move(best_clusters_);
+  result_.clusters.reserve(k_);
   result_.residues.resize(k_);
   double sum = 0.0;
   for (size_t c = 0; c < k_; ++c) {
-    ClusterWorkspace ws(matrix_, result_.clusters[c]);
-    result_.residues[c] = engine_.Residue(ws);
+    result_.clusters.push_back(views_[c].cluster());
+    result_.residues[c] = engine_.Residue(views_[c]);
     sum += result_.residues[c];
   }
   result_.average_residue = sum / static_cast<double>(k_);

@@ -15,8 +15,8 @@
 //        +------(stagnant slots reseeded)-------+
 //
 //   kMovePhase    one Phase-2 iteration (determine / order / apply /
-//                 best-prefix rewind); loops until non-improving or the
-//                 per-phase max_iterations cap.
+//                 rewind to the kept prefix); loops until non-improving
+//                 or the per-phase max_iterations cap.
 //   kRefine       the whole refinement stage (reanchor + refine sweeps),
 //                 plus restore-worse bookkeeping when a reseed round is
 //                 pending.
@@ -38,29 +38,38 @@
 // threads the reason into RunTelemetry::stopped_reason and
 // PerfReport::stopped_reason.
 //
+// At every Step() boundary the live views *are* the best clustering,
+// and every view's ClusterStats equal a from-scratch Build() of its
+// membership (FLOC keeps best_clustering and stops when an iteration
+// fails to improve it). Each move sweep ends by rewinding to its kept
+// prefix -- the selector's best prefix on an improving sweep, nothing on
+// the final non-improving one -- and rebuilding every cluster an applied
+// action touched; refinement ends by rebuilding every cluster whose
+// epoch moved; reseeding and the restore-worse check rebuild what they
+// replace. Audit mode DC_CHECKs this invariant exactly at every
+// boundary and after a restore.
+//
 // Checkpoint()/Floc::ResumeSession() serialize the session at a step
 // boundary into the .dcs format (src/session/session_format.h). The
 // determinism argument for byte-identical resume: everything a later
-// step consumes is a pure function of (memberships, the live views'
-// ClusterStats bits, RNG state, machine position), and the checkpoint
-// captures all four exactly -- memberships as id lists, the stats
-// accumulators as raw bit patterns (they are path-dependent: refine
-// sweeps and the final non-improving move sweep leave incremental
-// float state the monolithic driver deliberately let flow onward, and
-// a from-scratch rebuild would reassociate those sums differently),
-// the mt19937_64 engine via its standard textual serialization, and
-// scalar doubles as bit patterns. Derived state -- scores, the
-// constraint tracker (integer occupancy tallies), gain memo, packed
-// panes, residue caches -- is rebuilt on restore and matches
-// bit-for-bit: scores are pure functions of the restored stats bits,
-// and the epoch-stamped caches of a restored workspace simply start
-// cold, recomputing exactly what a warm one would have served.
+// step consumes is a pure function of (memberships, RNG state, machine
+// position), and the checkpoint captures all three exactly -- one
+// membership list (the live views, which are the best clustering), the
+// mt19937_64 engine via its standard textual serialization, and scalar
+// doubles as bit patterns. Restore is a plain Build of each membership,
+// which reproduces the canonical stats bit-for-bit. Derived state --
+// scores, the constraint tracker (integer occupancy tallies), gain memo,
+// packed panes, residue caches -- is rebuilt on restore and matches
+// bit-for-bit: scores are pure functions of the rebuilt stats, and the
+// epoch-stamped caches of a restored workspace simply start cold,
+// recomputing exactly what a warm one would have served.
 #ifndef DELTACLUS_SESSION_MINING_SESSION_H_
 #define DELTACLUS_SESSION_MINING_SESSION_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -165,9 +174,10 @@ class MiningSession {
  private:
   friend class deltaclus::Floc;
 
-  /// Builds the session from seeds; `restore_from` non-null replays a
-  /// decoded checkpoint on top of the freshly built state (Floc::
-  /// ResumeSession path) and suppresses the seed-compliance scan.
+  /// Builds the session from seeds; `restore_from` non-null (Floc::
+  /// ResumeSession path, whose seeds are the checkpoint's memberships)
+  /// takes the machine position, RNG state and reseed bookkeeping from
+  /// the decoded checkpoint and suppresses the seed-compliance scan.
   MiningSession(Floc* floc, const DataMatrix& matrix,
                 std::vector<Cluster> seeds,
                 const SessionCheckpoint* restore_from);
@@ -178,6 +188,7 @@ class MiningSession {
 
   double RecomputeScores();
   void SnapshotBest();
+  void AuditBoundary(const char* context) const;
   double ElapsedSeconds() const;
   bool BudgetStop();
 
@@ -199,8 +210,7 @@ class MiningSession {
   ConstraintTracker tracker_;
   std::vector<double> scores_;
   double score_sum_ = 0.0;
-  std::vector<Cluster> best_clusters_;
-  double best_average_ = 0.0;
+  double best_average_ = 0.0;  ///< score_sum_ / k_ of the best clustering.
 
   SessionState state_ = SessionState::kMovePhase;
   StopReason stop_reason_ = StopReason::kNone;
@@ -216,21 +226,20 @@ class MiningSession {
   std::vector<Cluster> saved_;
   std::vector<double> saved_scores_;
 
-  // Cross-iteration memo reuse. stats_canonical_[c] is true when
-  // views_[c]'s stats bits are known to equal a from-scratch
-  // Reset(cluster) rebuild -- set after the rewind's canonicalizing
-  // Reset, cleared by every path that leaves path-dependent bits
-  // (construction, checkpoint restore, refine, reseed). Only then may
-  // the rewind skip a cluster untouched by the sweep's applied actions:
-  // the skip is a bit-identical no-op that *preserves the epoch*, so the
-  // residue cache, packed pane, and every (entity, cluster) gain-memo
-  // stripe stay valid into the next determination sweep.
+  // Cross-iteration memo reuse. The rewind rebuilds only the clusters an
+  // applied action touched, so every other cluster keeps its epoch, and
+  // with it its residue cache, packed pane and every (entity, cluster)
+  // gain-memo stripe into the next determination sweep.
   // last_sweep_epoch_[c] remembers the epoch the previous sweep
   // determined against; a matching epoch entering the next sweep counts
   // floc.sweep.clusters_skipped_clean (the memo serves that cluster's
   // untouched gains without a rescan).
-  std::vector<uint8_t> stats_canonical_;
   std::vector<uint64_t> last_sweep_epoch_;
+
+  // FingerprintMatrix of matrix_, computed by the first Checkpoint() (or
+  // taken from the checkpoint ResumeSession verified), so a session that
+  // checkpoints every step digests the matrix once.
+  mutable std::optional<uint64_t> matrix_fingerprint_;
 
   bool seeds_compliant_ = true;
 

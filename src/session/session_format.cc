@@ -70,22 +70,6 @@ class PayloadWriter {
     Ids(m.rows);
     Ids(m.cols);
   }
-  void View(const ViewState& v) {
-    // Stats arrays are implicit-length: they align index-for-index with
-    // the id lists just written, so a separate count would only add a
-    // second source of truth to corrupt.
-    Members(v.members);
-    for (size_t i = 0; i < v.members.rows.size(); ++i) {
-      F64(v.row_sums[i]);
-      U64(v.row_counts[i]);
-    }
-    for (size_t j = 0; j < v.members.cols.size(); ++j) {
-      F64(v.col_sums[j]);
-      U64(v.col_counts[j]);
-    }
-    F64(v.total);
-    U64(v.volume);
-  }
   const std::vector<uint8_t>& bytes() const { return buf_; }
 
  private:
@@ -163,52 +147,6 @@ class PayloadReader {
     m.rows = Ids(rows, "cluster row");
     m.cols = Ids(cols, "cluster column");
     return m;
-  }
-  ViewState View(uint64_t rows, uint64_t cols) {
-    ViewState v;
-    v.members = Members(rows, cols);
-    size_t nr = v.members.rows.size();
-    size_t nc = v.members.cols.size();
-    v.row_sums.reserve(nr);
-    v.row_counts.reserve(nr);
-    for (size_t i = 0; i < nr; ++i) {
-      v.row_sums.push_back(F64());
-      v.row_counts.push_back(U64());
-    }
-    v.col_sums.reserve(nc);
-    v.col_counts.reserve(nc);
-    for (size_t j = 0; j < nc; ++j) {
-      v.col_sums.push_back(F64());
-      v.col_counts.push_back(U64());
-    }
-    v.total = F64();
-    v.volume = U64();
-    // Integer invariants of the incremental accumulators: each row's
-    // specified-entry count is bounded by the member-column count (and
-    // vice versa), and the volume is exactly the sum of either count
-    // family. Float sums are path-dependent and cannot be cross-checked
-    // here, but a file whose counts disagree is structurally corrupt.
-    uint64_t row_count_sum = 0;
-    for (uint64_t c : v.row_counts) {
-      if (c > nc) {
-        Reject(origin_,
-               "cluster stats row count exceeds the member-column count");
-      }
-      row_count_sum += c;
-    }
-    uint64_t col_count_sum = 0;
-    for (uint64_t c : v.col_counts) {
-      if (c > nr) {
-        Reject(origin_,
-               "cluster stats column count exceeds the member-row count");
-      }
-      col_count_sum += c;
-    }
-    if (row_count_sum != v.volume || col_count_sum != v.volume) {
-      Reject(origin_,
-             "cluster stats volume disagrees with its row/column counts");
-    }
-    return v;
   }
   bool exhausted() const { return pos_ == len_; }
 
@@ -314,8 +252,7 @@ void WriteSessionCheckpoint(const SessionCheckpoint& cp,
   w.F64(cp.prior_elapsed_seconds);
   w.F64(cp.seeding_seconds);
   w.String(cp.rng_state);
-  for (const ViewState& v : cp.current) w.View(v);
-  for (const ClusterMembers& m : cp.best) w.Members(m);
+  for (const ClusterMembers& m : cp.clusters) w.Members(m);
   w.U64(cp.history.size());
   for (const FlocIterationInfo& it : cp.history) {
     w.F64(it.best_average_residue);
@@ -337,7 +274,7 @@ void WriteSessionCheckpoint(const SessionCheckpoint& cp,
   Store32(header, 12, kDcsHeaderBytes);
   Store64(header, 16, cp.rows);
   Store64(header, 24, cp.cols);
-  Store64(header, 32, cp.current.size());
+  Store64(header, 32, cp.clusters.size());
   Store64(header, 40, payload.size());
   Store64(header, 48, Fnv1a64(payload.data(), payload.size()));
   Store64(header, 56, cp.config_fingerprint);
@@ -421,11 +358,9 @@ SessionCheckpoint ReadSessionCheckpoint(const std::string& path,
        << ")";
     Reject(origin, os.str());
   }
-  // Every cluster encodes at least an empty live view (two id-list
-  // lengths, total, volume) and its best-so-far members (two id-list
-  // lengths), so a k the payload cannot hold is rejected before anything
-  // is sized from it.
-  constexpr uint64_t kMinClusterBytes = 4 * 8 + 2 * 8;
+  // Every cluster encodes at least its two id-list lengths, so a k the
+  // payload cannot hold is rejected before anything is sized from it.
+  constexpr uint64_t kMinClusterBytes = 2 * 8;
   if (k > payload_bytes / kMinClusterBytes) {
     std::ostringstream os;
     os << "cluster count " << k << " exceeds what the " << payload_bytes
@@ -449,13 +384,9 @@ SessionCheckpoint ReadSessionCheckpoint(const std::string& path,
   cp.prior_elapsed_seconds = r.F64();
   cp.seeding_seconds = r.F64();
   cp.rng_state = r.String();
-  cp.current.reserve(static_cast<size_t>(k));
+  cp.clusters.reserve(static_cast<size_t>(k));
   for (uint64_t c = 0; c < k; ++c) {
-    cp.current.push_back(r.View(cp.rows, cp.cols));
-  }
-  cp.best.reserve(static_cast<size_t>(k));
-  for (uint64_t c = 0; c < k; ++c) {
-    cp.best.push_back(r.Members(cp.rows, cp.cols));
+    cp.clusters.push_back(r.Members(cp.rows, cp.cols));
   }
   uint64_t history = r.U64();
   for (uint64_t i = 0; i < history; ++i) {

@@ -7,7 +7,7 @@
 //   offset  size  field
 //   ------  ----  -----------------------------------------------
 //        0     4  magic "dcs1"
-//        4     4  u32 format version (currently 2)
+//        4     4  u32 format version (currently 3)
 //        8     4  u32 endianness tag 0x01020304, written native
 //       12     4  u32 header size in bytes (128)
 //       16     8  u64 rows (of the mined matrix)
@@ -22,22 +22,18 @@
 // The payload is the session's entire algorithmic state in declaration
 // order of SessionCheckpoint: the state-machine position, the RNG
 // engine (the exact mt19937_64 stream state, via the standard library's
-// guaranteed textual serialization), the cluster memberships -- live
-// views, best clustering, reseed save-slots -- and, for the live views
-// only, the exact bits of their incrementally-maintained ClusterStats
-// accumulators. The stats bits matter because they are path-dependent:
-// a toggle's += reassociates float sums differently than a from-scratch
-// Build(), and the original driver deliberately let that incremental
-// state flow across phase boundaries (refine sweeps toggle in place;
-// the final non-improving move sweep is never rewound). Restoring the
-// captured bits on top of a fresh Build() makes the resumed trajectory
-// bit-identical to the uninterrupted one; doubles travel as bit
-// patterns, never through text. Everything else a running session holds
-// (scores, constraint tracker, gain memo, packed panes, residue caches)
-// is *derived* state, recomputed on restore: scores are pure functions
-// of the restored stats bits, the tracker is integer occupancy tallies
-// rebuilt from membership, and the epoch-stamped caches simply start
-// cold and recompute exactly what the warm ones would have served (see
+// guaranteed textual serialization), and the cluster memberships -- one
+// list for the live views, which at every step boundary are the best
+// clustering, plus the reseed save-slots. No stats travel: at a step
+// boundary every live view's ClusterStats equal a from-scratch Build()
+// of its membership (MiningSession keeps that invariant), so restore
+// rebuilds them bit-for-bit. Doubles travel as bit patterns, never
+// through text. Everything else a running session holds (scores,
+// constraint tracker, gain memo, packed panes, residue caches) is
+// *derived* state, recomputed on restore: scores are pure functions of
+// the rebuilt stats, the tracker is integer occupancy tallies rebuilt
+// from membership, and the epoch-stamped caches simply start cold and
+// recompute exactly what the warm ones would have served (see
 // MiningSession's class comment for the full determinism argument).
 //
 // The header/checksum discipline deliberately mirrors the .dcm matrix
@@ -73,28 +69,13 @@ inline constexpr size_t kDcsHeaderBytes = 128;
 
 /// Format magic ("dcs1") and the current version.
 inline constexpr char kDcsMagic[4] = {'d', 'c', 's', '1'};
-inline constexpr uint32_t kDcsVersion = 2;
+inline constexpr uint32_t kDcsVersion = 3;
 
 /// One cluster's membership, as sorted parent-space id lists (the
 /// canonical form Cluster stores and Cluster::FromMembers accepts).
 struct ClusterMembers {
   std::vector<uint32_t> rows;
   std::vector<uint32_t> cols;
-};
-
-/// One live view's full mutable state: membership plus the exact bits of
-/// its ClusterStats accumulators (sums/counts aligned index-for-index
-/// with the member id lists, and the cluster-wide total/volume). Only
-/// the *live* views serialize stats -- best and save-slot clusters are
-/// consumed via Reset(), which rebuilds from scratch anyway.
-struct ViewState {
-  ClusterMembers members;
-  std::vector<double> row_sums;      ///< Aligned with members.rows.
-  std::vector<uint64_t> row_counts;  ///< Aligned with members.rows.
-  std::vector<double> col_sums;      ///< Aligned with members.cols.
-  std::vector<uint64_t> col_counts;  ///< Aligned with members.cols.
-  double total = 0.0;                ///< Sum of all specified entries.
-  uint64_t volume = 0;               ///< Count of all specified entries.
 };
 
 /// The decoded checkpoint: header fields plus the full payload. Field
@@ -117,8 +98,7 @@ struct SessionCheckpoint {
   double prior_elapsed_seconds = 0.0;  ///< Wall seconds of earlier segments.
   double seeding_seconds = 0.0;
   std::string rng_state;  ///< mt19937_64 textual stream state.
-  std::vector<ViewState> current;    ///< The live views, stats included.
-  std::vector<ClusterMembers> best;  ///< best_clustering.
+  std::vector<ClusterMembers> clusters;  ///< The live (= best) clustering.
   std::vector<FlocIterationInfo> history;
   std::vector<uint64_t> stagnant;       ///< Reseeded slots (pending restore).
   std::vector<ClusterMembers> saved;    ///< Their pre-reseed memberships.
@@ -135,9 +115,10 @@ uint64_t FingerprintConfig(const FlocConfig& config, uint64_t rows,
 /// Digest over the matrix's exact contents: the missing-entry mask and
 /// the bit patterns of every specified value, row-major. Same shape but
 /// different data is the one mismatch the shape check cannot catch, and
-/// restored stats bits are only meaningful against the exact data set
-/// that produced them. O(rows x cols), negligible next to one mining
-/// iteration; backend-independent (mem and mmap digest identically).
+/// a checkpoint's memberships are only meaningful against the exact data
+/// set that produced them. O(rows x cols); a session computes it once,
+/// not per checkpoint. Backend-independent (mem and mmap digest
+/// identically).
 uint64_t FingerprintMatrix(const DataMatrix& matrix);
 
 /// Serializes `cp` as a .dcs file at `path` (atomically: written to a

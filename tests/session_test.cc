@@ -12,6 +12,9 @@
 //     the telemetry and the perf report, and stopped sessions keep
 //     their machine position so checkpoint+resume continues exactly
 //     where the budget cut in;
+//   * at every step boundary the live views are the best clustering, so
+//     a reseed round restarts only the stagnant slots and every other
+//     slot keeps its best membership;
 //   * every corrupted, truncated, or mismatched .dcs checkpoint is
 //     rejected with an exception naming the defect (mirroring the .dcm
 //     rejection suite in tests/storage_test.cc);
@@ -140,25 +143,120 @@ bool CheckpointAtBoundary(const FlocConfig& config, const DataMatrix& matrix,
 
 // -- Checkpoint/resume determinism -----------------------------------
 
+// Paper-literal Phase 2: decisions made on stale gains and negative
+// actions forced, so the final, non-improving sweep of a move phase
+// still applies actions (fresh-gain runs apply none there).
+FlocConfig PaperModeConfig(size_t refine_passes) {
+  FlocConfig config = MakeConfig();
+  config.fresh_gains_at_apply = false;
+  config.perform_negative_actions = true;
+  config.refine_passes = refine_passes;
+  return config;
+}
+
 // The core gate: a checkpoint taken at *every* step boundary of a run
 // resumes to a byte-identical finish. This sweeps through move-phase,
-// refine, and reseed-check boundaries without needing to aim at them.
+// refine, and reseed-check boundaries without needing to aim at them,
+// for the default run and for paper-mode runs with and without refine.
+// The resumed half runs audited (audit is result-neutral), so the
+// step-boundary invariant -- stats equal to a Build(), best average
+// equal to the live one -- is DC_CHECKed after every restore and at
+// every later boundary.
 TEST(SessionTest, CheckpointAtEveryBoundaryResumesIdentically) {
   SyntheticDataset data = MakeData(7, 0.0);
-  FlocConfig config = MakeConfig();
-  config.threads = 2;
-  FlocResult reference = Floc(config).Run(data.matrix);
+  struct Case {
+    const char* name;
+    FlocConfig config;
+  };
+  const Case cases[] = {{"default", MakeConfig()},
+                        {"paper refine=2", PaperModeConfig(2)},
+                        {"paper refine=0", PaperModeConfig(0)}};
+  for (const Case& c : cases) {
+    FlocConfig config = c.config;
+    config.threads = 2;
+    FlocResult reference = Floc(config).Run(data.matrix);
+    FlocConfig audited = config;
+    audited.audit = true;
 
-  std::string path = TempPath("session_boundary.dcs");
-  for (size_t boundary = 0;; ++boundary) {
-    FlocResult resumed;
-    if (!CheckpointAtBoundary(config, data.matrix, boundary, path, config,
-                              data.matrix, &resumed)) {
-      EXPECT_GT(boundary, 4u) << "run ended suspiciously early";
-      break;
+    std::string path = TempPath("session_boundary.dcs");
+    for (size_t boundary = 0;; ++boundary) {
+      FlocResult resumed;
+      if (!CheckpointAtBoundary(config, data.matrix, boundary, path, audited,
+                                data.matrix, &resumed)) {
+        EXPECT_GT(boundary, 4u) << c.name << ": run ended suspiciously early";
+        break;
+      }
+      ExpectSameResult(reference, resumed,
+                       std::string(c.name) + " boundary " +
+                           std::to_string(boundary));
     }
-    ExpectSameResult(reference, resumed,
-                     "boundary " + std::to_string(boundary));
+  }
+}
+
+// A reseed round restarts only the stagnant slots; every other slot
+// must enter it holding its best membership, not the membership the
+// move phase's final, non-improving sweep left behind. Paper mode with
+// refinement off is the configuration where that sweep applies actions
+// and nothing between it and the reseed check restores the best
+// clustering, so it is the one that can tell the two apart.
+TEST(SessionTest, ReseedRoundKeepsBestMembershipsOfNonStagnantSlots) {
+  SyntheticDataset data = MakeData(7, 0.0);
+  FlocConfig config = PaperModeConfig(0);
+  config.reseed_rounds = 1;
+  // The pre-reseed best clustering, mined independently: with no reseed
+  // round the run ends right where the reseed check would start.
+  FlocConfig no_reseed = config;
+  no_reseed.reseed_rounds = 0;
+  std::string best = ClustersAsText(Floc(no_reseed).Run(data.matrix).clusters);
+
+  Floc floc(config);
+  std::unique_ptr<MiningSession> session = floc.StartSession(data.matrix);
+  while (session->Status().state != SessionState::kReseedCheck) {
+    ASSERT_TRUE(session->Step());
+  }
+  std::string before_path = TempPath("session_pre_reseed.dcs");
+  session->Checkpoint(before_path);
+  ASSERT_TRUE(session->Step());
+  ASSERT_EQ(session->Status().state, SessionState::kMovePhase)
+      << "no slot was stagnant, so no reseed round started";
+  std::string after_path = TempPath("session_post_reseed.dcs");
+  session->Checkpoint(after_path);
+  session->Finish();
+
+  SessionCheckpoint before = ReadSessionCheckpoint(before_path, before_path);
+  SessionCheckpoint after = ReadSessionCheckpoint(after_path, after_path);
+  ASSERT_FALSE(before.history.empty());
+  ASSERT_GT(before.history.back().actions_applied, 0u)
+      << "the final sweep applied no actions; nothing to rewind";
+  ASSERT_FALSE(before.history.back().improved);
+
+  auto as_clusters = [&](const std::vector<session::ClusterMembers>& ms) {
+    std::vector<Cluster> out;
+    for (const session::ClusterMembers& m : ms) {
+      out.push_back(Cluster::FromMembers(
+          data.matrix.rows(), data.matrix.cols(),
+          std::vector<size_t>(m.rows.begin(), m.rows.end()),
+          std::vector<size_t>(m.cols.begin(), m.cols.end())));
+    }
+    return out;
+  };
+  std::vector<Cluster> pre = as_clusters(before.clusters);
+  std::vector<Cluster> post = as_clusters(after.clusters);
+  std::vector<Cluster> saved = as_clusters(after.saved);
+  EXPECT_EQ(ClustersAsText(pre), best);
+
+  ASSERT_FALSE(after.stagnant.empty());
+  ASSERT_LT(after.stagnant.size(), config.num_clusters)
+      << "every slot was stagnant; no kept slot to check";
+  for (size_t c = 0; c < config.num_clusters; ++c) {
+    auto it = std::find(after.stagnant.begin(), after.stagnant.end(), c);
+    if (it == after.stagnant.end()) {
+      EXPECT_TRUE(post[c] == pre[c]) << "kept slot " << c
+                                     << " lost its best membership";
+    } else {
+      EXPECT_TRUE(saved[it - after.stagnant.begin()] == pre[c])
+          << "stagnant slot " << c << " saved a non-best membership";
+    }
   }
 }
 
@@ -475,7 +573,7 @@ TEST_F(SessionRejectTest, ValidCheckpointRoundTrips) {
   SessionCheckpoint cp = ReadSessionCheckpoint(*valid_path_, *valid_path_);
   EXPECT_EQ(cp.rows, data_->matrix.rows());
   EXPECT_EQ(cp.cols, data_->matrix.cols());
-  EXPECT_EQ(cp.current.size(), 3u);
+  EXPECT_EQ(cp.clusters.size(), 3u);
   EXPECT_TRUE(session::LooksLikeDcsFile(*valid_path_));
 }
 
@@ -497,8 +595,9 @@ TEST_F(SessionRejectTest, BadMagicRejected) {
 }
 
 TEST_F(SessionRejectTest, VersionMismatchRejected) {
-  // 1 is the previous layout (it carried per-cluster memo heat).
-  for (char version : {1, 99}) {
+  // 1 carried per-cluster memo heat; 2 carried a best-clustering list
+  // and the live views' stats bits.
+  for (char version : {1, 2, 99}) {
     std::vector<char> bytes = ReadAllBytes(*valid_path_);
     bytes[4] = version;
     std::string path = TempPath("session_bad_version.dcs");
@@ -597,24 +696,9 @@ TEST_F(SessionRejectTest, MemberIdOutOfBoundsRejected) {
   ExpectStructuralReject(
       "session_bad_id.dcs",
       [](SessionCheckpoint* cp) {
-        cp->current[0].members.rows[0] =
-            static_cast<uint32_t>(cp->rows) + 5;
+        cp->clusters[0].rows[0] = static_cast<uint32_t>(cp->rows) + 5;
       },
       "out of bounds");
-}
-
-TEST_F(SessionRejectTest, StatsRowCountOverflowRejected) {
-  ExpectStructuralReject(
-      "session_bad_rowcount.dcs",
-      [](SessionCheckpoint* cp) { cp->current[0].row_counts[0] = 9999; },
-      "row count exceeds the member-column count");
-}
-
-TEST_F(SessionRejectTest, StatsVolumeDisagreementRejected) {
-  ExpectStructuralReject(
-      "session_bad_volume.dcs",
-      [](SessionCheckpoint* cp) { cp->current[0].volume += 1; },
-      "volume disagrees");
 }
 
 // -- Resume binding checks --------------------------------------------
