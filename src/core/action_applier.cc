@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/core/audit.h"
 #include "src/core/floc_phases.h"
 
 namespace deltaclus {
@@ -75,7 +76,11 @@ std::vector<AppliedAction> ActionApplier::Apply(
       view.ToggleCol(action.index);
       tracker.OnColToggled(views, action.cluster, action.index);
     }
-    if (after_toggle_ != nullptr) after_toggle_(hook_self_, view);
+    if (config.audit) {
+      AuditClusterWorkspace(view, config.constraints, config.norm,
+                            kDefaultAuditTolerance, "move_phase",
+                            audit_occupancy_);
+    }
     applied.push_back({action.target, action.index, action.cluster});
 
     double new_score = ObjectiveScore(engine.Residue(view),

@@ -17,11 +17,15 @@
 //      far, it becomes the starting point of the next iteration;
 //      otherwise FLOC terminates and returns the best clustering.
 //
-// The four steps are implemented as separate phase components
-// (src/core/floc_phases.h: GainDeterminer, ActionScheduler,
-// ActionApplier, BestPrefixSelector) running on the execution engine
-// (src/engine/thread_pool.h); Floc orchestrates them. See DESIGN.md
-// "The execution engine".
+// The four steps, and the refinement stage after them, are separate
+// phase components (src/core/floc_phases.h: GainDeterminer,
+// ActionScheduler, ActionApplier, BestPrefixSelector, RefineSweep,
+// ReanchorCluster) running on the execution engine
+// (src/engine/thread_pool.h). A MiningSession (src/session/) drives
+// them step by step; Floc is the configured factory that opens
+// sessions. The dependency is one-way: the session reads Floc's config,
+// pool and perf window through its constructor and never calls back.
+// See DESIGN.md "The execution engine" and "The session layer".
 #ifndef DELTACLUS_CORE_FLOC_H_
 #define DELTACLUS_CORE_FLOC_H_
 
@@ -32,10 +36,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/actions.h"
 #include "src/core/cluster.h"
-#include "src/core/cluster_stats.h"
-#include "src/core/cluster_workspace.h"
 #include "src/core/constraints.h"
 #include "src/core/data_matrix.h"
 #include "src/core/ordering.h"
@@ -54,6 +55,7 @@ class ThreadPool;
 
 namespace session {
 class MiningSession;
+struct SessionCheckpoint;
 }  // namespace session
 
 /// Tuning knobs for one FLOC run.
@@ -327,39 +329,13 @@ class Floc {
       const DataMatrix& matrix, const std::string& checkpoint_path);
 
  private:
-  // The session layer drives the private phase helpers below
-  // (ClusterScore, MaybeAudit, RefineSweep, ReanchorCluster, EnsurePool)
-  // and the perf-accounting members; see src/session/mining_session.h.
-  friend class session::MiningSession;
-  // Per-cluster objective value: residue - target * ln(volume). With
-  // target_residue == 0 this is exactly the residue.
-  double ClusterScore(double residue, size_t volume) const;
-
-  // Audit-mode hook: no-op unless config_.audit, in which case `ws`'s
-  // incremental state (stats and any cached residue) is checked against a
-  // from-scratch recompute (fatal on drift). `context` names the calling
-  // phase in failure messages.
-  void MaybeAudit(const ClusterWorkspace& ws, const char* context) const;
-
-  // One full refinement sweep over all clusters (see refine_passes).
-  // Returns the number of toggles applied.
-  size_t RefineSweep(const DataMatrix& matrix, std::vector<ClusterWorkspace>& views,
-                     std::vector<double>& scores, ConstraintTracker& tracker);
-
-  // Alternating reassignment of one cluster: holding the row set, re-pick
-  // the columns on which those rows are coherent (mean absolute deviation
-  // of row-centered values <= target_residue); then holding the columns,
-  // re-pick the coherent rows; repeat twice. Single toggles cannot escape
-  // the "poisoned fragment" local optimum -- a cluster whose few junk
-  // rows block every column addition while individually costing nothing
-  // to keep -- but a wholesale re-pick can. The candidate replaces the
-  // cluster only if it satisfies the unary constraints and improves the
-  // cluster's score. Returns true if the cluster changed. Requires
-  // target_residue > 0. When an overlap bound is active, the candidate is
-  // also validated against every other cluster in `views`.
-  bool ReanchorCluster(const DataMatrix& matrix,
-                       std::vector<ClusterWorkspace>& views, size_t c,
-                       double* score);
+  // Constructs the session every public entry point returns. Phase-1
+  // seconds measured by StartSession (0 for caller-provided seeds)
+  // become the session's seeding time; `restore_from` non-null is the
+  // ResumeSession path.
+  std::unique_ptr<session::MiningSession> OpenSession(
+      const DataMatrix& matrix, std::vector<Cluster> seeds,
+      double seeding_seconds, const session::SessionCheckpoint* restore_from);
 
   // The thread pool every parallel phase of this Floc runs on: the
   // injected config_.pool when set, otherwise a lazily created pool of
@@ -371,20 +347,13 @@ class Floc {
 
   std::unique_ptr<engine::ThreadPool> owned_pool_;
 
-  // Phase-1 (seeding) wall seconds measured by Run(), consumed into the
-  // telemetry of the RunWithSeeds call it delegates to.
-  double seed_phase_seconds_ = 0.0;
-
-  // Per-run metrics/trace delta window for the perf report. Run() opens
-  // it before seeding so seed-repair pool work is attributed to the run;
-  // RunWithSeeds opens it itself when called directly.
+  // Per-run metrics/trace delta window for the perf report, lent to each
+  // session (see MiningSession::perf_accounting_). StartSession opens it
+  // before seeding so seed-repair pool work is attributed to the run;
+  // otherwise the session opens it. Finish() closes it, so a session
+  // dropped unfinished leaves it open for the ResumeSession that
+  // continues the run.
   std::optional<obs::PerfAccounting> perf_accounting_;
-
-  // Whether audit mode also re-validates alpha-occupancy. FLOC preserves
-  // occupancy but cannot establish it, so RunWithSeeds only turns this on
-  // when the initial clustering complies (Run() repairs its seeds;
-  // RunWithSeeds callers may pass arbitrary ones).
-  bool audit_check_occupancy_ = false;
 };
 
 /// Average of per-cluster residues for a set of clusters (utility shared

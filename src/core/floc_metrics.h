@@ -1,5 +1,5 @@
 // Registry handles for FLOC's metric family, resolved once per process.
-// Shared between the core phase helpers (src/core/floc.cc, whose
+// Shared between the core phase components (src/core/refine.cc, whose
 // RefineSweep counts refine toggles) and the session driver
 // (src/session/mining_session.cc, which records everything else): both
 // must increment the *same* registered instruments, and the registry
@@ -24,7 +24,6 @@ struct FlocMetrics {
   obs::Counter* reseed_slots;
   obs::Counter* clusters_skipped_clean;
   obs::Gauge* last_average_residue;
-  obs::Histogram* iteration_seconds;
   obs::QuantileHistogram* iteration_latency;
 
   static const FlocMetrics& Get() {
@@ -39,8 +38,6 @@ struct FlocMetrics {
           r.GetCounter("floc.reseed.slots"),
           r.GetCounter("floc.sweep.clusters_skipped_clean"),
           r.GetGauge("floc.last.average_residue"),
-          r.GetHistogram("floc.iteration.seconds",
-                         {0.001, 0.01, 0.1, 1.0, 10.0}),
           r.GetQuantileHistogram("floc.iteration.latency",
                                  obs::LatencySecondsOptions()),
       };

@@ -1,6 +1,6 @@
-// The four phase components of a FLOC Phase-2 iteration (paper Section
-// 4.1 / Figure 5), extracted from the former monolithic Floc::Run so
-// each is unit-testable and schedulable on the execution engine:
+// The phase components of FLOC Phase 2 (paper Section 4.1 / Figure 5)
+// and of the refinement stage that follows it, each unit-testable and
+// driven step by step by the mining session (src/session/):
 //
 //   GainDeterminer     step 1: the best action per row/column, fanned
 //                      out over the thread pool in deterministic shards.
@@ -11,6 +11,13 @@
 //                      state, annealing negatives, toggling memberships.
 //   BestPrefixSelector step 4: which intermediate clustering (prefix of
 //                      the applied actions) the iteration keeps.
+//   RefineSweep,       the refinement stage (FlocConfig::refine_passes):
+//   ReanchorCluster    cluster-centric toggles and wholesale re-picks.
+//
+// Every toggle gain -- determination, the apply sweep's re-decisions and
+// refinement's ranking and re-validation -- comes from one evaluation,
+// ToggleGain: the constraint check, the gain-memo lookup (or rescan) of
+// the after-toggle residue, and the objective gain.
 //
 // Determination is read-only over the clustering, so shards evaluate
 // virtual toggles concurrently and write disjoint slots of the action
@@ -23,11 +30,20 @@
 // window.
 // Commit order and every decision are unchanged, so results are
 // bit-identical with or without the warm-up.
+//
+// Audit mode (FlocConfig::audit): every phase that toggles a membership
+// checks the toggled workspace with AuditClusterWorkspace right after,
+// naming itself ("move_phase", "RefineSweep", "ReanchorCluster") in the
+// failure message. Whether that audit re-validates alpha-occupancy is
+// the caller's `audit_occupancy` flag: FLOC preserves occupancy but
+// cannot establish it, so the session only sets it when the initial
+// clustering complies.
 #ifndef DELTACLUS_CORE_FLOC_PHASES_H_
 #define DELTACLUS_CORE_FLOC_PHASES_H_
 
 #include <cmath>
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "src/core/actions.h"
@@ -99,10 +115,21 @@ struct GainContext {
   SweepTally* tally = nullptr;
 };
 
+/// The gain of Action(x, c): toggling row (is_row) or column `index` in
+/// cluster `c`, as the drop in c's objective score. Nullopt when a
+/// constraint blocks the toggle (tallied into ctx.blocked when set).
+/// The after-toggle residue comes from the memo slot when its stamp
+/// matches c's epoch, else from a rescan that re-stamps it; the gain is
+/// always re-derived from the current ctx.scores. Read-only over the
+/// clustering (`engine` is per-caller scratch), so concurrent calls are
+/// safe.
+std::optional<double> ToggleGain(bool is_row, size_t index, size_t c,
+                                 const GainContext& ctx,
+                                 ResidueEngine& engine);
+
 /// The best of the k candidate actions for one row (is_row) or column:
-/// the membership toggle with the highest objective gain among those not
-/// blocked by constraints. Read-only over the clustering (`engine` is
-/// per-caller scratch), so concurrent calls are safe.
+/// the ToggleGain-highest toggle among those not blocked by constraints.
+/// Concurrent calls are safe, as for ToggleGain.
 Action BestActionFor(bool is_row, size_t index, const GainContext& ctx,
                      ResidueEngine& engine);
 
@@ -251,10 +278,6 @@ struct AppliedAction {
 /// runs the plain serial loop; all give identical results.
 class ActionApplier {
  public:
-  /// `after_toggle` runs after every performed toggle with the mutated
-  /// workspace (Floc's audit-mode hook); null disables.
-  using ToggleHook = void (*)(void* self, const ClusterWorkspace& ws);
-
   /// Entities per memo warm-up. Larger windows leave more of each
   /// window's re-decisions stale (toggles inside the window invalidate
   /// the warmed slots); smaller ones pay the pool's wake-up more often.
@@ -264,15 +287,16 @@ class ActionApplier {
   /// determiner: the sweep's fresh re-decisions hit the entries the
   /// determination phase (or the warm-up) wrote for every cluster not
   /// mutated since. `pool` (optional, non-owning) runs the warm-up.
-  /// Audit follows FlocConfig::audit.
-  ActionApplier(const FlocConfig& config, ToggleHook after_toggle = nullptr,
-                void* hook_self = nullptr, GainMemo* memo = nullptr,
-                engine::ThreadPool* pool = nullptr)
+  /// With FlocConfig::audit every performed toggle is audited under the
+  /// context "move_phase", alpha-occupancy included when
+  /// `audit_occupancy` (see the file comment).
+  ActionApplier(const FlocConfig& config, GainMemo* memo = nullptr,
+                engine::ThreadPool* pool = nullptr,
+                bool audit_occupancy = false)
       : config_(&config),
-        after_toggle_(after_toggle),
-        hook_self_(hook_self),
         memo_(memo),
-        pool_(pool) {}
+        pool_(pool),
+        audit_occupancy_(audit_occupancy) {}
 
   /// Runs the sweep; returns the journal of performed toggles in order.
   /// `iteration` feeds the annealing temperature decay.
@@ -287,11 +311,41 @@ class ActionApplier {
 
  private:
   const FlocConfig* config_;
-  ToggleHook after_toggle_;
-  void* hook_self_;
   GainMemo* memo_;
   engine::ThreadPool* pool_;
+  bool audit_occupancy_;
 };
+
+/// One refinement sweep (FlocConfig::refine_passes) over every cluster in
+/// turn: all of the cluster's unblocked toggles are ranked by ToggleGain,
+/// and those above config.min_improvement are applied best-first, each
+/// re-validated by ToggleGain against the cluster's current state (an
+/// earlier toggle shifts later gains). Updates `scores` and `tracker` as
+/// it toggles. Evaluations go through `memo` (optional) and are tallied
+/// into the floc.gain_evals_* counters once per sweep. Returns the number
+/// of toggles applied.
+size_t RefineSweep(const FlocConfig& config, const DataMatrix& matrix,
+                   std::vector<ClusterWorkspace>& views,
+                   std::vector<double>& scores, ConstraintTracker& tracker,
+                   GainMemo* memo, bool audit_occupancy);
+
+/// Alternating reassignment of cluster `c`: holding the row set, re-pick
+/// the columns on which those rows are coherent (median absolute
+/// deviation of row-centered values <= config.target_residue); then
+/// holding the columns, re-pick the coherent rows; repeat twice. Single
+/// toggles cannot escape the "poisoned fragment" local optimum -- a
+/// cluster whose few junk rows block every column addition while
+/// individually costing nothing to keep -- but a wholesale re-pick can.
+/// The candidate replaces views[c] (a freshly built workspace, so its
+/// stats equal a Build()) only if it satisfies the unary constraints,
+/// stays within any overlap bound against the other views, and improves
+/// *score by more than config.min_improvement; *score is then updated.
+/// Returns whether views[c] was replaced. Requires target_residue > 0
+/// (returns false otherwise). The caller rebuilds its ConstraintTracker
+/// after a replacement.
+bool ReanchorCluster(const FlocConfig& config, const DataMatrix& matrix,
+                     std::vector<ClusterWorkspace>& views, size_t c,
+                     double* score, bool audit_occupancy);
 
 }  // namespace deltaclus
 

@@ -70,59 +70,64 @@ void SweepTally::Flush() const {
   if (served != 0) GainMemoServedCounter()->Inc(served);
 }
 
+std::optional<double> ToggleGain(bool is_row, size_t index, size_t c,
+                                 const GainContext& ctx,
+                                 ResidueEngine& engine) {
+  const std::vector<ClusterWorkspace>& views = *ctx.views;
+  // Constraint checks always run fresh: whether a toggle is blocked
+  // depends on *other* clusters (overlap, coverage), which the target
+  // cluster's epoch does not cover.
+  if (ctx.blocked != nullptr) {
+    BlockReason reason =
+        is_row ? ctx.tracker->RowToggleBlockReason(views, c, index)
+               : ctx.tracker->ColToggleBlockReason(views, c, index);
+    if (reason != BlockReason::kNone) {
+      ctx.blocked->Add(reason);
+      return std::nullopt;
+    }
+  } else {
+    bool allowed = is_row ? ctx.tracker->RowToggleAllowed(views, c, index)
+                          : ctx.tracker->ColToggleAllowed(views, c, index);
+    if (!allowed) return std::nullopt;
+  }
+  size_t new_volume = 0;
+  double after_residue = 0.0;
+  GainMemo::Entry* slot =
+      ctx.memo != nullptr ? ctx.memo->Slot(is_row, index, c) : nullptr;
+  if (LookupOrRescan(is_row, index, views[c], slot, engine, &after_residue,
+                     &new_volume)) {
+    ++ctx.tally->recomputed;
+  } else {
+    ++ctx.tally->served;
+    if (ctx.audit_memo) {
+      size_t check_volume = 0;
+      double check_residue =
+          is_row ? engine.ResidueAfterToggleRow(views[c], index, &check_volume)
+                 : engine.ResidueAfterToggleCol(views[c], index, &check_volume);
+      DC_CHECK(check_residue == after_residue && check_volume == new_volume)
+          << "gain memo drift at (" << (is_row ? "row " : "col ") << index
+          << ", cluster " << c << "): cached residue=" << after_residue
+          << " volume=" << new_volume << " vs recomputed " << check_residue
+          << " / " << check_volume;
+    }
+  }
+  // The gain is re-derived from the *current* score vector even on hits:
+  // scores move whenever any cluster's residue moves, and the epoch only
+  // vouches for this cluster's membership.
+  return (*ctx.scores)[c] -
+         ObjectiveScore(after_residue, new_volume, ctx.target_residue);
+}
+
 Action BestActionFor(bool is_row, size_t index, const GainContext& ctx,
                      ResidueEngine& engine) {
   Action best;
   best.target = is_row ? ActionTarget::kRow : ActionTarget::kCol;
   best.index = index;
-  const std::vector<ClusterWorkspace>& views = *ctx.views;
-  for (size_t c = 0; c < views.size(); ++c) {
-    // Constraint checks always run fresh: whether a toggle is blocked
-    // depends on *other* clusters (overlap, coverage), which the target
-    // cluster's epoch does not cover.
-    if (ctx.blocked != nullptr) {
-      BlockReason reason =
-          is_row ? ctx.tracker->RowToggleBlockReason(views, c, index)
-                 : ctx.tracker->ColToggleBlockReason(views, c, index);
-      if (reason != BlockReason::kNone) {
-        ctx.blocked->Add(reason);
-        continue;
-      }
-    } else {
-      bool allowed = is_row ? ctx.tracker->RowToggleAllowed(views, c, index)
-                            : ctx.tracker->ColToggleAllowed(views, c, index);
-      if (!allowed) continue;
-    }
-    size_t new_volume = 0;
-    double after_residue = 0.0;
-    GainMemo::Entry* slot =
-        ctx.memo != nullptr ? ctx.memo->Slot(is_row, index, c) : nullptr;
-    if (LookupOrRescan(is_row, index, views[c], slot, engine, &after_residue,
-                       &new_volume)) {
-      ++ctx.tally->recomputed;
-    } else {
-      ++ctx.tally->served;
-      if (ctx.audit_memo) {
-        size_t check_volume = 0;
-        double check_residue =
-            is_row
-                ? engine.ResidueAfterToggleRow(views[c], index, &check_volume)
-                : engine.ResidueAfterToggleCol(views[c], index, &check_volume);
-        DC_CHECK(check_residue == after_residue && check_volume == new_volume)
-            << "gain memo drift at (" << (is_row ? "row " : "col ") << index
-            << ", cluster " << c << "): cached residue=" << after_residue
-            << " volume=" << new_volume << " vs recomputed "
-            << check_residue << " / " << check_volume;
-      }
-    }
-    // The gain is re-derived from the *current* score vector even on
-    // hits: scores move whenever any cluster's residue moves, and the
-    // epoch only vouches for this cluster's membership.
-    double after_score =
-        ObjectiveScore(after_residue, new_volume, ctx.target_residue);
-    double gain = (*ctx.scores)[c] - after_score;
-    if (best.blocked() || gain > best.gain) {
-      best.gain = gain;
+  for (size_t c = 0; c < ctx.views->size(); ++c) {
+    std::optional<double> gain = ToggleGain(is_row, index, c, ctx, engine);
+    if (!gain) continue;
+    if (best.blocked() || *gain > best.gain) {
+      best.gain = *gain;
       best.cluster = c;
     }
   }

@@ -9,7 +9,6 @@
 
 #include "src/obs/json.h"
 #include "src/obs/quantile_histogram.h"
-#include "src/util/check.h"
 
 namespace deltaclus::obs {
 
@@ -23,49 +22,6 @@ std::atomic<bool> g_metrics_enabled{[] {
          !(env[0] == '0' && env[1] == '\0');
 }()};
 }  // namespace internal
-
-Histogram::Histogram(std::vector<double> bounds)
-    // DC_LOCK_FREE: bucket cells, relaxed adds (see metrics.h).
-    : bounds_(std::move(bounds)),
-      buckets_(new std::atomic<uint64_t>[bounds_.size() + 1]) {
-  DC_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()))
-      << "histogram bounds must be increasing";
-  for (size_t b = 0; b <= bounds_.size(); ++b) buckets_[b].store(0);
-}
-
-void Histogram::Observe(double v) {
-  if (!internal::MetricsEnabled()) return;
-  if (!std::isfinite(v)) {
-    // NaN compares false against every bound, so lower_bound would file
-    // it in bucket 0 -- and adding NaN/Inf to sum_ would poison the
-    // running sum permanently. Count and reject instead.
-    invalid_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  size_t bucket =
-      std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin();
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  // fetch_add on atomic<double> is C++20.
-  sum_.fetch_add(v, std::memory_order_relaxed);
-}
-
-std::vector<uint64_t> Histogram::BucketCounts() const {
-  std::vector<uint64_t> out(bounds_.size() + 1);
-  for (size_t b = 0; b < out.size(); ++b) {
-    out[b] = buckets_[b].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-void Histogram::Reset() {
-  for (size_t b = 0; b <= bounds_.size(); ++b) {
-    buckets_[b].store(0, std::memory_order_relaxed);
-  }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  invalid_.store(0, std::memory_order_relaxed);
-}
 
 // Out-of-line so unique_ptr<QuantileHistogram> destroys a complete type.
 MetricsRegistry::MetricsRegistry() = default;
@@ -102,14 +58,6 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   return FindOrCreate(gauges_, name, [] { return std::make_unique<Gauge>(); });
 }
 
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         std::vector<double> bounds) {
-  dc::MutexLock lock(mu_);
-  return FindOrCreate(histograms_, name, [&] {
-    return std::make_unique<Histogram>(std::move(bounds));
-  });
-}
-
 QuantileHistogram* MetricsRegistry::GetQuantileHistogram(
     const std::string& name, const QuantileHistogramOptions& options) {
   dc::MutexLock lock(mu_);
@@ -126,7 +74,6 @@ void MetricsRegistry::ResetAll() {
   dc::MutexLock lock(mu_);
   for (auto& [n, c] : counters_) c->Reset();
   for (auto& [n, g] : gauges_) g->Reset();
-  for (auto& [n, h] : histograms_) h->Reset();
   for (auto& [n, q] : quantile_histograms_) q->Reset();
 }
 
@@ -185,22 +132,6 @@ void MetricsRegistry::WriteJson(std::ostream& out) const {
     w.Key(gauges_[t].first).Number(gauges_[t].second->Value());
   }
   w.EndObject();
-  w.Key("histograms").BeginObject();
-  for (size_t t : sorted_names(histograms_)) {
-    const Histogram& h = *histograms_[t].second;
-    w.Key(histograms_[t].first).BeginObject();
-    w.Key("bounds").BeginArray();
-    for (double b : h.bounds()) w.Number(b);
-    w.EndArray();
-    w.Key("counts").BeginArray();
-    for (uint64_t c : h.BucketCounts()) w.Uint(c);
-    w.EndArray();
-    w.Key("count").Uint(h.Count());
-    w.Key("sum").Number(h.Sum());
-    w.Key("invalid").Uint(h.InvalidCount());
-    w.EndObject();
-  }
-  w.EndObject();
   if (!quantile_histograms_.empty()) {
     w.Key("quantile_histograms").BeginObject();
     for (size_t t : sorted_names(quantile_histograms_)) {
@@ -239,21 +170,6 @@ void MetricsRegistry::WriteExposition(std::ostream& out) const {
     std::string n = PromName(gauges_[t].first);
     out << "# TYPE " << n << " gauge\n"
         << n << " " << PromNumber(gauges_[t].second->Value()) << "\n";
-  }
-  for (size_t t : SortedOrder(histograms_)) {
-    const Histogram& h = *histograms_[t].second;
-    std::string n = PromName(histograms_[t].first);
-    out << "# TYPE " << n << " histogram\n";
-    std::vector<uint64_t> counts = h.BucketCounts();
-    uint64_t cumulative = 0;
-    for (size_t b = 0; b < h.bounds().size(); ++b) {
-      cumulative += counts[b];
-      out << n << "_bucket{le=\"" << PromNumber(h.bounds()[b]) << "\"} "
-          << cumulative << "\n";
-    }
-    out << n << "_bucket{le=\"+Inf\"} " << h.Count() << "\n"
-        << n << "_sum " << PromNumber(h.Sum()) << "\n"
-        << n << "_count " << h.Count() << "\n";
   }
   for (size_t t : SortedOrder(quantile_histograms_)) {
     QuantileHistogramSnapshot snap = quantile_histograms_[t].second->Snapshot();

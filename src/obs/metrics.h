@@ -1,5 +1,6 @@
-// Process-wide metrics registry: lock-free counters, gauges, and
-// fixed-bucket histograms with snapshot-to-JSON export.
+// Process-wide metrics registry: lock-free counters, gauges, and quantile
+// histograms (src/obs/quantile_histogram.h) with snapshot-to-JSON and
+// Prometheus export.
 //
 // Design goals, in order:
 //   1. Near-zero overhead when disabled: every mutation first does one
@@ -78,47 +79,6 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram. Bucket i counts observations v with
-/// v <= bounds[i] (first matching bucket); the explicit last bucket
-/// (index bounds.size()) is the overflow bucket and counts every finite
-/// observation above the largest bound. Non-finite observations (NaN,
-/// +/-Inf) are counted in InvalidCount() and never touch the buckets,
-/// count, or sum -- a single NaN must not poison the running sum.
-/// Sum and count are tracked for mean computation.
-class Histogram {
- public:
-  /// `bounds` must be strictly increasing; the histogram owns a copy.
-  explicit Histogram(std::vector<double> bounds);
-
-  void Observe(double v);
-
-  uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
-  double Sum() const { return sum_.load(std::memory_order_relaxed); }
-  /// Non-finite observations rejected by Observe.
-  uint64_t InvalidCount() const {
-    return invalid_.load(std::memory_order_relaxed);
-  }
-  /// Bucket counts, one per bound plus the overflow bucket.
-  std::vector<uint64_t> BucketCounts() const;
-  const std::vector<double>& bounds() const { return bounds_; }
-  void Reset();
-
- private:
-  std::vector<double> bounds_;
-  // DC_LOCK_FREE: per-bucket relaxed fetch_adds. bucket/count/sum are
-  // not updated atomically *together*, so a concurrent snapshot can see
-  // a bucket increment whose count is not yet visible; snapshots are
-  // taken after writers quiesce, where the relaxed sums are exact.
-  // unique_ptr keeps the atomics at a stable address; vector<atomic> is
-  // not movable.
-  std::unique_ptr<std::atomic<uint64_t>[]> buckets_;
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  // DC_LOCK_FREE: relaxed count of rejected non-finite observations;
-  // kept separate so the distribution stays NaN-free.
-  std::atomic<uint64_t> invalid_{0};
-};
-
 // Defined in quantile_histogram.h; the registry stores and snapshots
 // them without needing the definition here (keeps the include acyclic:
 // quantile_histogram.h includes metrics.h for the enabled gate).
@@ -142,9 +102,6 @@ class MetricsRegistry {
   /// use. The pointer is stable for the registry's lifetime.
   Counter* GetCounter(const std::string& name) DC_EXCLUDES(mu_);
   Gauge* GetGauge(const std::string& name) DC_EXCLUDES(mu_);
-  /// `bounds` is only consulted on first registration of `name`.
-  Histogram* GetHistogram(const std::string& name, std::vector<double> bounds)
-      DC_EXCLUDES(mu_);
   /// `options` is only consulted on first registration of `name`; use
   /// the shared option factories (LatencySecondsOptions() etc.) so all
   /// recorders of one quantity agree on the layout.
@@ -164,12 +121,9 @@ class MetricsRegistry {
   /// Writes a JSON snapshot:
   ///   {"counters": {name: value, ...},
   ///    "gauges": {name: value, ...},
-  ///    "histograms": {name: {"bounds": [...], "counts": [...],
-  ///                          "count": N, "sum": S, "invalid": I}, ...},
   ///    "quantile_histograms": {name: {...snapshot...}, ...}}
   /// Names are emitted in sorted order for diff-friendliness; the
-  /// quantile section is omitted while empty so pre-existing consumers
-  /// see unchanged output.
+  /// quantile section is omitted while empty.
   void WriteJson(std::ostream& out) const DC_EXCLUDES(mu_);
   std::string SnapshotJson() const;
 
@@ -178,9 +132,8 @@ class MetricsRegistry {
   bool WriteJsonFile(const std::string& path) const;
 
   /// Writes the whole registry in Prometheus text exposition format
-  /// (one `# TYPE` line per metric; histograms as cumulative
-  /// `_bucket{le=...}` series, quantile histograms as summaries with
-  /// `quantile` labels). Metric names are sanitized to the Prometheus
+  /// (one `# TYPE` line per metric; quantile histograms as summaries
+  /// with `quantile` labels). Metric names are sanitized to the Prometheus
   /// charset [a-zA-Z0-9_:].
   void WriteExposition(std::ostream& out) const DC_EXCLUDES(mu_);
   bool WriteExpositionFile(const std::string& path) const;
@@ -194,8 +147,6 @@ class MetricsRegistry {
   std::vector<std::pair<std::string, std::unique_ptr<Counter>>> counters_
       DC_GUARDED_BY(mu_);
   std::vector<std::pair<std::string, std::unique_ptr<Gauge>>> gauges_
-      DC_GUARDED_BY(mu_);
-  std::vector<std::pair<std::string, std::unique_ptr<Histogram>>> histograms_
       DC_GUARDED_BY(mu_);
   std::vector<std::pair<std::string, std::unique_ptr<QuantileHistogram>>>
       quantile_histograms_ DC_GUARDED_BY(mu_);

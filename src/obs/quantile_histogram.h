@@ -7,7 +7,7 @@
 // and non-finite observations are counted separately and never touch
 // the distribution.
 //
-// Concurrency model matches obs::Histogram: mutation is relaxed atomic
+// Concurrency model matches obs::Counter: mutation is relaxed atomic
 // fetch_add on pre-sized cells -- no locks, no allocation -- and is
 // gated on the process-wide metrics flag. Snapshots are meant to be
 // taken after writers quiesce (end of a run), where the relaxed sums
@@ -117,9 +117,8 @@ class QuantileHistogram {
   QuantileHistogramOptions options_;
   size_t num_buckets_;
   double inv_log_growth_;
-  // DC_LOCK_FREE: per-cell relaxed fetch_adds, same contract as
-  // Histogram's buckets: cells are commutative sums read at snapshot
-  // time after writers quiesce; cell/count/sum are not updated
+  // DC_LOCK_FREE: per-cell relaxed fetch_adds: cells are commutative
+  // sums read at snapshot time after writers quiesce; cell/count/sum are not updated
   // atomically together, which a quiesced snapshot cannot observe.
   // Layout: [0] underflow, [1..num_buckets_] in-range, [num_buckets_+1]
   // overflow. unique_ptr keeps the atomics at a stable address.

@@ -100,9 +100,10 @@ struct IterationTelemetry {
   /// Wall time of the sequential apply sweep.
   double apply_seconds = 0.0;
 
-  // kFull only: the clustering state after this iteration (the new best
-  // clustering when the iteration improved; the end-of-sweep state of
-  // the final, non-improving iteration otherwise).
+  // kFull only: the clustering the iteration kept, taken after the
+  // rewind -- the new best clustering when the iteration improved; the
+  // unchanged best clustering (the sweep rewound in full) after the
+  // final, non-improving iteration.
   std::vector<double> cluster_residues;
   std::vector<uint64_t> cluster_volumes;
 

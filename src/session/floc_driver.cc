@@ -6,7 +6,9 @@
 // runs Phase-1 seeding eagerly, so the session itself only ever owns
 // Phase-2 state; ResumeSession is the checkpoint entry point, binding a
 // decoded .dcs file to this Floc's config (fingerprint-checked) and
-// matrix (shape-checked).
+// matrix (shape-checked). Every entry point ends in OpenSession, which
+// hands the session what it borrows from this Floc -- config, pool and
+// perf window -- once, at construction.
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -62,17 +64,24 @@ std::unique_ptr<session::MiningSession> Floc::StartSession(
       RepairSeed(matrix, config_.constraints, &seed, rng, EnsurePool());
     }
   }
-  seed_phase_seconds_ = seed_watch.ElapsedSeconds();
-  return StartSessionWithSeeds(matrix, std::move(seeds));
+  return OpenSession(matrix, std::move(seeds), seed_watch.ElapsedSeconds(),
+                     nullptr);
 }
 
 std::unique_ptr<session::MiningSession> Floc::StartSessionWithSeeds(
     const DataMatrix& matrix, std::vector<Cluster> seeds) {
+  return OpenSession(matrix, std::move(seeds), 0.0, nullptr);
+}
+
+std::unique_ptr<session::MiningSession> Floc::OpenSession(
+    const DataMatrix& matrix, std::vector<Cluster> seeds,
+    double seeding_seconds, const session::SessionCheckpoint* restore_from) {
   // Not make_unique: the session's constructor is private to keep the
   // borrowing contract (Floc + matrix must outlive it) behind these
   // factory methods, and Floc is its friend.
-  return std::unique_ptr<session::MiningSession>(
-      new session::MiningSession(this, matrix, std::move(seeds), nullptr));
+  return std::unique_ptr<session::MiningSession>(new session::MiningSession(
+      config_, EnsurePool(), &perf_accounting_, matrix, std::move(seeds),
+      seeding_seconds, restore_from));
 }
 
 std::unique_ptr<session::MiningSession> Floc::ResumeSession(
@@ -113,8 +122,8 @@ std::unique_ptr<session::MiningSession> Floc::ResumeSession(
         std::vector<size_t>(m.rows.begin(), m.rows.end()),
         std::vector<size_t>(m.cols.begin(), m.cols.end())));
   }
-  return std::unique_ptr<session::MiningSession>(
-      new session::MiningSession(this, matrix, std::move(seeds), &cp));
+  // The checkpoint carries the run's seeding seconds.
+  return OpenSession(matrix, std::move(seeds), 0.0, &cp);
 }
 
 }  // namespace deltaclus

@@ -113,35 +113,28 @@ std::string SessionStatus::Json() const {
   return os.str();
 }
 
-MiningSession::MiningSession(Floc* floc, const DataMatrix& matrix,
-                             std::vector<Cluster> seeds,
-                             const SessionCheckpoint* restore_from)
-    : floc_(floc),
-      matrix_(matrix),
-      config_(floc->config_),
+MiningSession::MiningSession(
+    const FlocConfig& config, engine::ThreadPool* pool,
+    std::optional<obs::PerfAccounting>* perf_accounting,
+    const DataMatrix& matrix, std::vector<Cluster> seeds,
+    double seeding_seconds, const SessionCheckpoint* restore_from)
+    : matrix_(matrix),
+      config_(config),
+      pool_(pool),
+      perf_accounting_(perf_accounting),
       k_(seeds.size()),
-      rng_(floc->config_.rng_seed ^ 0x5eedf10cULL),
-      collector_(floc->config_.telemetry, floc->config_.telemetry_sink),
-      engine_(floc->config_.norm),
-      pool_(floc->EnsurePool()),
-      determiner_(floc->config_.norm, floc->config_.target_residue, pool_,
+      rng_(config.rng_seed ^ 0x5eedf10cULL),
+      collector_(config.telemetry, config.telemetry_sink),
+      engine_(config.norm),
+      determiner_(config.norm, config.target_residue, pool,
                   engine::EngineConfig::kDefaultSerialCutoff, &gain_memo_,
-                  floc->config_.audit),
-      scheduler_(floc->config_.ordering),
-      applier_(
-          floc->config_,
-          [](void* self, const ClusterWorkspace& ws) {
-            static_cast<const Floc*>(self)->MaybeAudit(ws, "move_phase");
-          },
-          floc, &gain_memo_, pool_),
-      tracker_(matrix, floc->config_.constraints) {
+                  config.audit),
+      scheduler_(config.ordering),
+      tracker_(matrix, config.constraints),
+      seeding_seconds_(seeding_seconds) {
   // Samples the registry counters now (unless StartSession already did,
   // before seeding) so the perf report reflects only this run's deltas.
-  if (!floc_->perf_accounting_) floc_->perf_accounting_.emplace();
-  // Phase-1 time measured by StartSession before it delegated here; zero
-  // when the caller provided the seeds directly.
-  seeding_seconds_ = floc_->seed_phase_seconds_;
-  floc_->seed_phase_seconds_ = 0.0;
+  if (!*perf_accounting_) perf_accounting_->emplace();
 
   if (k_ == 0) {
     state_ = SessionState::kDone;
@@ -224,9 +217,8 @@ MiningSession::MiningSession(Floc* floc, const DataMatrix& matrix,
     SessionMetrics::Get().restores->Inc();
   }
 
-  floc_->audit_check_occupancy_ = config_.audit &&
-                                  config_.constraints.alpha > 0.0 &&
-                                  seeds_compliant_;
+  audit_occupancy_ = config_.audit && config_.constraints.alpha > 0.0 &&
+                     seeds_compliant_;
   AuditBoundary(restore_from != nullptr ? "restore" : "start");
 }
 
@@ -235,8 +227,9 @@ MiningSession::~MiningSession() = default;
 double MiningSession::RecomputeScores() {
   double sum = 0.0;
   for (size_t c = 0; c < k_; ++c) {
-    scores_[c] = floc_->ClusterScore(engine_.Residue(views_[c]),
-                                     views_[c].stats().Volume());
+    scores_[c] = ObjectiveScore(engine_.Residue(views_[c]),
+                                views_[c].stats().Volume(),
+                                config_.target_residue);
     sum += scores_[c];
   }
   return sum;
@@ -400,8 +393,9 @@ void MiningSession::StepMove() {
     std::vector<AppliedAction> applied;
     {
       DC_TRACE_SPAN("floc/apply_actions");
-      applied = applier_.Apply(actions, order, move_iteration_, views_,
-                               scores_, score_sum_, tracker_, rng_, selector);
+      ActionApplier applier(config_, &gain_memo_, pool_, audit_occupancy_);
+      applied = applier.Apply(actions, order, move_iteration_, views_,
+                              scores_, score_sum_, tracker_, rng_, selector);
     }
     double apply_seconds = apply_watch.ElapsedSeconds();
     collector_.run().apply_seconds += apply_seconds;
@@ -419,7 +413,6 @@ void MiningSession::StepMove() {
       const FlocMetrics& m = FlocMetrics::Get();
       m.actions_applied->Inc(applied.size());
       double iteration_seconds = iter_watch.ElapsedSeconds();
-      m.iteration_seconds->Observe(iteration_seconds);
       m.iteration_latency->Observe(iteration_seconds);
     }
     if (itel != nullptr) {
@@ -484,13 +477,18 @@ void MiningSession::StepMove() {
 void MiningSession::StepRefine() {
   // Cluster-centric refinement of the best clustering (see
   // FlocConfig::refine_passes), which the views already hold. The passes
-  // toggle in place; rebuilding every cluster whose epoch moved hands
-  // the next step canonical stats again.
+  // toggle in place; rebuilding every cluster toggled since it was last
+  // canonical hands the next step canonical stats again.
   if (config_.refine_passes > 0) {
     DC_TRACE_SPAN("floc/refine");
     Stopwatch refine_watch;
-    std::vector<uint64_t> start_epochs(k_);
-    for (size_t c = 0; c < k_; ++c) start_epochs[c] = views_[c].epoch();
+    // canonical_epochs[c] is the epoch at which views_[c] last equalled
+    // a Build(): the start epoch, then that of each ReanchorCluster
+    // adoption (a freshly built workspace). Only a later toggle moves a
+    // cluster off it, so an adopted cluster the sweeps leave alone keeps
+    // its stats, residue cache, pane and memo stripes.
+    std::vector<uint64_t> canonical_epochs(k_);
+    for (size_t c = 0; c < k_; ++c) canonical_epochs[c] = views_[c].epoch();
     // Wholesale reassignment cannot shrink coverage-constrained
     // clusterings safely, so it only runs when coverage is off; overlap
     // bounds are validated directly against the candidate.
@@ -499,15 +497,20 @@ void MiningSession::StepRefine() {
       size_t changes = 0;
       if (can_reanchor) {
         for (size_t c = 0; c < k_; ++c) {
-          changes += floc_->ReanchorCluster(matrix_, views_, c, &scores_[c]);
+          if (ReanchorCluster(config_, matrix_, views_, c, &scores_[c],
+                              audit_occupancy_)) {
+            canonical_epochs[c] = views_[c].epoch();
+            ++changes;
+          }
         }
         tracker_.Rebuild(views_);
       }
-      changes += floc_->RefineSweep(matrix_, views_, scores_, tracker_);
+      changes += RefineSweep(config_, matrix_, views_, scores_, tracker_,
+                             &gain_memo_, audit_occupancy_);
       if (changes == 0) break;
     }
     for (size_t c = 0; c < k_; ++c) {
-      if (views_[c].epoch() != start_epochs[c]) {
+      if (views_[c].epoch() != canonical_epochs[c]) {
         views_[c].Reset(views_[c].cluster());
       }
     }
@@ -652,7 +655,7 @@ FlocResult MiningSession::Finish() {
   }
   finished_ = true;
   if (k_ == 0) {
-    floc_->perf_accounting_.reset();
+    perf_accounting_->reset();
     return FlocResult{};
   }
 
@@ -686,7 +689,7 @@ FlocResult MiningSession::Finish() {
   // outside this session's stopwatch) so phase shares are of the whole
   // run.
   const obs::RunTelemetry& tel = result_.telemetry;
-  result_.perf = floc_->perf_accounting_->Finish(
+  result_.perf = (*perf_accounting_)->Finish(
       "floc", result_.elapsed_seconds + tel.seeding_seconds, cpu_seconds,
       result_.iterations,
       {{"seeding", tel.seeding_seconds},
@@ -698,7 +701,7 @@ FlocResult MiningSession::Finish() {
       {"floc/phase1_seeding", "floc/move_phase", "floc/determine_actions",
        "floc/apply_actions", "floc/refine", "floc/reseed_round"});
   result_.perf.stopped_reason = tel.stopped_reason;
-  floc_->perf_accounting_.reset();
+  perf_accounting_->reset();
   return std::move(result_);
 }
 

@@ -44,10 +44,11 @@
 // fails to improve it). Each move sweep ends by rewinding to its kept
 // prefix -- the selector's best prefix on an improving sweep, nothing on
 // the final non-improving one -- and rebuilding every cluster an applied
-// action touched; refinement ends by rebuilding every cluster whose
-// epoch moved; reseeding and the restore-worse check rebuild what they
-// replace. Audit mode DC_CHECKs this invariant exactly at every
-// boundary and after a restore.
+// action touched; refinement ends by rebuilding every cluster toggled
+// since it was last canonical (a ReanchorCluster adoption is a fresh
+// Build, so it counts as canonical); reseeding and the restore-worse
+// check rebuild what they replace. Audit mode DC_CHECKs this invariant
+// exactly at every boundary and after a restore.
 //
 // Checkpoint()/Floc::ResumeSession() serialize the session at a step
 // boundary into the .dcs format (src/session/session_format.h). The
@@ -131,11 +132,12 @@ struct SessionStatus {
 };
 
 /// One stepwise FLOC Phase-2 run. Obtained from Floc::StartSession /
-/// StartSessionWithSeeds / ResumeSession; borrows the Floc and the
-/// matrix (both must outlive it; the Floc must not run anything else
-/// while the session lives). Single-threaded driver object: all methods
-/// must be called from one thread (the config's StopToken is the one
-/// cross-thread signal, fired from anywhere).
+/// StartSessionWithSeeds / ResumeSession; borrows the Floc's config,
+/// pool and perf window, and the matrix (the Floc and the matrix must
+/// outlive it; the Floc must not run anything else while the session
+/// lives). Single-threaded driver object: all methods must be called
+/// from one thread (the config's StopToken is the one cross-thread
+/// signal, fired from anywhere).
 class MiningSession {
  public:
   ~MiningSession();
@@ -176,11 +178,14 @@ class MiningSession {
 
   /// Builds the session from seeds; `restore_from` non-null (Floc::
   /// ResumeSession path, whose seeds are the checkpoint's memberships)
-  /// takes the machine position, RNG state and reseed bookkeeping from
-  /// the decoded checkpoint and suppresses the seed-compliance scan.
-  MiningSession(Floc* floc, const DataMatrix& matrix,
-                std::vector<Cluster> seeds,
-                const SessionCheckpoint* restore_from);
+  /// takes the machine position, RNG state, seeding seconds and reseed
+  /// bookkeeping from the decoded checkpoint and suppresses the
+  /// seed-compliance scan. `config`, `pool` and `perf_accounting` are
+  /// the opening Floc's (see the members below).
+  MiningSession(const FlocConfig& config, engine::ThreadPool* pool,
+                std::optional<obs::PerfAccounting>* perf_accounting,
+                const DataMatrix& matrix, std::vector<Cluster> seeds,
+                double seeding_seconds, const SessionCheckpoint* restore_from);
 
   void StepMove();
   void StepRefine();
@@ -192,19 +197,25 @@ class MiningSession {
   double ElapsedSeconds() const;
   bool BudgetStop();
 
-  Floc* floc_;
   const DataMatrix& matrix_;
   const FlocConfig& config_;
+  engine::ThreadPool* pool_;
+
+  // The run's metrics/trace delta window, owned by the opening Floc.
+  // StartSession opens it before Phase-1 seeding, so the report covers
+  // seeding too; the constructor opens it when nobody did, and Finish()
+  // reads and closes it. A session dropped without Finish() leaves it
+  // open, so a ResumeSession continuing the run on the same Floc
+  // reports the counter deltas of every segment since StartSession.
+  std::optional<obs::PerfAccounting>* perf_accounting_;
 
   size_t k_ = 0;
   Rng rng_;
   obs::TelemetryCollector collector_;
   ResidueEngine engine_;
-  engine::ThreadPool* pool_ = nullptr;
   GainMemo gain_memo_;
   GainDeterminer determiner_;
   ActionScheduler scheduler_;
-  ActionApplier applier_;
 
   std::vector<ClusterWorkspace> views_;
   ConstraintTracker tracker_;
@@ -242,6 +253,11 @@ class MiningSession {
   mutable std::optional<uint64_t> matrix_fingerprint_;
 
   bool seeds_compliant_ = true;
+  // Whether audit mode also re-validates alpha-occupancy after each
+  // toggle: set only when the initial clustering complied (FLOC
+  // preserves occupancy but cannot establish it). Passed to every phase
+  // that audits its toggles.
+  bool audit_occupancy_ = false;
 
   FlocResult result_;
   Stopwatch stopwatch_;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/floc.h"
+#include "src/core/floc_phases.h"
 #include "src/data/synthetic.h"
 #include "src/util/rng.h"
 
@@ -101,6 +102,64 @@ TEST_F(AuditDeathTest, CatchesResidueDriftFromACorruptPane) {
                                      kTol, "pane"),
                "pane: stats-backed residue .* drifted from from-scratch "
                "recompute");
+}
+
+// One cluster over a dense random matrix whose packed pane is corrupted
+// as in CatchesResidueDriftFromACorruptPane. A toggle that adds a row or
+// column patches the pane in place, so the corrupt entry survives into
+// the audit that every toggling phase runs under FlocConfig::audit.
+struct CorruptPaneFixture {
+  DataMatrix matrix = MakeMatrix(10, 8, 1.0, 8);
+  std::vector<ClusterWorkspace> views;
+  std::vector<double> scores;
+  ConstraintTracker tracker;
+
+  explicit CorruptPaneFixture(const FlocConfig& config)
+      : tracker(matrix, config.constraints) {
+    views.emplace_back(matrix,
+                       Cluster::FromMembers(10, 8, {1, 3, 5}, {0, 2, 4}));
+    const PackedPane& pane = views[0].EnsurePane();
+    const_cast<PackedPane&>(pane)
+        .values[pane.row_slots[0] * pane.phys_stride] += 100.0;
+    tracker.Rebuild(views);
+    ResidueEngine engine(config.norm);
+    scores.push_back(ObjectiveScore(engine.Residue(views[0]),
+                                    views[0].stats().Volume(),
+                                    config.target_residue));
+  }
+};
+
+TEST_F(AuditDeathTest, ApplySweepAuditsEveryToggle) {
+  FlocConfig config;
+  config.audit = true;
+  config.fresh_gains_at_apply = false;  // apply the action as given
+  CorruptPaneFixture f(config);
+  Action add_row;
+  add_row.target = ActionTarget::kRow;
+  add_row.index = 7;
+  add_row.cluster = 0;
+  add_row.gain = 1.0;
+  double score_sum = f.scores[0];
+  Rng rng(1);
+  BestPrefixSelector selector(score_sum);
+  ActionApplier applier(config);
+  EXPECT_DEATH(applier.Apply({add_row}, {0}, 0, f.views, f.scores, score_sum,
+                             f.tracker, rng, selector),
+               "move_phase: stats-backed residue .* drifted");
+}
+
+TEST_F(AuditDeathTest, RefineSweepAuditsEveryToggle) {
+  FlocConfig config;
+  config.audit = true;
+  // Removals are blocked, and the volume reward makes additions gain, so
+  // the sweep only grows the cluster around the corrupt pane entry.
+  config.target_residue = 100.0;
+  config.constraints.min_rows = 3;
+  config.constraints.min_cols = 3;
+  CorruptPaneFixture f(config);
+  EXPECT_DEATH(RefineSweep(config, f.matrix, f.views, f.scores, f.tracker,
+                           /*memo=*/nullptr, /*audit_occupancy=*/false),
+               "RefineSweep: stats-backed residue .* drifted");
 }
 
 TEST_F(AuditDeathTest, CatchesOccupancyViolation) {

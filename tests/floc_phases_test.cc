@@ -240,8 +240,7 @@ std::vector<SweepOutcome> RunApplySweeps(const DataMatrix& matrix,
                             engine::EngineConfig::kDefaultSerialCutoff, memo,
                             config.audit);
   ActionScheduler scheduler(config.ordering);
-  ActionApplier applier(config, /*after_toggle=*/nullptr, /*hook_self=*/nullptr,
-                        memo, pool);
+  ActionApplier applier(config, memo, pool);
   obs::Counter* served = obs::MetricsRegistry::Global().GetCounter(
       "floc.gain_evals_served_from_cache");
   std::vector<SweepOutcome> outcomes;

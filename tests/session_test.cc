@@ -832,5 +832,68 @@ TEST(SessionTest, MemoizedSweepsSkipCleanClusters) {
   obs::MetricsRegistry::SetEnabled(was_enabled);
 }
 
+// A ReanchorCluster adoption is a freshly built workspace, so the
+// refine stage must not rebuild it again when the sweeps leave it alone.
+// The fixture is the poisoned fragment of tests/floc_refine_test.cc: a
+// perfect planted block seeded as all its rows plus three junk rows on
+// two of its columns. The wholesale re-pick lands on the block, after
+// which no single toggle gains. A redundant rebuild drops the adopted
+// pane, so the refine-end scores (or Finish) rebuild it once more: that
+// extra floc.pane.rebuilds is what this test pins down. The run is
+// audited explicitly, so the count does not depend on DELTACLUS_AUDIT:
+// each adoption then builds two panes (the candidate's and the audit's
+// from-scratch reference), and the audited boundary check requires the
+// adopted stats to equal a Build() exactly.
+TEST(SessionTest, ReanchoredClusterIsNotRebuiltAtRefineEnd) {
+  Rng rng(3);
+  DataMatrix matrix(200, 25);
+  for (size_t i = 0; i < 200; ++i) {
+    for (size_t j = 0; j < 25; ++j) matrix.Set(i, j, rng.Uniform(0.0, 600.0));
+  }
+  std::vector<size_t> block_rows;
+  for (size_t i = 0; i < 40; ++i) block_rows.push_back(i);
+  PlantShiftCluster(&matrix,
+                    Cluster::FromMembers(200, 25, block_rows, {0, 1, 2, 3, 4, 5}),
+                    300.0, 50.0, 0.0, rng);
+  std::vector<size_t> seed_rows = block_rows;
+  seed_rows.insert(seed_rows.end(), {150, 151, 152});
+  Cluster seed = Cluster::FromMembers(200, 25, seed_rows, {0, 1});
+
+  FlocConfig config;
+  config.target_residue = 1.0;
+  config.perform_negative_actions = false;
+  config.max_iterations = 0;  // straight to the refine stage
+  config.refine_passes = 2;
+  config.constraints.min_cols = 2;
+  config.rng_seed = 4;
+  config.audit = true;
+
+  bool was_enabled = obs::MetricsRegistry::Enabled();
+  obs::MetricsRegistry::SetEnabled(true);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter* rebuilds = registry.GetCounter("floc.pane.rebuilds");
+  obs::Counter* toggles = registry.GetCounter("floc.refine.toggles");
+
+  Floc floc(config);
+  std::unique_ptr<MiningSession> s =
+      floc.StartSessionWithSeeds(matrix, {seed});
+  ASSERT_TRUE(s->Step());  // the capped move phase hands over to refine
+  ASSERT_EQ(s->Status().state, SessionState::kRefine);
+  uint64_t rebuilds_before = rebuilds->Value();
+  uint64_t toggles_before = toggles->Value();
+  ASSERT_TRUE(s->Step());
+  ASSERT_EQ(s->Status().state, SessionState::kReseedCheck);
+  FlocResult result = s->Finish();
+  uint64_t refine_rebuilds = rebuilds->Value() - rebuilds_before;
+  uint64_t refine_toggles = toggles->Value() - toggles_before;
+  obs::MetricsRegistry::SetEnabled(was_enabled);
+
+  ASSERT_EQ(result.clusters.size(), 1u);
+  EXPECT_GE(result.clusters[0].NumCols(), 5u) << "reanchor did not adopt";
+  EXPECT_EQ(refine_toggles, 0u) << "the sweep toggled the adopted cluster";
+  EXPECT_EQ(refine_rebuilds, 2u)
+      << "the adopted cluster was rebuilt again at the end of refinement";
+}
+
 }  // namespace
 }  // namespace deltaclus

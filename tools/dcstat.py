@@ -91,7 +91,7 @@ def load_artifact(path):
             return "perf_report", doc
         if "results" in doc and "name" in doc:
             return "bench", doc
-        if "counters" in doc or "histograms" in doc:
+        if "counters" in doc and "gauges" in doc:
             return "metrics", doc
         if "event" in doc:
             return "telemetry", [doc]
@@ -194,8 +194,7 @@ def summarize(path):
         print(f"  {len(spans)} spans on {len(tids)} thread(s), "
               f"{dur / 1e6:.4g} s at depth 0")
     elif kind == "metrics":
-        for section in ("counters", "gauges", "histograms",
-                        "quantile_histograms"):
+        for section in ("counters", "gauges", "quantile_histograms"):
             if doc.get(section):
                 print(f"  {section}: {len(doc[section])}")
     elif kind == "session_status":

@@ -252,7 +252,7 @@ class SummaryTest(unittest.TestCase):
             trace = write_json(tmp, "trace.json", FlameTest().trace())
             metrics = write_json(tmp, "metrics.json",
                                  {"counters": {"a": 1}, "gauges": {},
-                                  "histograms": {}})
+                                  "quantile_histograms": {}})
             rc, stdout, _ = run_dcstat("summary", _PR5, report, jsonl,
                                        trace, metrics)
         self.assertEqual(rc, 0, stdout)

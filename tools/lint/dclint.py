@@ -233,6 +233,22 @@ RULES = [
             "without rippling through consumers.",
     },
     {
+        "name": "layer-core-no-session-friend",
+        "scope": SRC_AND_TOOLS,
+        "exclude": ("src/session",),
+        "trigger": re.compile(
+            r"\bfriend\s+(class|struct)\s+(::\s*)?(deltaclus\s*::\s*)?"
+            r"session\s*::"),
+        "rationale":
+            "The dependency between the algorithm layers and the session "
+            "layer is one-way: the session drives core phase components "
+            "through their public interfaces and receives what it "
+            "borrows (config, pool, perf window) at construction. A "
+            "friend declaration naming a session class lets the session "
+            "reach back into private state and turns the boundary into "
+            "a two-way coupling (DESIGN.md, \"The session layer\").",
+    },
+    {
         "name": "raw-mutex",
         "scope": CONCURRENT_SUBSYSTEMS,
         "trigger": re.compile(
