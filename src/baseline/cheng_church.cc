@@ -344,7 +344,7 @@ ChengChurchResult RunChengChurch(const DataMatrix& matrix,
   result.elapsed_seconds = stopwatch.ElapsedSeconds();
   result.perf = perf_accounting.Finish(
       "cheng_church", result.elapsed_seconds, stopwatch.CpuSeconds(),
-      result.clusters.size(),
+      result.clusters.size(), /*stopped_reason=*/"",
       {{"multiple_deletion", phase_seconds.multiple_deletion},
        {"single_deletion", phase_seconds.single_deletion},
        {"node_addition", phase_seconds.node_addition},

@@ -53,8 +53,8 @@ commands:
             --deadline-s and --max-iterations bound the run by wall
             clock or total Phase-2 iterations (0 = unbounded); a
             budget-stopped run still reports the best clustering found
-            so far, with stopped_reason set in telemetry and the perf
-            report. --checkpoint writes a resumable .dcs session
+            so far, with stopped_reason set in the perf report.
+            --checkpoint writes a resumable .dcs session
             snapshot when a budget stops the run; --resume continues
             one, and the resumed run's output is byte-identical to the
             uninterrupted run's. --session-status prints the final
@@ -555,15 +555,23 @@ int CmdMine(FlagParser& flags, std::ostream& out, std::ostream& err) {
   }
   if (result.telemetry.level != obs::TelemetryLevel::kOff) {
     const obs::RunTelemetry& tel = result.telemetry;
+    auto wall = [&result](const char* phase) {
+      for (const obs::PerfPhase& p : result.perf.phases) {
+        if (p.name == phase) return p.wall_seconds;
+      }
+      return 0.0;
+    };
     out << "telemetry (" << obs::TelemetryLevelName(tel.level)
-        << "): seeding " << tel.seeding_seconds << " s, move phase "
-        << tel.move_phase_seconds << " s, refine " << tel.refine_seconds
-        << " s, reseed " << tel.reseed_seconds << " s; "
+        << "): seeding " << wall("seeding") << " s, move phase "
+        << wall("move_phase") << " s, refine " << wall("refine")
+        << " s, reseed " << wall("reseed") << " s; "
         << tel.total_actions_applied << " actions applied, best iteration "
         << tel.best_iteration << "\n";
     if (!telemetry_out.empty()) {
+      // A resumed session streams only the iterations it ran, so this
+      // counts events, not the run's iterations.
       out << "wrote telemetry JSONL (" << tel.iteration_log.size()
-          << " iterations) to " << telemetry_out << "\n";
+          << " iteration events) to " << telemetry_out << "\n";
     }
   }
   std::vector<Cluster> clusters = result.clusters;

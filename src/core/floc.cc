@@ -1,5 +1,5 @@
 // Floc as a configured factory: config validation (with the
-// DELTACLUS_AUDIT / DELTACLUS_TELEMETRY overrides), the thread pool its
+// DELTACLUS_AUDIT override), the thread pool its
 // sessions run on, and AverageResidue. The run entry points live in
 // src/session/floc_driver.cc, the Phase-2 loop in the MiningSession
 // state machine (src/session/), and the phase components it drives --
@@ -87,17 +87,6 @@ Floc::Floc(FlocConfig config) : config_(std::move(config)) {
     if (env != nullptr && env[0] != '\0' &&
         !(env[0] == '0' && env[1] == '\0')) {
       config_.audit = true;
-    }
-  }
-  // DELTACLUS_TELEMETRY=off|summary|full overrides the configured level
-  // (a sink still has to be attached programmatically or via the CLI).
-  // Deliberate env read: telemetry level changes what is *recorded*,
-  // never what is computed (obs layer only).
-  // NOLINTNEXTLINE(concurrency-mt-unsafe, dclint:banned-getenv)
-  const char* tel = std::getenv("DELTACLUS_TELEMETRY");
-  if (tel != nullptr && tel[0] != '\0') {
-    if (auto level = obs::ParseTelemetryLevel(tel)) {
-      config_.telemetry = *level;
     }
   }
 }

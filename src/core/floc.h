@@ -172,7 +172,7 @@ struct FlocConfig {
   /// Wall-clock budget in seconds (0 disables). Checked at session Step()
   /// boundaries only: the run stops *between* deterministic iterations
   /// with the best clustering found so far and stopped_reason "deadline"
-  /// in telemetry / the perf report. Because the check sits at step
+  /// in the perf report. Because the check sits at step
   /// granularity, a run may overshoot the deadline by up to one
   /// iteration; it never truncates work mid-iteration, which is what
   /// keeps every produced clustering a valid, reproducible state.
@@ -224,9 +224,7 @@ struct FlocConfig {
   /// How much the run records about its own dynamics (see
   /// src/obs/telemetry.h). kOff costs nothing beyond a branch per
   /// iteration; kSummary records per-iteration scalars; kFull adds
-  /// per-cluster residue/volume trajectories and gain histograms. The
-  /// environment variable DELTACLUS_TELEMETRY=off|summary|full
-  /// overrides this at construction time (like DELTACLUS_AUDIT).
+  /// per-cluster residue/volume trajectories and gain histograms.
   obs::TelemetryLevel telemetry = obs::TelemetryLevel::kOff;
 
   /// Optional streaming consumer of iteration records (e.g.
@@ -240,17 +238,6 @@ struct FlocConfig {
   std::vector<std::string> Validate() const;
 };
 
-/// Per-iteration progress record.
-struct FlocIterationInfo {
-  /// Lowest average residue observed among the iteration's intermediate
-  /// clusterings.
-  double best_average_residue = 0.0;
-  /// Actions actually applied (non-blocked) during the iteration.
-  size_t actions_applied = 0;
-  /// Whether the iteration improved on the best clustering so far.
-  bool improved = false;
-};
-
 /// Result of a FLOC run.
 struct FlocResult {
   /// The k discovered clusters (best clustering encountered).
@@ -262,18 +249,18 @@ struct FlocResult {
   /// Phase-2 iterations executed, including the final non-improving one
   /// (the paper's iteration counts in Table 2 follow this convention).
   size_t iterations = 0;
-  /// Wall-clock seconds for the whole run.
+  /// Wall-clock seconds of Phase 2 and after, summed over every session
+  /// segment of the run. Excludes Phase-1 seeding; perf.total_seconds
+  /// includes it.
   double elapsed_seconds = 0.0;
-  /// Per-iteration history.
-  std::vector<FlocIterationInfo> history;
-  /// Run telemetry (see FlocConfig::telemetry). Phase timings and
-  /// aggregate fields are populated at every level; the per-iteration
-  /// log only at kSummary/kFull.
+  /// Run telemetry (see FlocConfig::telemetry): the per-iteration log
+  /// and its two summaries, empty at kOff.
   obs::RunTelemetry telemetry;
-  /// End-of-run performance attribution (see src/obs/perf_report.h).
-  /// Phase walls and shares are always populated; kernel counters and
-  /// latency quantiles only when metrics were enabled for the run
-  /// (perf.metrics_valid), per-phase CPU only when tracing was on.
+  /// End-of-run performance attribution (see src/obs/perf_report.h):
+  /// phase walls, the stop reason and the iteration count, always
+  /// populated; kernel counters and latency quantiles only when metrics
+  /// were enabled for the run (perf.metrics_valid), per-phase CPU only
+  /// when tracing was on.
   obs::PerfReport perf;
 };
 

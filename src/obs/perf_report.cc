@@ -70,13 +70,14 @@ PerfAccounting::PerfAccounting() : start_ns_(MonotonicNowNs()) {
 PerfReport PerfAccounting::Finish(
     const std::string& algorithm, double total_seconds,
     double total_cpu_seconds, uint64_t iterations,
-    std::vector<PerfPhase> phases,
+    const std::string& stopped_reason, std::vector<PerfPhase> phases,
     const std::vector<const char*>& phase_trace_names) const {
   PerfReport report;
   report.algorithm = algorithm;
   report.total_seconds = total_seconds;
   report.total_cpu_seconds = total_cpu_seconds;
   report.iterations = iterations;
+  report.stopped_reason = stopped_reason;
 
   // The window is only trustworthy if metrics were on at both ends; a
   // mid-run enable would under-count the start snapshot.

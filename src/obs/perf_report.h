@@ -51,9 +51,10 @@ struct PerfReport {
   double total_seconds = 0.0;
   double total_cpu_seconds = 0.0;
   uint64_t iterations = 0;
-  /// Why the run stopped early ("deadline" / "iteration_cap" /
-  /// "cancelled", see RunTelemetry::stopped_reason); empty when the run
-  /// converged naturally.
+  /// Why the run stopped early: "deadline", "iteration_cap" or
+  /// "cancelled" when a session budget cut it short
+  /// (src/session/mining_session.h); empty when the run converged
+  /// naturally. The result is a valid best-so-far clustering either way.
   std::string stopped_reason;
   std::vector<PerfPhase> phases;
 
@@ -95,6 +96,7 @@ class PerfAccounting {
   /// CPU time the phase aggregates (nullptr: no trace attribution).
   PerfReport Finish(const std::string& algorithm, double total_seconds,
                     double total_cpu_seconds, uint64_t iterations,
+                    const std::string& stopped_reason,
                     std::vector<PerfPhase> phases,
                     const std::vector<const char*>& phase_trace_names) const;
 

@@ -81,20 +81,8 @@ void WriteIteration(JsonWriter& w, const IterationTelemetry& it) {
 void WriteRun(JsonWriter& w, const RunTelemetry& run, bool with_log) {
   w.BeginObject();
   w.Key("level").String(TelemetryLevelName(run.level));
-  w.Key("num_clusters").Uint(run.num_clusters);
-  w.Key("iterations").Uint(run.iterations);
-  w.Key("seeding_seconds").Number(run.seeding_seconds);
-  w.Key("move_phase_seconds").Number(run.move_phase_seconds);
-  w.Key("determine_seconds").Number(run.determine_seconds);
-  w.Key("apply_seconds").Number(run.apply_seconds);
-  w.Key("refine_seconds").Number(run.refine_seconds);
-  w.Key("reseed_seconds").Number(run.reseed_seconds);
-  w.Key("total_seconds").Number(run.total_seconds);
-  w.Key("total_cpu_seconds").Number(run.total_cpu_seconds);
   w.Key("total_actions_applied").Uint(run.total_actions_applied);
   w.Key("best_iteration").Uint(run.best_iteration);
-  w.Key("final_average_residue").Number(run.final_average_residue);
-  w.Key("stopped_reason").String(run.stopped_reason);
   if (with_log) {
     w.Key("gain_bucket_bounds").BeginArray();
     for (double b : kGainBucketBounds) w.Number(b);
@@ -170,15 +158,7 @@ void TelemetryCollector::FinishIteration() {
   if (sink_ != nullptr) sink_->OnIteration(current_);
 }
 
-RunTelemetry TelemetryCollector::Finish(double total_seconds,
-                                        double total_cpu_seconds,
-                                        double final_average_residue) {
-  run_.total_seconds = total_seconds;
-  run_.total_cpu_seconds = total_cpu_seconds;
-  run_.final_average_residue = final_average_residue;
-  run_.iterations = run_.iteration_log.empty()
-                        ? run_.iterations
-                        : run_.iteration_log.size();
+RunTelemetry TelemetryCollector::Finish() {
   run_.total_actions_applied = 0;
   run_.best_iteration = 0;
   for (const IterationTelemetry& it : run_.iteration_log) {

@@ -1,16 +1,21 @@
 // FLOC run telemetry: a machine-readable record of a run's internal
 // dynamics -- per-iteration action-gain statistics, accepted vs blocked
-// action counts by constraint, per-cluster residue and volume
-// trajectories, and phase wall times. The paper's entire evaluation
-// (Tables 1-5, Figures 8-10) is about these dynamics; this layer makes
-// them observable on every run instead of reconstructable only from
-// bespoke experiment drivers.
+// action counts by constraint, and per-cluster residue and volume
+// trajectories. The paper's entire evaluation (Tables 1-5, Figures
+// 8-10) is about these dynamics; this layer makes them observable on
+// every run instead of reconstructable only from bespoke experiment
+// drivers.
 //
 // Three levels:
 //   kOff      nothing collected; the hot paths take a single branch.
 //   kSummary  per-iteration scalars (gains, counts, timings).
 //   kFull     kSummary plus per-cluster residue/volume trajectories and
 //             the per-iteration action-gain histogram.
+//
+// Telemetry is the run's one per-iteration record. Run-level facts live
+// elsewhere, each in one place: phase walls, totals and the stop reason
+// in FlocResult::perf (src/obs/perf_report.h), the clustering and its
+// iteration count in FlocResult itself.
 //
 // Collection is attached to FlocResult (RunTelemetry) and can
 // additionally be *streamed* while the run progresses through a
@@ -69,7 +74,9 @@ struct BlockCounts {
 
 /// One Phase-2 iteration's record.
 struct IterationTelemetry {
-  size_t iteration = 0;  ///< 0-based.
+  /// 0-based and counted over the whole run: a resumed session's first
+  /// record carries the checkpoint's iteration count, not 0.
+  size_t iteration = 0;
 
   // Gain statistics over the N + M determined best actions.
   double best_gain = 0.0;  ///< Highest non-blocked gain.
@@ -110,39 +117,19 @@ struct IterationTelemetry {
   void WriteJson(std::ostream& out) const;
 };
 
-/// Whole-run record, attached to FlocResult::telemetry.
+/// Whole-run record, attached to FlocResult::telemetry: the iteration
+/// log and two summaries derived from it. Covers the iterations this
+/// session ran -- a resumed session logs from the checkpoint's
+/// iteration on.
 struct RunTelemetry {
   TelemetryLevel level = TelemetryLevel::kOff;
-  size_t num_clusters = 0;
-  size_t iterations = 0;  ///< Mirrors FlocResult::iterations.
 
-  // Phase wall times. seeding covers Phase 1 (only populated by
-  // Floc::Run; RunWithSeeds starts from caller seeds). move/refine/
-  // reseed accumulate across restart rounds.
-  double seeding_seconds = 0.0;
-  double move_phase_seconds = 0.0;
-  /// Within the move phase: gain determination (parallel) and the apply
-  /// sweep (sequential), accumulated across iterations. Their gap to
-  /// move_phase_seconds is ordering + rewind/rebuild bookkeeping.
-  double determine_seconds = 0.0;
-  double apply_seconds = 0.0;
-  double refine_seconds = 0.0;
-  double reseed_seconds = 0.0;
-  double total_seconds = 0.0;
-  double total_cpu_seconds = 0.0;
-
+  /// Sum of actions_applied over `iteration_log`.
   uint64_t total_actions_applied = 0;
-  /// Index into `iteration_log` of the last improving iteration (the
-  /// checkpoint the final clustering descends from); 0 for a run whose
-  /// seeds were never improved on.
+  /// `iteration` number of the last improving entry of `iteration_log`
+  /// (the checkpoint the final clustering descends from); 0 when no
+  /// logged iteration improved.
   size_t best_iteration = 0;
-  /// Mirrors FlocResult::average_residue.
-  double final_average_residue = 0.0;
-  /// Why the run stopped before natural convergence: "deadline",
-  /// "iteration_cap", or "cancelled" when a session budget cut it short
-  /// (src/session/mining_session.h); empty for a run that converged.
-  /// The result is still a valid best-so-far clustering either way.
-  std::string stopped_reason;
 
   /// Per-iteration records; empty at kOff.
   std::vector<IterationTelemetry> iteration_log;
@@ -221,14 +208,9 @@ class TelemetryCollector {
   /// disabled or with no open iteration.
   void AbandonIteration() { iteration_open_ = false; }
 
-  /// Direct access to the run-level record (phase timings etc.). Valid
-  /// at every level; callers should guard expensive fills on enabled().
-  RunTelemetry& run() { return run_; }
-
-  /// Finalizes: derives aggregate fields from the log, notifies the
+  /// Finalizes: derives the two summaries from the log, notifies the
   /// sink, and returns the record.
-  RunTelemetry Finish(double total_seconds, double total_cpu_seconds,
-                      double final_average_residue);
+  RunTelemetry Finish();
 
  private:
   TelemetryLevel level_;

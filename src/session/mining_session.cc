@@ -131,7 +131,7 @@ MiningSession::MiningSession(
                   config.audit),
       scheduler_(config.ordering),
       tracker_(matrix, config.constraints),
-      seeding_seconds_(seeding_seconds) {
+      walls_{seeding_seconds} {
   // Samples the registry counters now (unless StartSession already did,
   // before seeding) so the perf report reflects only this run's deltas.
   if (!*perf_accounting_) perf_accounting_->emplace();
@@ -193,12 +193,11 @@ MiningSession::MiningSession(
     round_ = cp.round;
     move_iteration_ = static_cast<size_t>(cp.move_iteration);
     result_.iterations = static_cast<size_t>(cp.total_iterations);
-    result_.history = cp.history;
     seeds_compliant_ = cp.seeds_compliant != 0;
     pending_restore_ = cp.pending_restore != 0;
     best_average_ = cp.best_average;
     prior_elapsed_seconds_ = cp.prior_elapsed_seconds;
-    seeding_seconds_ = cp.seeding_seconds;
+    walls_.seeding = cp.seeding_seconds;
     // ResumeSession verified it against this matrix.
     matrix_fingerprint_ = cp.matrix_fingerprint;
     {
@@ -339,11 +338,11 @@ void MiningSession::StepMove() {
       collector_.AbandonIteration();
       stop_reason_ = StopReason::kCancelled;
       stopped_ = true;
-      collector_.run().move_phase_seconds += phase_watch.ElapsedSeconds();
+      walls_.move_phase += phase_watch.ElapsedSeconds();
       return;
     }
     double determine_seconds = determine_watch.ElapsedSeconds();
-    collector_.run().determine_seconds += determine_seconds;
+    walls_.determine += determine_seconds;
 
     if (itel != nullptr) {
       itel->determine_seconds = determine_seconds;
@@ -398,16 +397,13 @@ void MiningSession::StepMove() {
                               scores_, score_sum_, tracker_, rng_, selector);
     }
     double apply_seconds = apply_watch.ElapsedSeconds();
-    collector_.run().apply_seconds += apply_seconds;
+    walls_.apply += apply_seconds;
 
     double needed =
         std::max(config_.min_improvement,
                  config_.relative_improvement * std::abs(best_average_));
     bool improved = selector.has_best() &&
                     selector.best_average() < best_average_ - needed;
-    result_.history.push_back(
-        {selector.has_best() ? selector.best_average() : best_average_,
-         applied.size(), improved});
 
     {
       const FlocMetrics& m = FlocMetrics::Get();
@@ -471,7 +467,7 @@ void MiningSession::StepMove() {
       collector_.FinishIteration();
     }
   }
-  collector_.run().move_phase_seconds += phase_watch.ElapsedSeconds();
+  walls_.move_phase += phase_watch.ElapsedSeconds();
 }
 
 void MiningSession::StepRefine() {
@@ -516,7 +512,7 @@ void MiningSession::StepRefine() {
     }
     score_sum_ = RecomputeScores();
     SnapshotBest();
-    collector_.run().refine_seconds += refine_watch.ElapsedSeconds();
+    walls_.refine += refine_watch.ElapsedSeconds();
   }
 
   if (pending_restore_) {
@@ -536,7 +532,7 @@ void MiningSession::StepRefine() {
       tracker_.Rebuild(views_);
       SnapshotBest();
     }
-    collector_.run().reseed_seconds += reseed_watch.ElapsedSeconds();
+    walls_.reseed += reseed_watch.ElapsedSeconds();
     pending_restore_ = false;
     stagnant_.clear();
     saved_.clear();
@@ -566,7 +562,7 @@ void MiningSession::StepReseedCheck() {
     }
   }
   if (stagnant_.empty()) {
-    collector_.run().reseed_seconds += reseed_watch.ElapsedSeconds();
+    walls_.reseed += reseed_watch.ElapsedSeconds();
     state_ = SessionState::kDone;
     return;
   }
@@ -586,7 +582,7 @@ void MiningSession::StepReseedCheck() {
   tracker_.Rebuild(views_);
   SnapshotBest();
   FlocMetrics::Get().reseed_slots->Inc(stagnant_.size());
-  collector_.run().reseed_seconds += reseed_watch.ElapsedSeconds();
+  walls_.reseed += reseed_watch.ElapsedSeconds();
 
   pending_restore_ = true;
   ++round_;
@@ -630,7 +626,7 @@ void MiningSession::Checkpoint(const std::string& path) const {
   cp.pending_restore = pending_restore_ ? 1 : 0;
   cp.best_average = best_average_;
   cp.prior_elapsed_seconds = ElapsedSeconds();
-  cp.seeding_seconds = seeding_seconds_;
+  cp.seeding_seconds = walls_.seeding;
   {
     std::ostringstream os;
     os << rng_.engine();
@@ -640,7 +636,6 @@ void MiningSession::Checkpoint(const std::string& path) const {
   for (const ClusterWorkspace& v : views_) {
     cp.clusters.push_back(MembersOf(v.cluster()));
   }
-  cp.history = result_.history;
   cp.stagnant.assign(stagnant_.begin(), stagnant_.end());
   cp.saved.reserve(saved_.size());
   for (const Cluster& c : saved_) cp.saved.push_back(MembersOf(c));
@@ -675,32 +670,23 @@ FlocResult MiningSession::Finish() {
     m.runs->Inc();
     m.last_average_residue->Set(result_.average_residue);
   }
-  collector_.run().num_clusters = k_;
-  collector_.run().iterations = result_.iterations;
-  collector_.run().seeding_seconds = seeding_seconds_;
-  collector_.run().stopped_reason = StopReasonName(stop_reason_);
-  double cpu_seconds = stopwatch_.CpuSeconds();
-  result_.telemetry = collector_.Finish(result_.elapsed_seconds, cpu_seconds,
-                                        result_.average_residue);
+  result_.telemetry = collector_.Finish();
 
-  // Phase walls come from the telemetry accumulators (which run at every
-  // level, including kOff); CPU attribution joins on the span names. The
-  // report total includes Phase-1 seeding (measured by StartSession
-  // outside this session's stopwatch) so phase shares are of the whole
-  // run.
-  const obs::RunTelemetry& tel = result_.telemetry;
+  // CPU attribution joins the phase walls on the span names. The report
+  // total includes Phase-1 seeding (measured by StartSession outside
+  // this session's stopwatch) so phase shares are of the whole run.
   result_.perf = (*perf_accounting_)->Finish(
-      "floc", result_.elapsed_seconds + tel.seeding_seconds, cpu_seconds,
-      result_.iterations,
-      {{"seeding", tel.seeding_seconds},
-       {"move_phase", tel.move_phase_seconds},
-       {"determine", tel.determine_seconds},
-       {"apply", tel.apply_seconds},
-       {"refine", tel.refine_seconds},
-       {"reseed", tel.reseed_seconds}},
+      "floc", result_.elapsed_seconds + walls_.seeding,
+      stopwatch_.CpuSeconds(), result_.iterations,
+      StopReasonName(stop_reason_),
+      {{"seeding", walls_.seeding},
+       {"move_phase", walls_.move_phase},
+       {"determine", walls_.determine},
+       {"apply", walls_.apply},
+       {"refine", walls_.refine},
+       {"reseed", walls_.reseed}},
       {"floc/phase1_seeding", "floc/move_phase", "floc/determine_actions",
        "floc/apply_actions", "floc/refine", "floc/reseed_round"});
-  result_.perf.stopped_reason = tel.stopped_reason;
   perf_accounting_->reset();
   return std::move(result_);
 }

@@ -35,8 +35,7 @@
 // are bit-identical but the incomplete action vector must never feed
 // the apply phase. Either way the session stops with a valid,
 // reproducible best-so-far clustering and stop_reason() set; Finish()
-// threads the reason into RunTelemetry::stopped_reason and
-// PerfReport::stopped_reason.
+// threads the reason into PerfReport::stopped_reason.
 //
 // At every Step() boundary the live views *are* the best clustering,
 // and every view's ClusterStats equal a from-scratch Build() of its
@@ -109,7 +108,7 @@ enum class StopReason : uint8_t {
 };
 
 /// "" / "deadline" / "iteration_cap" / "cancelled" -- the exact strings
-/// RunTelemetry::stopped_reason and PerfReport::stopped_reason carry.
+/// PerfReport::stopped_reason carries.
 const char* StopReasonName(StopReason reason);
 
 /// A point-in-time snapshot of a session's progress and memory ledger,
@@ -163,8 +162,8 @@ class MiningSession {
   /// Finalizes and returns the result -- valid at any step boundary:
   /// after natural convergence this is exactly what Run() returns; after
   /// a budget stop it is the best clustering found so far, with
-  /// stopped_reason set in the telemetry and perf report. The session is
-  /// consumed: Step()/Checkpoint() refuse afterwards.
+  /// stopped_reason set in the perf report. The session is consumed:
+  /// Step()/Checkpoint() refuse afterwards.
   FlocResult Finish();
 
   /// Serializes the session's resumable state to `path` (atomic
@@ -259,10 +258,23 @@ class MiningSession {
   // that audits its toggles.
   bool audit_occupancy_ = false;
 
+  // Wall seconds of each perf-report phase, summed once here as the
+  // steps run and handed to the perf report by Finish(). `seeding` is
+  // Phase 1's (carried through checkpoints); the others cover this
+  // segment's steps.
+  struct PhaseWalls {
+    double seeding = 0.0;
+    double move_phase = 0.0;
+    double determine = 0.0;  ///< Within move_phase: gain determination.
+    double apply = 0.0;      ///< Within move_phase: the apply sweep.
+    double refine = 0.0;
+    double reseed = 0.0;     ///< Restart bookkeeping only.
+  };
+
   FlocResult result_;
   Stopwatch stopwatch_;
   double prior_elapsed_seconds_ = 0.0;  ///< From pre-resume segments.
-  double seeding_seconds_ = 0.0;
+  PhaseWalls walls_;
 };
 
 }  // namespace deltaclus::session

@@ -253,12 +253,6 @@ void WriteSessionCheckpoint(const SessionCheckpoint& cp,
   w.F64(cp.seeding_seconds);
   w.String(cp.rng_state);
   for (const ClusterMembers& m : cp.clusters) w.Members(m);
-  w.U64(cp.history.size());
-  for (const FlocIterationInfo& it : cp.history) {
-    w.F64(it.best_average_residue);
-    w.U64(it.actions_applied);
-    w.U8(it.improved ? 1 : 0);
-  }
   w.U64(cp.stagnant.size());
   for (uint64_t c : cp.stagnant) w.U64(c);
   w.U64(cp.saved.size());
@@ -387,14 +381,6 @@ SessionCheckpoint ReadSessionCheckpoint(const std::string& path,
   cp.clusters.reserve(static_cast<size_t>(k));
   for (uint64_t c = 0; c < k; ++c) {
     cp.clusters.push_back(r.Members(cp.rows, cp.cols));
-  }
-  uint64_t history = r.U64();
-  for (uint64_t i = 0; i < history; ++i) {
-    FlocIterationInfo info;
-    info.best_average_residue = r.F64();
-    info.actions_applied = static_cast<size_t>(r.U64());
-    info.improved = r.U8() != 0;
-    cp.history.push_back(info);
   }
   uint64_t stagnant = r.U64();
   for (uint64_t t = 0; t < stagnant; ++t) {

@@ -7,7 +7,7 @@
 //   offset  size  field
 //   ------  ----  -----------------------------------------------
 //        0     4  magic "dcs1"
-//        4     4  u32 format version (currently 3)
+//        4     4  u32 format version (currently 4)
 //        8     4  u32 endianness tag 0x01020304, written native
 //       12     4  u32 header size in bytes (128)
 //       16     8  u64 rows (of the mined matrix)
@@ -24,7 +24,9 @@
 // engine (the exact mt19937_64 stream state, via the standard library's
 // guaranteed textual serialization), and the cluster memberships -- one
 // list for the live views, which at every step boundary are the best
-// clustering, plus the reseed save-slots. No stats travel: at a step
+// clustering, plus the reseed save-slots. No per-iteration record
+// travels (a resumed session's telemetry log starts at the checkpoint's
+// iteration), and no stats travel either: at a step
 // boundary every live view's ClusterStats equal a from-scratch Build()
 // of its membership (MiningSession keeps that invariant), so restore
 // rebuilds them bit-for-bit. Doubles travel as bit patterns, never
@@ -69,7 +71,7 @@ inline constexpr size_t kDcsHeaderBytes = 128;
 
 /// Format magic ("dcs1") and the current version.
 inline constexpr char kDcsMagic[4] = {'d', 'c', 's', '1'};
-inline constexpr uint32_t kDcsVersion = 3;
+inline constexpr uint32_t kDcsVersion = 4;
 
 /// One cluster's membership, as sorted parent-space id lists (the
 /// canonical form Cluster stores and Cluster::FromMembers accepts).
@@ -99,7 +101,6 @@ struct SessionCheckpoint {
   double seeding_seconds = 0.0;
   std::string rng_state;  ///< mt19937_64 textual stream state.
   std::vector<ClusterMembers> clusters;  ///< The live (= best) clustering.
-  std::vector<FlocIterationInfo> history;
   std::vector<uint64_t> stagnant;       ///< Reseeded slots (pending restore).
   std::vector<ClusterMembers> saved;    ///< Their pre-reseed memberships.
   std::vector<double> saved_scores;     ///< Their pre-reseed scores.

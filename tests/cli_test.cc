@@ -282,12 +282,12 @@ TEST(CliTest, ResumeRejectsCheckpointOfAnotherVersion) {
   ASSERT_NE(stopped.out.find("wrote session checkpoint"), std::string::npos)
       << stopped.out;
 
-  // Rewrite the header's format version (u32 at offset 4) to 1, the
-  // previous layout.
+  // Rewrite the header's format version (u32 at offset 4) to 3, the
+  // previous layout (it carried a per-iteration history section).
   std::fstream f(checkpoint, std::ios::in | std::ios::out | std::ios::binary);
   f.seekp(4);
-  const char v1[4] = {1, 0, 0, 0};
-  f.write(v1, sizeof(v1));
+  const char v3[4] = {3, 0, 0, 0};
+  f.write(v3, sizeof(v3));
   f.close();
 
   CliRun resumed = RunCliArgs({"mine", "--input", matrix_path, "--k=4",

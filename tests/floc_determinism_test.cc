@@ -12,6 +12,7 @@
 #include "src/data/movielens_synth.h"
 #include "src/data/synthetic.h"
 #include "src/engine/thread_pool.h"
+#include "src/obs/telemetry.h"
 
 namespace deltaclus {
 namespace {
@@ -31,22 +32,27 @@ SyntheticDataset PlantedData(uint64_t seed) {
 // Runs `config` at threads = 1, 2 and 8 and asserts identical outcomes.
 void ExpectIdenticalAcrossThreadCounts(FlocConfig config,
                                        const DataMatrix& matrix) {
+  config.telemetry = obs::TelemetryLevel::kSummary;
   config.threads = 1;
   FlocResult seq = Floc(config).Run(matrix);
+  const std::vector<obs::IterationTelemetry>& seq_log =
+      seq.telemetry.iteration_log;
   for (int threads : {2, 8}) {
     config.threads = threads;
     FlocResult par = Floc(config).Run(matrix);
+    const std::vector<obs::IterationTelemetry>& par_log =
+        par.telemetry.iteration_log;
 
     // Identical actions => identical per-iteration history...
     ASSERT_EQ(seq.iterations, par.iterations) << "threads=" << threads;
-    ASSERT_EQ(seq.history.size(), par.history.size()) << "threads=" << threads;
-    for (size_t t = 0; t < seq.history.size(); ++t) {
-      EXPECT_EQ(seq.history[t].actions_applied, par.history[t].actions_applied)
+    ASSERT_EQ(seq_log.size(), par_log.size()) << "threads=" << threads;
+    for (size_t t = 0; t < seq_log.size(); ++t) {
+      EXPECT_EQ(seq_log[t].actions_applied, par_log[t].actions_applied)
           << "threads=" << threads << " iteration " << t;
-      EXPECT_EQ(seq.history[t].improved, par.history[t].improved)
+      EXPECT_EQ(seq_log[t].improved, par_log[t].improved)
           << "threads=" << threads << " iteration " << t;
-      EXPECT_DOUBLE_EQ(seq.history[t].best_average_residue,
-                       par.history[t].best_average_residue)
+      EXPECT_DOUBLE_EQ(seq_log[t].best_average_score,
+                       par_log[t].best_average_score)
           << "threads=" << threads << " iteration " << t;
     }
 

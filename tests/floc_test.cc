@@ -4,6 +4,7 @@
 
 #include "src/data/synthetic.h"
 #include "src/eval/metrics.h"
+#include "src/obs/telemetry.h"
 
 namespace deltaclus {
 namespace {
@@ -95,12 +96,14 @@ TEST(FlocTest, PaperModeBestAverageNeverIncreasesAcrossIterations) {
   config.num_clusters = 6;
   config.rng_seed = 7;
   config.refine_passes = 0;
+  config.telemetry = obs::TelemetryLevel::kSummary;
   FlocResult result = Floc(config).Run(data.matrix);
+  ASSERT_EQ(result.telemetry.iteration_log.size(), result.iterations);
   double prev = std::numeric_limits<double>::infinity();
-  for (const FlocIterationInfo& info : result.history) {
-    if (info.improved) {
-      EXPECT_LE(info.best_average_residue, prev + 1e-9);
-      prev = info.best_average_residue;
+  for (const obs::IterationTelemetry& it : result.telemetry.iteration_log) {
+    if (it.improved) {
+      EXPECT_LE(it.best_average_score, prev + 1e-9);
+      prev = it.best_average_score;
     }
   }
 }
@@ -121,10 +124,13 @@ TEST(FlocTest, LastHistoryEntryNotImprovedUnlessCapped) {
   config.num_clusters = 4;
   config.rng_seed = 10;
   config.reseed_rounds = 0;
+  config.telemetry = obs::TelemetryLevel::kSummary;
   FlocResult result = Floc(config).Run(data.matrix);
-  ASSERT_FALSE(result.history.empty());
+  const std::vector<obs::IterationTelemetry>& log =
+      result.telemetry.iteration_log;
+  ASSERT_FALSE(log.empty());
   if (result.iterations < config.max_iterations) {
-    EXPECT_FALSE(result.history.back().improved);
+    EXPECT_FALSE(log.back().improved);
   }
 }
 

@@ -9,7 +9,7 @@
 //     audit on/off, and mem/mmap backends;
 //   * budget stops (deadline, iteration cap, cooperative cancellation)
 //     return a valid best-so-far clustering with stopped_reason set in
-//     the telemetry and the perf report, and stopped sessions keep
+//     the perf report, and stopped sessions keep
 //     their machine position so checkpoint+resume continues exactly
 //     where the budget cut in;
 //   * at every step boundary the live views are the best clustering, so
@@ -44,6 +44,7 @@
 #include "src/data/matrix_io.h"
 #include "src/data/synthetic.h"
 #include "src/obs/metrics.h"
+#include "src/obs/telemetry.h"
 #include "src/session/mining_session.h"
 #include "src/session/session_format.h"
 #include "src/storage/dcm_format.h"
@@ -203,6 +204,7 @@ TEST(SessionTest, ReseedRoundKeepsBestMembershipsOfNonStagnantSlots) {
   SyntheticDataset data = MakeData(7, 0.0);
   FlocConfig config = PaperModeConfig(0);
   config.reseed_rounds = 1;
+  config.telemetry = obs::TelemetryLevel::kSummary;
   // The pre-reseed best clustering, mined independently: with no reseed
   // round the run ends right where the reseed check would start.
   FlocConfig no_reseed = config;
@@ -221,14 +223,22 @@ TEST(SessionTest, ReseedRoundKeepsBestMembershipsOfNonStagnantSlots) {
       << "no slot was stagnant, so no reseed round started";
   std::string after_path = TempPath("session_post_reseed.dcs");
   session->Checkpoint(after_path);
-  session->Finish();
+  FlocResult finished = session->Finish();
 
   SessionCheckpoint before = ReadSessionCheckpoint(before_path, before_path);
   SessionCheckpoint after = ReadSessionCheckpoint(after_path, after_path);
-  ASSERT_FALSE(before.history.empty());
-  ASSERT_GT(before.history.back().actions_applied, 0u)
+  // The move phase's final sweep is the last iteration before the
+  // reseed check; the session's summary log recorded it.
+  const std::vector<obs::IterationTelemetry>& log =
+      finished.telemetry.iteration_log;
+  ASSERT_GT(before.total_iterations, 0u);
+  ASSERT_GE(log.size(), before.total_iterations);
+  const obs::IterationTelemetry& final_sweep =
+      log[before.total_iterations - 1];
+  ASSERT_EQ(final_sweep.iteration, before.total_iterations - 1);
+  ASSERT_GT(final_sweep.actions_applied, 0u)
       << "the final sweep applied no actions; nothing to rewind";
-  ASSERT_FALSE(before.history.back().improved);
+  ASSERT_FALSE(final_sweep.improved);
 
   auto as_clusters = [&](const std::vector<session::ClusterMembers>& ms) {
     std::vector<Cluster> out;
@@ -352,6 +362,69 @@ TEST(SessionTest, ResumeAcrossStorageBackends) {
   ExpectSameResult(reference, second->Finish(), "mem->mmap resume");
 }
 
+// A resumed session logs only the iterations it runs, each under its
+// run-wide iteration number, and they are the straight run's: the
+// checkpoint needs no per-iteration record for the telemetry to line
+// up. Timing fields aside, every logged field must match exactly.
+TEST(SessionTest, ResumedLogContinuesTheStraightLog) {
+  SyntheticDataset data = MakeData(13, 0.0);
+  // Paper mode's stale decisions converge more slowly, so the log after
+  // the first iteration still has several entries to compare.
+  FlocConfig config = PaperModeConfig(2);
+  config.telemetry = obs::TelemetryLevel::kSummary;
+  FlocResult straight = Floc(config).Run(data.matrix);
+
+  std::string path = TempPath("session_resumed_log.dcs");
+  uint64_t checkpoint_iteration = 0;
+  {
+    Floc floc(config);
+    std::unique_ptr<MiningSession> first = floc.StartSession(data.matrix);
+    ASSERT_TRUE(first->Step());
+    ASSERT_EQ(first->Status().state, SessionState::kMovePhase)
+        << "the first move phase converged before a mid-phase boundary";
+    checkpoint_iteration = first->Status().iterations;
+    first->Checkpoint(path);
+  }  // The session is dropped unfinished.
+
+  Floc resumer(config);
+  std::unique_ptr<MiningSession> second =
+      resumer.ResumeSession(data.matrix, path);
+  while (second->Step()) {
+  }
+  FlocResult resumed = second->Finish();
+
+  const std::vector<obs::IterationTelemetry>& want =
+      straight.telemetry.iteration_log;
+  const std::vector<obs::IterationTelemetry>& got =
+      resumed.telemetry.iteration_log;
+  ASSERT_EQ(want.size(), straight.iterations);
+  ASSERT_EQ(got.size(), want.size() - checkpoint_iteration);
+  ASSERT_GE(got.size(), 2u) << "too short a resumed log to compare";
+  for (size_t i = 0; i < got.size(); ++i) {
+    const obs::IterationTelemetry& w = want[checkpoint_iteration + i];
+    const obs::IterationTelemetry& g = got[i];
+    std::string label = "iteration " + std::to_string(w.iteration);
+    EXPECT_EQ(g.iteration, w.iteration) << label;
+    EXPECT_EQ(g.best_gain, w.best_gain) << label;
+    EXPECT_EQ(g.mean_gain, w.mean_gain) << label;
+    EXPECT_EQ(g.determined, w.determined) << label;
+    EXPECT_EQ(g.fully_blocked, w.fully_blocked) << label;
+    EXPECT_EQ(g.blocked_by.counts, w.blocked_by.counts) << label;
+    EXPECT_EQ(g.gain_histogram, w.gain_histogram) << label;
+    EXPECT_EQ(g.actions_applied, w.actions_applied) << label;
+    EXPECT_EQ(g.best_prefix, w.best_prefix) << label;
+    EXPECT_EQ(g.best_average_score, w.best_average_score) << label;
+    EXPECT_EQ(g.best_so_far, w.best_so_far) << label;
+    EXPECT_EQ(g.improved, w.improved) << label;
+    EXPECT_EQ(g.cluster_residues, w.cluster_residues) << label;
+    EXPECT_EQ(g.cluster_volumes, w.cluster_volumes) << label;
+  }
+
+  ExpectSameResult(straight, resumed, "resumed log run");
+  EXPECT_EQ(resumed.perf.iterations, straight.perf.iterations);
+  EXPECT_EQ(resumed.perf.stopped_reason, straight.perf.stopped_reason);
+}
+
 // -- Budget stops ------------------------------------------------------
 
 TEST(SessionTest, IterationCapStopsWithValidBestSoFar) {
@@ -370,7 +443,6 @@ TEST(SessionTest, IterationCapStopsWithValidBestSoFar) {
   FlocResult result = session->Finish();
   EXPECT_EQ(result.iterations, 1u);
   EXPECT_EQ(result.clusters.size(), config.num_clusters);
-  EXPECT_EQ(result.telemetry.stopped_reason, "iteration_cap");
   EXPECT_EQ(result.perf.stopped_reason, "iteration_cap");
   for (const Cluster& c : result.clusters) {
     EXPECT_FALSE(c.row_ids().empty());
@@ -387,7 +459,7 @@ TEST(SessionTest, DeadlineStopsImmediately) {
   EXPECT_FALSE(session->Step());
   EXPECT_EQ(session->stop_reason(), StopReason::kDeadline);
   FlocResult result = session->Finish();
-  EXPECT_EQ(result.telemetry.stopped_reason, "deadline");
+  EXPECT_EQ(result.perf.stopped_reason, "deadline");
   // Zero iterations ran, but the seeds are still a valid clustering.
   EXPECT_EQ(result.clusters.size(), config.num_clusters);
 }
@@ -404,7 +476,7 @@ TEST(SessionTest, PreCancelledTokenStopsBeforeAnyWork) {
   EXPECT_EQ(session->stop_reason(), StopReason::kCancelled);
   FlocResult result = session->Finish();
   EXPECT_EQ(result.iterations, 0u);
-  EXPECT_EQ(result.telemetry.stopped_reason, "cancelled");
+  EXPECT_EQ(result.perf.stopped_reason, "cancelled");
 }
 
 // Fires cancellation from another thread mid-run. Wherever it lands --
@@ -596,8 +668,8 @@ TEST_F(SessionRejectTest, BadMagicRejected) {
 
 TEST_F(SessionRejectTest, VersionMismatchRejected) {
   // 1 carried per-cluster memo heat; 2 carried a best-clustering list
-  // and the live views' stats bits.
-  for (char version : {1, 2, 99}) {
+  // and the live views' stats bits; 3 carried the per-iteration history.
+  for (char version : {1, 2, 3, 99}) {
     std::vector<char> bytes = ReadAllBytes(*valid_path_);
     bytes[4] = version;
     std::string path = TempPath("session_bad_version.dcs");

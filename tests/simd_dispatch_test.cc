@@ -34,6 +34,7 @@
 #include "src/core/simd_dispatch.h"
 #include "src/data/matrix_io.h"
 #include "src/data/synthetic.h"
+#include "src/obs/telemetry.h"
 #include "src/storage/dcm_format.h"
 #include "src/util/rng.h"
 
@@ -404,12 +405,16 @@ SyntheticDataset CmpData(double missing_fraction) {
 void ExpectIdenticalResults(const FlocResult& off, const FlocResult& on,
                             const std::string& label) {
   ASSERT_EQ(off.iterations, on.iterations) << label;
-  ASSERT_EQ(off.history.size(), on.history.size()) << label;
-  for (size_t t = 0; t < off.history.size(); ++t) {
-    EXPECT_EQ(off.history[t].actions_applied, on.history[t].actions_applied)
+  const std::vector<obs::IterationTelemetry>& off_log =
+      off.telemetry.iteration_log;
+  const std::vector<obs::IterationTelemetry>& on_log =
+      on.telemetry.iteration_log;
+  ASSERT_EQ(off_log.size(), on_log.size()) << label;
+  for (size_t t = 0; t < off_log.size(); ++t) {
+    EXPECT_EQ(off_log[t].actions_applied, on_log[t].actions_applied)
         << label << " iteration " << t;
-    EXPECT_DOUBLE_EQ(off.history[t].best_average_residue,
-                     on.history[t].best_average_residue)
+    EXPECT_DOUBLE_EQ(off_log[t].best_average_score,
+                     on_log[t].best_average_score)
         << label << " iteration " << t;
   }
   ASSERT_EQ(off.clusters.size(), on.clusters.size()) << label;
@@ -440,6 +445,7 @@ TEST(SimdDispatchTest, FlocBitIdenticalSimdOffVsAuto) {
           config.rng_seed = 17;
           config.threads = threads;
           config.audit = audit;
+          config.telemetry = obs::TelemetryLevel::kSummary;
           std::string label = std::string(matrix->BackendName()) +
                               (missing > 0.0 ? " sparse" : " dense") +
                               " threads=" + std::to_string(threads) +
@@ -517,6 +523,7 @@ TEST(SimdDispatchTest, UnspecifiedPayloadNeverReachesAResult) {
       config.num_clusters = 6;
       config.rng_seed = 19;
       config.threads = threads;
+      config.telemetry = obs::TelemetryLevel::kSummary;
       std::string label = std::string(ActiveSimdPath()) +
                           " threads=" + std::to_string(threads);
       FlocResult want = Floc(config).Run(clean);

@@ -28,7 +28,8 @@ Subcommands:
         the trajectory floors scripts/check.sh bench and CI assert.
       perf reports: per-phase wall deltas with share-of-regression
         attribution -- when the run got slower, which phases moved.
-      telemetry JSONL: run_end field deltas.
+      telemetry JSONL: deltas of the iteration digest (iteration count,
+        final best_so_far, summed determine_seconds and apply_seconds).
 
   flame TRACE.json
       Render the trace as a top-down text flamegraph (per-thread span
@@ -140,6 +141,20 @@ def run_end(events):
     return None
 
 
+def iteration_digest(events):
+    """The four run facts a telemetry stream's iteration events carry:
+    iteration count, final best_so_far (None without iterations), and
+    the summed determine/apply walls. run_end holds no copy of them."""
+    iters = [e.get("data", {}) for e in events if e.get("event") == "iteration"]
+    return {
+        "iterations": len(iters),
+        "best_so_far": iters[-1].get("best_so_far") if iters else None,
+        "determine_seconds": sum(i.get("determine_seconds", 0.0)
+                                 for i in iters),
+        "apply_seconds": sum(i.get("apply_seconds", 0.0) for i in iters),
+    }
+
+
 # ---------------------------------------------------------------------------
 # summary
 
@@ -178,14 +193,17 @@ def summarize(path):
                       f"{doc.get('clusters_skipped_clean', 0)} "
                       f"clean-cluster sweeps skipped")
     elif kind == "telemetry":
-        iters = sum(1 for e in doc if e.get("event") == "iteration")
+        digest = iteration_digest(doc)
+        print(f"  {len(doc)} events, {digest['iterations']} iterations")
+        if digest["iterations"]:
+            print(f"  best_so_far={digest['best_so_far']:.4g} "
+                  f"determine={digest['determine_seconds']:.4g}s "
+                  f"apply={digest['apply_seconds']:.4g}s")
         end = run_end(doc)
-        print(f"  {len(doc)} events, {iters} iterations")
         if end:
             print(f"  run_end: level={end.get('level')} "
-                  f"total={end.get('total_seconds', 0.0):.4g}s "
                   f"actions={end.get('total_actions_applied')} "
-                  f"residue={end.get('final_average_residue', 0.0):.4g}")
+                  f"best_iteration={end.get('best_iteration')}")
     elif kind == "trace":
         spans = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
         tids = sorted({e.get("tid", 0) for e in spans})
@@ -309,17 +327,13 @@ def diff_perf_reports(base, new):
 
 
 def diff_telemetry(base, new):
-    b, n = run_end(base), run_end(new)
-    if b is None or n is None:
-        print("dcstat: both JSONL streams need a run_end event",
+    b, n = iteration_digest(base), iteration_digest(new)
+    if not b["iterations"] or not n["iterations"]:
+        print("dcstat: both JSONL streams need iteration events",
               file=sys.stderr)
         return 1
-    keys = [k for k in b if isinstance(b[k], (int, float))
-            and not isinstance(b[k], bool)]
     print(f"  {'field':<26} {'base':>14} {'new':>14} {'delta':>14}")
-    for k in keys:
-        if k not in n:
-            continue
+    for k in b:
         print(f"  {k:<26} {b[k]:>14.6g} {n[k]:>14.6g} {n[k] - b[k]:>+14.6g}")
     return 0
 

@@ -170,25 +170,57 @@ class PerfReportDiffTest(unittest.TestCase):
         self.assertIn("cannot diff", err)
 
 
+def write_telemetry(path, iterations, seconds):
+    """A --telemetry-out stream: one event per iteration, each taking
+    `seconds` to determine and twice that to apply, best_so_far falling
+    by one per iteration, then run_end."""
+    with open(path, "w") as f:
+        for i in range(iterations):
+            f.write(json.dumps({"event": "iteration", "data": {
+                "iteration": i, "best_so_far": 10.0 - i,
+                "determine_seconds": seconds,
+                "apply_seconds": 2 * seconds}}) + "\n")
+        f.write(json.dumps({"event": "run_end", "data": {
+            "level": "summary", "total_actions_applied": 40,
+            "best_iteration": iterations - 2}}) + "\n")
+
+
 class TelemetryDiffTest(unittest.TestCase):
-    def test_run_end_field_deltas(self):
-        def jsonl(path, total):
-            with open(path, "w") as f:
-                f.write(json.dumps({"event": "iteration",
-                                    "data": {"iteration": 0}}) + "\n")
-                f.write(json.dumps({
-                    "event": "run_end",
-                    "data": {"level": "summary", "iterations": 5,
-                             "total_seconds": total}}) + "\n")
+    def test_iteration_digest_deltas(self):
         with tempfile.TemporaryDirectory() as tmp:
             a = os.path.join(tmp, "a.jsonl")
             b = os.path.join(tmp, "b.jsonl")
-            jsonl(a, 1.0)
-            jsonl(b, 1.5)
+            write_telemetry(a, 4, 0.25)
+            write_telemetry(b, 6, 0.5)
             rc, stdout, _ = run_dcstat("diff", a, b)
         self.assertEqual(rc, 0, stdout)
-        self.assertIn("total_seconds", stdout)
-        self.assertIn("+0.5", stdout)
+        rows = {line.split()[0]: line.split()[1:]
+                for line in stdout.splitlines()[1:]}
+        self.assertEqual(rows["iterations"], ["4", "6", "+2"])
+        self.assertEqual(rows["best_so_far"], ["7", "5", "-2"])
+        self.assertEqual(rows["determine_seconds"], ["1", "3", "+2"])
+        self.assertEqual(rows["apply_seconds"], ["2", "6", "+4"])
+
+    def test_stream_without_iterations_is_an_error(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            a = os.path.join(tmp, "a.jsonl")
+            b = os.path.join(tmp, "b.jsonl")
+            write_telemetry(a, 3, 0.25)
+            write_telemetry(b, 0, 0.25)
+            rc, _, err = run_dcstat("diff", a, b)
+        self.assertEqual(rc, 1)
+        self.assertIn("need iteration events", err)
+
+    def test_summary_prints_iteration_digest(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.jsonl")
+            write_telemetry(path, 4, 0.25)
+            rc, stdout, _ = run_dcstat("summary", path)
+        self.assertEqual(rc, 0, stdout)
+        self.assertIn("5 events, 4 iterations", stdout)
+        self.assertIn("best_so_far=7 determine=1s apply=2s", stdout)
+        self.assertIn("run_end: level=summary actions=40 best_iteration=2",
+                      stdout)
 
 
 class FlameTest(unittest.TestCase):
