@@ -136,10 +136,11 @@ void BM_GainEvalColToggleWide(benchmark::State& state) {
 BENCHMARK(BM_GainEvalColToggleWide)->Unit(benchmark::kMicrosecond);
 
 // Sparse twins of the two gain-eval kernels (30% missing entries): these
-// exercise the masked compaction pass (rows with holes), whereas the
-// dense variants above run almost entirely on the dense pass, which
-// reads no mask. Comparing the two pairs in BENCH_micro_kernels.json
-// shows what the dense fast path still buys over compaction.
+// exercise the run passes (rows with holes, scanned as their
+// specified-entry runs), whereas the dense variants above run almost
+// entirely on the dense pass. Comparing the two pairs in
+// BENCH_micro_kernels.json shows what the dense fast path still buys
+// over a run.
 void BM_GainEvalRowToggleTallSparse(benchmark::State& state) {
   SyntheticDataset data = MakeData(10000, 100, 0.3);
   ClusterWorkspace ws(data.matrix, MakeCluster(10000, 100, 600, 60));
@@ -165,6 +166,25 @@ void BM_GainEvalColToggleWideSparse(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GainEvalColToggleWideSparse)->Unit(benchmark::kMicrosecond);
+
+// The shape that dominates the second half of a paper-literal mining
+// run on holey data: clusters shrunk to a few hundred rows over two
+// columns. A 1500x100 matrix at 30% missing, a 250x2 cluster: about
+// half its rows hold a hole, and each row is a run of 0-2 entries, so
+// per-row overhead (not per-entry throughput) is what this measures --
+// the 600x60 twins above hide it.
+void BM_GainEvalRowToggleSkinnySparse(benchmark::State& state) {
+  SyntheticDataset data = MakeData(1500, 100, 0.3);
+  ClusterWorkspace ws(data.matrix, MakeCluster(1500, 100, 250, 2));
+  ResidueEngine engine;
+  size_t row = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.GainToggleRow(ws, row % 1500));
+    ++row;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_GainEvalRowToggleSkinnySparse)->Unit(benchmark::kMicrosecond);
 
 // Applied-toggle twins: each iteration actually commits a membership
 // toggle (and reverts it, so the cluster shape is steady-state) before

@@ -270,6 +270,24 @@ stage_bench() {
   else
     fail "masked-kernel bench gate (pre_pr15 vs pr15 micro-kernel records)"
   fi
+  # Specified-entry-run gate: holey pane rows stored as runs of their
+  # specified entries, the per-evaluation compaction kernels deleted.
+  # pre_pr20 is the parent tip recorded on the same host as pr20, each
+  # record the per-benchmark median of several full-suite runs
+  # (bench/trajectory/README.md). The sparse gain evals, the skinny
+  # 250x2 shape included, must hold >= 1.3x; the dense pair and the
+  # applied-toggle composites (dense rows, no run upkeep) stay >= 0.95x.
+  # Deterministic: compares two checked-in records.
+  if python3 tools/dcstat.py diff \
+        bench/trajectory/BENCH_micro_kernels_pre_pr20.json \
+        bench/trajectory/BENCH_micro_kernels_pr20.json \
+        --min-ratio 'BM_GainEval.*Sparse=1.3' \
+        --min-ratio 'BM_GainEval(RowToggleTall|ColToggleWide)$=0.95' \
+        --min-ratio 'BM_GainApply=0.95'; then
+    echo "bench: specified-entry-run speedups hold"
+  else
+    fail "specified-entry-run bench gate (pre_pr20 vs pr20 micro-kernel records)"
+  fi
   # End-to-end iteration-time gate (PR 10): the Table-2/3 whole-run
   # records, recorded back-to-back pre/post on one machine, must show
   # the 500-row configurations >= 1.2x and the tiny 100-row ones (4-8

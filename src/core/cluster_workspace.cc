@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/core/residue_kernels.h"
 #include "src/obs/metrics.h"
+#include "src/util/check.h"
 
 namespace deltaclus {
 
@@ -49,6 +51,22 @@ size_t SortedIndexOf(const std::vector<uint32_t>& ids, size_t id) {
       ids.begin());
 }
 
+// Gathers matrix row `values`/`mask` over `col_ids` into a run:
+// branch-free compaction, each entry stored at cursor q, which advances
+// only on specified entries. Returns the run length.
+size_t GatherRun(const double* values, const uint8_t* mask,
+                 const std::vector<uint32_t>& col_ids, double* dst_values,
+                 uint16_t* dst_slots) {
+  size_t q = 0;
+  for (size_t idx = 0; idx < col_ids.size(); ++idx) {
+    uint32_t col = col_ids[idx];
+    dst_values[q] = values[col];
+    dst_slots[q] = static_cast<uint16_t>(idx);
+    q += mask[col] != 0;
+  }
+  return q;
+}
+
 }  // namespace
 
 void ClusterWorkspace::RebuildPane() const {
@@ -57,27 +75,27 @@ void ClusterWorkspace::RebuildPane() const {
   const auto& row_ids = c.row_ids();
   const auto& col_ids = c.col_ids();
   size_t n = col_ids.size();
+  DC_CHECK_LE(n, kMaxPaneCols) << "cluster too wide for a packed pane";
   size_t rows = row_ids.size();
   size_t stride = n + PaneSlack(n);
   size_t row_capacity = rows + PaneSlack(rows);
   pane_.num_cols = n;
   pane_.phys_stride = stride;
-  pane_.values.resize(row_capacity * stride);
-  pane_.mask.resize(row_capacity * stride);
+  pane_.values.resize(row_capacity * stride + kRunReadPad);
+  pane_.slots.resize(row_capacity * stride + kRunReadPad);
+  pane_.run_len.resize(row_capacity);
+  pane_.row_base.resize(row_capacity);
   pane_.row_slots.resize(rows);
   pane_.next_phys_row = rows;
   pane_.dead_rows = 0;
   for (size_t pr = 0; pr < rows; ++pr) {
     pane_.row_slots[pr] = static_cast<uint32_t>(pr);
     uint32_t i = row_ids[pr];
-    const double* values = m.RowValues(i).data();
-    const uint8_t* mask = m.RowMask(i).data();
-    double* dst_values = pane_.values.data() + pr * stride;
-    uint8_t* dst_mask = pane_.mask.data() + pr * stride;
-    for (size_t idx = 0; idx < n; ++idx) {
-      dst_values[idx] = values[col_ids[idx]];
-      dst_mask[idx] = mask[col_ids[idx]];
-    }
+    pane_.run_len[pr] = static_cast<uint32_t>(
+        GatherRun(m.RowValues(i).data(), m.RowMask(i).data(), col_ids,
+                  pane_.values.data() + pr * stride,
+                  pane_.slots.data() + pr * stride));
+    pane_.row_base[pr] = view_.stats().RowBase(i);
   }
   pane_epoch_ = epoch_;
   PaneRebuildsCounter()->Inc();
@@ -97,26 +115,20 @@ void ClusterWorkspace::PatchPaneRow(size_t i, bool removed) {
                          static_cast<ptrdiff_t>(pr));
     ++pane.dead_rows;
   } else {
-    size_t row_capacity =
-        pane.phys_stride == 0 ? 0 : pane.values.size() / pane.phys_stride;
-    if (pane.next_phys_row >= row_capacity) {
+    if (pane.next_phys_row >= pane.run_len.size()) {
       PaneCompactionsCounter()->Inc();
       return;
     }
-    // Gather the new row into a fresh physical row and splice its slot
-    // in at the sorted logical position.
+    // Gather the new row's run into a fresh physical row and splice its
+    // slot in at the sorted logical position.
     const DataMatrix& m = view_.matrix();
-    const auto& col_ids = view_.cluster().col_ids();
     size_t phys = pane.next_phys_row++;
-    const double* values = m.RowValues(i).data();
-    const uint8_t* mask = m.RowMask(i).data();
-    double* dst_values = pane.values.data() + phys * pane.phys_stride;
-    uint8_t* dst_mask = pane.mask.data() + phys * pane.phys_stride;
-    for (size_t idx = 0; idx < pane.num_cols; ++idx) {
-      uint32_t col = col_ids[idx];
-      dst_values[idx] = values[col];
-      dst_mask[idx] = mask[col];
-    }
+    pane.run_len[phys] = static_cast<uint32_t>(
+        GatherRun(m.RowValues(i).data(), m.RowMask(i).data(),
+                  view_.cluster().col_ids(),
+                  pane.values.data() + phys * pane.phys_stride,
+                  pane.slots.data() + phys * pane.phys_stride));
+    pane.row_base[phys] = view_.stats().RowBase(i);
     size_t pr = SortedIndexOf(row_ids, i);
     pane.row_slots.insert(pane.row_slots.begin() + static_cast<ptrdiff_t>(pr),
                           static_cast<uint32_t>(phys));
@@ -127,49 +139,93 @@ void ClusterWorkspace::PatchPaneRow(size_t i, bool removed) {
 
 void ClusterWorkspace::PatchPaneCol(size_t j, bool removed) {
   PackedPane& pane = pane_;
+  const DataMatrix& m = view_.matrix();
   const auto& col_ids = view_.cluster().col_ids();  // post-toggle
-  // Both directions shift each live row's tail in place with memmove,
-  // keeping the pane's columns one contiguous run: the moves are
-  // contiguous bytes over rows the toggle's own evaluation just pulled
-  // through cache, several times cheaper than a rebuild's scattered
-  // matrix gathers -- and the read side never sees fragmentation. A
-  // removal frees capacity, so only an addition can decline.
+  const auto& row_ids = view_.cluster().row_ids();
+  const uint8_t* col_mask = m.ColMask(j).data();
+  size_t n_old = pane.num_cols;
+  // Each live row's run is updated in place, keeping it one run: the
+  // moves are contiguous bytes over rows the toggle's own evaluation just
+  // pulled through cache, several times cheaper than a rebuild's
+  // scattered matrix gathers -- and the read side never sees
+  // fragmentation. A dense row (run == whole row) only shifts its tail,
+  // as its slots are implied; a holey row also renumbers the slots past
+  // the toggled column. A removal frees capacity, so only an addition
+  // can decline.
   if (removed) {
     // j is absent post-toggle, so lower_bound lands on its old position.
     size_t pc = SortedIndexOf(col_ids, j);
-    size_t tail = pane.num_cols - pc - 1;
-    for (uint32_t slot : pane.row_slots) {
-      size_t base = slot * pane.phys_stride;
-      std::memmove(pane.values.data() + base + pc,
-                   pane.values.data() + base + pc + 1,
-                   tail * sizeof(double));
-      std::memmove(pane.mask.data() + base + pc,
-                   pane.mask.data() + base + pc + 1, tail * sizeof(uint8_t));
+    for (size_t pr = 0; pr < row_ids.size(); ++pr) {
+      size_t base = pane.row_slots[pr] * pane.phys_stride;
+      double* v = pane.values.data() + base;
+      uint16_t* s = pane.slots.data() + base;
+      uint32_t& len = pane.run_len[pane.row_slots[pr]];
+      if (len == n_old) {
+        std::memmove(v + pc, v + pc + 1, (n_old - pc - 1) * sizeof(double));
+        --len;
+        continue;
+      }
+      // Entries from k on sit past column pc; with (i, j) specified the
+      // first of them is (i, j) itself and is erased.
+      size_t k = static_cast<size_t>(std::lower_bound(s, s + len, pc) - s);
+      size_t hit = col_mask[row_ids[pr]] != 0;
+      DC_DCHECK(hit == 0 || (k < len && s[k] == pc));
+      std::memmove(v + k, v + k + hit, (len - k - hit) * sizeof(double));
+      for (size_t t = k; t + hit < len; ++t) {
+        s[t] = static_cast<uint16_t>(s[t + hit] - 1);
+      }
+      len -= static_cast<uint32_t>(hit);
     }
     --pane.num_cols;
   } else {
-    if (pane.num_cols >= pane.phys_stride) {
+    if (n_old >= pane.phys_stride) {
       PaneCompactionsCounter()->Inc();
       return;
     }
+    DC_CHECK_LT(n_old, kMaxPaneCols) << "cluster too wide for a packed pane";
     size_t pc = SortedIndexOf(col_ids, j);  // j's post-toggle position
-    size_t tail = pane.num_cols - pc;
-    // Open a hole at pc in every live row, then fill it stride-1 from
-    // the matrix's column-major mirror.
-    const DataMatrix& m = view_.matrix();
-    const auto& row_ids = view_.cluster().row_ids();
+    // Column j's entries, read stride-1 from the matrix's column-major
+    // mirror.
     const double* col_values = m.ColValues(j).data();
-    const uint8_t* col_mask = m.ColMask(j).data();
     for (size_t pr = 0; pr < row_ids.size(); ++pr) {
       size_t base = pane.row_slots[pr] * pane.phys_stride;
-      std::memmove(pane.values.data() + base + pc + 1,
-                   pane.values.data() + base + pc, tail * sizeof(double));
-      std::memmove(pane.mask.data() + base + pc + 1,
-                   pane.mask.data() + base + pc, tail * sizeof(uint8_t));
-      pane.values[base + pc] = col_values[row_ids[pr]];
-      pane.mask[base + pc] = col_mask[row_ids[pr]];
+      double* v = pane.values.data() + base;
+      uint16_t* s = pane.slots.data() + base;
+      uint32_t& len = pane.run_len[pane.row_slots[pr]];
+      bool specified = col_mask[row_ids[pr]] != 0;
+      double value = col_values[row_ids[pr]];
+      if (len == n_old) {
+        if (specified) {
+          std::memmove(v + pc + 1, v + pc, (n_old - pc) * sizeof(double));
+          v[pc] = value;
+          ++len;
+        } else {
+          // The row gains its first hole: its slots start to matter.
+          for (size_t t = 0; t < n_old; ++t) {
+            s[t] = static_cast<uint16_t>(t < pc ? t : t + 1);
+          }
+        }
+        continue;
+      }
+      // Entries from k on move one column right; with (i, j) specified
+      // they also move one run position right, opening k for (i, j).
+      size_t k = static_cast<size_t>(std::lower_bound(s, s + len, pc) - s);
+      size_t shift = specified ? 1 : 0;
+      std::memmove(v + k + shift, v + k, (len - k) * sizeof(double));
+      for (size_t t = len; t > k; --t) {
+        s[t - 1 + shift] = static_cast<uint16_t>(s[t - 1] + 1);
+      }
+      if (specified) {
+        v[k] = value;
+        s[k] = static_cast<uint16_t>(pc);
+        ++len;
+      }
     }
     ++pane.num_cols;
+  }
+  // A column toggle moves every row's base.
+  for (size_t pr = 0; pr < row_ids.size(); ++pr) {
+    pane.row_base[pane.row_slots[pr]] = view_.stats().RowBase(row_ids[pr]);
   }
   pane_epoch_ = epoch_;
   PanePatchesCounter()->Inc();

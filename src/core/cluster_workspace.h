@@ -36,29 +36,40 @@
 // uncached path -- cached and uncached reads are bit-identical.
 //
 // The workspace also carries a *packed pane*: the cluster's submatrix
-// (values + mask) copied into a contiguous row-major block,
-// epoch-stamped like the residue cache. The gain kernels' inner loops
-// are gather loops over scattered column ids when run against the raw
-// matrix; against the pane they are unit-stride streams the vector
-// kernels eat 4-wide, which is where the bulk of the kernel speedup
-// comes from (DESIGN.md "The gain kernel").
+// copied into a row-major block, epoch-stamped like the residue cache.
+// The gain kernels' inner loops are gather loops over scattered column
+// ids when run against the raw matrix; against the pane they are
+// unit-stride streams the vector kernels eat 4-wide, which is where the
+// bulk of the kernel speedup comes from (DESIGN.md "The gain kernel").
+// Each pane row is the row's *specified-entry run*: its specified values
+// left-packed in column order, plus -- for a row with holes -- a
+// parallel uint16 array of their pane-column slots. A dense row's run
+// is the plain contiguous row; a holey row's run is read with each
+// entry's column base fetched through its slot. Every base and the
+// volume are defined over specified entries only, so a scan streams
+// exactly the entries it needs: nothing is computed for an unspecified
+// cell and then thrown away, and a row's mask is paid for once, when
+// its run is built, not on every evaluation.
 //
 // The pane is *incrementally patched*: a single row toggle splices or
-// erases one `row_slots` entry (gathering the new row in O(|J|) on an
-// addition), and a single column toggle shifts each live row's tail in
-// place with memmove -- instead of the full |I| x |J| gather rebuild a
-// stale pane pays. The column shift moves O(|I| x |J|) bytes in the
+// erases one `row_slots` entry (gathering the new row's run in O(|J|) on
+// an addition), and a single column toggle updates each live row's run
+// in place -- a dense row shifts its tail with memmove as before; a
+// holey row finds the column's position in its slots by lower_bound,
+// inserts or erases the entry if (i, j) is specified, and shifts its
+// tail slots by +-1 -- instead of the full |I| x |J| gather rebuild a
+// stale pane pays. The column patch moves O(|I| x |J|) bytes in the
 // worst case, but they are contiguous moves over rows already resident
 // in cache, measured several times cheaper than the rebuild's scattered
-// matrix gathers. Crucially the pane's columns stay one contiguous run
-// at all times, so every kernel scan after any patch sequence is the
-// same single unit-stride pass a fresh rebuild serves -- patches never
-// tax reads, and reads vastly outnumber toggles. (An earlier design
-// kept a column span list and let patches split it; the per-span kernel
-// restarts on read made that a net loss.) A patch declines -- leaving
-// the pane stale for a compacting rebuild on the next EnsurePane() --
-// when dead rows cross half the live count or physical capacity runs
-// out. floc.pane.{rebuilds,patches,compactions} count the outcomes.
+// matrix gathers. Each row stays one run at all times, so every kernel
+// scan after any patch sequence is the same single pass a fresh rebuild
+// serves -- patches never tax reads, and reads vastly outnumber
+// toggles. (An earlier design kept a column span list and let patches
+// split it; the per-span kernel restarts on read made that a net loss.)
+// A patch declines -- leaving the pane stale for a compacting rebuild on
+// the next EnsurePane() -- when dead rows cross half the live count or
+// physical capacity runs out. floc.pane.{rebuilds,patches,compactions}
+// count the outcomes.
 //
 // Filling the caches (residue cache, pane) is NOT thread-safe: all cache
 // fills and mutations happen on the coordinating thread. The parallel
@@ -102,38 +113,56 @@ inline uint64_t NextMembershipEpoch() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
+/// Widest pane a run's uint16 slots can address: a cluster may span at
+/// most this many columns (checked when a pane is built or widened).
+constexpr size_t kMaxPaneCols = size_t{1} << 16;
+
 /// The cluster's submatrix packed contiguous: rows in
-/// cluster().row_ids() order resolved through `row_slots`, columns in
-/// cluster().col_ids() order occupying [0, num_cols) of every physical
-/// row -- one contiguous run, always, which is what keeps every kernel
-/// scan a single unit-stride pass (see file comment). mask[..] != 0
-/// marks specified entries, exactly mirroring the parent matrix. Owned
+/// cluster().row_ids() order resolved through `row_slots`, each physical
+/// row holding that row's *specified-entry run* -- its specified values
+/// left-packed in cluster().col_ids() order, `run_len` of them. A fully
+/// specified (dense) row's run is the whole row: values[0..num_cols) in
+/// column order, one unit-stride stream. A holey row's run is shorter,
+/// and `slots` holds each run entry's pane column (its index into
+/// col_ids), so a scan reads entry k's column base at col_bases[slot[k]]
+/// and never touches an unspecified cell. Slots are kept for holey rows
+/// only: a dense row's are implied (slot k = k) and may hold anything.
+/// Both arrays carry kRunReadPad trailing entries so a run pass may read
+/// a few entries past any run (src/core/simd_dispatch.h). Per physical
+/// row the pane also keeps the run length and the row's base d_iJ
+/// (ClusterStats::RowBase, the same bits): a scan reads them beside the
+/// row instead of paying a division and two loads keyed by row id per
+/// row, which on a skinny cluster is much of a row's cost. Owned
 /// and epoch-stamped by ClusterWorkspace (EnsurePane); patched in place
 /// by single membership toggles.
 struct PackedPane {
   std::vector<double> values;
-  std::vector<uint8_t> mask;
-  size_t num_cols = 0;      ///< logical (= physical) column count
+  std::vector<uint16_t> slots;
+  std::vector<uint32_t> run_len;  ///< physical row -> specified entries
+  std::vector<double> row_base;   ///< physical row -> the row's base d_iJ
+  size_t num_cols = 0;      ///< logical column count
   size_t phys_stride = 0;   ///< physical row width, >= num_cols
   std::vector<uint32_t> row_slots;  ///< logical pane row -> physical row
   size_t next_phys_row = 0;  ///< first unused physical row
   size_t dead_rows = 0;      ///< logically-deleted physical rows
 
-  /// Physical base of the logical pane row (row-slot indirection). The
-  /// row's columns are values[0..num_cols) from that base.
+  /// The run of logical pane row `pane_row`: values[0..RunLength) from
+  /// this base.
   const double* Row(size_t pane_row) const {
     return values.data() + row_slots[pane_row] * phys_stride;
   }
-  const uint8_t* MaskRow(size_t pane_row) const {
-    return mask.data() + row_slots[pane_row] * phys_stride;
+  /// Pane-column slots of the run (meaningful while the row is holey).
+  const uint16_t* Slots(size_t pane_row) const {
+    return slots.data() + row_slots[pane_row] * phys_stride;
   }
-
-  /// Logical (pane_row, pane_col) entry -- for tests and audits.
-  double ValueAt(size_t pane_row, size_t pane_col) const {
-    return Row(pane_row)[pane_col];
+  size_t RunLength(size_t pane_row) const {
+    return run_len[row_slots[pane_row]];
   }
-  uint8_t MaskAt(size_t pane_row, size_t pane_col) const {
-    return MaskRow(pane_row)[pane_col];
+  double RowBase(size_t pane_row) const {
+    return row_base[row_slots[pane_row]];
+  }
+  bool RowDense(size_t pane_row) const {
+    return RunLength(pane_row) == num_cols;
   }
 };
 
@@ -176,8 +205,8 @@ class ClusterWorkspace {
   /// Membership toggles: stats stay incrementally consistent and the
   /// epoch advances (implicitly invalidating the residue cache and any
   /// gain memo entries stamped with the old epoch). A pane that was
-  /// fresh going in is *patched* to the new membership in place (slot
-  /// splice for rows, tail shift for columns; see file comment) and
+  /// fresh going in is *patched* to the new membership in place (row
+  /// splice for rows, run upkeep for columns; see file comment) and
   /// re-stamped with the new epoch, so single toggles -- the only
   /// mutations the FLOC sweeps perform -- never trigger a full pane
   /// rebuild (unless the compaction threshold declines the patch).
@@ -250,20 +279,22 @@ class ClusterWorkspace {
   /// patch-vs-rebuild costs be compared on identical toggle sequences.
   void InvalidatePane() const { pane_epoch_ = 0; }
 
-  /// Bytes the packed pane currently holds (values + mask, including
-  /// patch slack), fresh or stale. Feeds the session-status memory
-  /// ledger (src/session/mining_session.h); costs two vector-size
-  /// reads.
+  /// Bytes the packed pane currently holds (values + slots + per-row
+  /// run lengths and bases, including patch slack), fresh or stale. Feeds the
+  /// session-status memory ledger (src/session/mining_session.h); costs
+  /// three vector-size reads.
   size_t PaneBytes() const {
     return pane_.values.size() * sizeof(double) +
-           pane_.mask.size() * sizeof(uint8_t);
+           pane_.slots.size() * sizeof(uint16_t) +
+           pane_.run_len.size() * sizeof(uint32_t) +
+           pane_.row_base.size() * sizeof(double);
   }
 
  private:
   /// Full gather rebuild into the canonical layout (cluster_workspace.cc;
   /// counts floc.pane.rebuilds).
   void RebuildPane() const;
-  /// Single-toggle patches (slot splice / tail shift). Applied only when
+  /// Single-toggle patches (row splice / run upkeep). Applied only when
   /// the pane was fresh for the pre-toggle membership; on success the
   /// pane is re-stamped with the (already advanced) epoch and
   /// floc.pane.patches counts, otherwise the pane stays stale and

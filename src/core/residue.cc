@@ -1,11 +1,13 @@
 #include "src/core/residue.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
 #include "src/core/residue_kernels.h"
 #include "src/core/simd_dispatch.h"
 #include "src/obs/metrics.h"
+#include "src/util/check.h"
 
 namespace deltaclus {
 
@@ -43,12 +45,13 @@ obs::Counter* GainEvalEntriesDenseCounter() {
 // position) makes every pass bit-identical whenever every visited entry
 // is specified, so dispatch between them can never change a result.
 //
-// The bodies (LaneAcc, Contribution, the dense passes and the masked
-// compaction passes) live in src/core/residue_kernels.h, shared with the
-// per-ISA SIMD translation units; the pane scan loops below call them
-// through the runtime-dispatched table (src/core/simd_dispatch.h),
-// which is bit-invisible by the same lane contract. Only the gathered
-// added row calls the scalar bodies directly.
+// The bodies (LaneAcc, Contribution, the dense passes and the
+// specified-entry run passes) live in src/core/residue_kernels.h, shared
+// with the per-ISA SIMD translation units; the pane scan loops below
+// call them through the runtime-dispatched table
+// (src/core/simd_dispatch.h), which is bit-invisible by the same lane
+// contract. Only the gathered added row calls the scalar bodies
+// directly.
 
 }  // namespace
 
@@ -209,24 +212,25 @@ double ResidueEngine::NumeratorImpl(const ClusterWorkspace& ws) {
   const SimdKernels& simd = ActiveSimdKernels();
   SimdKernels::SegDenseFullFn seg_full =
       kSquared ? simd.seg_full_sq : simd.seg_full_abs;
-  SimdKernels::SegMaskedFullFn seg_masked_full =
-      kSquared ? simd.seg_masked_full_sq : simd.seg_masked_full_abs;
-  // The pane's columns are always one contiguous run, so every row is a
-  // single whole-row call that keeps the lanes in registers --
-  // bit-identical between the dense and masked slots by the LaneAcc
-  // contract, and roughly half the per-row cost of a
-  // spill-around-the-call shape on short rows.
+  SimdKernels::SegRunFullFn seg_run_full =
+      kSquared ? simd.seg_run_full_sq : simd.seg_run_full_abs;
+  // Every pane row is one run, so every row is a single whole-row call
+  // that keeps the lanes in registers -- bit-identical between the dense
+  // and run slots by the LaneAcc contract, and roughly half the per-row
+  // cost of a spill-around-the-call shape on short rows. A row's run
+  // length is its specified count over the cluster's columns.
   double acc = 0.0;
   size_t dense_entries = 0;
   for (size_t pr = 0; pr < row_ids.size(); ++pr) {
-    uint32_t i = row_ids[pr];
-    double row_base = stats.RowBase(i);
-    if (stats.RowCount(i) == n) {
+    double row_base = pane.RowBase(pr);
+    size_t count = pane.RunLength(pr);
+    DC_DCHECK_EQ(count, stats.RowCount(row_ids[pr]));
+    if (count == n) {
       dense_entries += n;
       acc += seg_full(pane.Row(pr), col_bases, n, row_base, cluster_base);
     } else {
-      acc += seg_masked_full(pane.Row(pr), pane.MaskRow(pr), col_bases, n,
-                             row_base, cluster_base);
+      acc += seg_run_full(pane.Row(pr), pane.Slots(pr), col_bases, count,
+                          row_base, cluster_base);
     }
   }
   dense_entries_last_scan_ = dense_entries;
@@ -290,8 +294,8 @@ double ResidueEngine::AfterToggleRowImpl(const ClusterWorkspace& ws,
   const SimdKernels& simd = ActiveSimdKernels();
   SimdKernels::SegDenseFullFn seg_full =
       kSquared ? simd.seg_full_sq : simd.seg_full_abs;
-  SimdKernels::SegMaskedFullFn seg_masked_full =
-      kSquared ? simd.seg_masked_full_sq : simd.seg_masked_full_abs;
+  SimdKernels::SegRunFullFn seg_run_full =
+      kSquared ? simd.seg_run_full_sq : simd.seg_run_full_abs;
   // This loop is the determination sweep's hot interior (it runs per
   // candidate row eval), so the per-row call shape matters as much as
   // the kernel: every row takes a one-call whole-row pass.
@@ -299,16 +303,24 @@ double ResidueEngine::AfterToggleRowImpl(const ClusterWorkspace& ws,
   size_t dense_entries = 0;
   // Existing member rows stream from the pane (their row bases are
   // unchanged by a row toggle); on removal, row i's pane row is skipped.
+  // Row i's pane row on removal; past the last row on addition.
+  size_t skip = removing ? static_cast<size_t>(
+                               std::lower_bound(row_ids.begin(),
+                                                row_ids.end(),
+                                                static_cast<uint32_t>(i)) -
+                               row_ids.begin())
+                         : row_ids.size();
   for (size_t pr = 0; pr < row_ids.size(); ++pr) {
-    uint32_t r = row_ids[pr];
-    if (removing && r == i) continue;
-    double row_base = stats.RowBase(r);
-    if (stats.RowCount(r) == n) {
+    if (pr == skip) continue;
+    double row_base = pane.RowBase(pr);
+    size_t count = pane.RunLength(pr);
+    DC_DCHECK_EQ(count, stats.RowCount(row_ids[pr]));
+    if (count == n) {
       dense_entries += n;
       acc += seg_full(pane.Row(pr), col_bases, n, row_base, cluster_base);
     } else {
-      acc += seg_masked_full(pane.Row(pr), pane.MaskRow(pr), col_bases, n,
-                             row_base, cluster_base);
+      acc += seg_run_full(pane.Row(pr), pane.Slots(pr), col_bases, count,
+                          row_base, cluster_base);
     }
   }
   // The newly-added row lives outside the pane: one gathered row pass.
@@ -361,24 +373,24 @@ double ResidueEngine::AfterToggleColImpl(const ClusterWorkspace& ws,
   double toggled_col_base =
       toggled_cnt == 0 ? 0.0 : toggled_sum / toggled_cnt;
 
-  // Compacted visited-column bases in pane-column order (skipping j on
-  // removal, appending j's base on addition). `jj` is j's position
-  // within the pane on removal, which splits each pane row into two
-  // contiguous segments; the lane phase carried across the split keeps
-  // the visit sequence -- and hence the per-lane addition chains --
-  // identical to a single pass over the compacted columns.
+  // Column bases in pane-column order, uncompacted: pane rows index them
+  // by position (dense rows) or by slot (runs). On removal `jj` is j's
+  // pane column, which splits each row's visit sequence in two; the
+  // lane phase carried across the split keeps the visit sequence -- and
+  // hence the per-lane addition chains -- identical to a single pass
+  // over the post-toggle columns. On addition column j is outside the
+  // pane and is visited last, with its own base.
   size_t n_pane = col_ids.size();
-  size_t jj = n_pane;
-  scratch_col_base_.clear();
+  size_t jj = removing ? static_cast<size_t>(
+                             std::lower_bound(col_ids.begin(), col_ids.end(),
+                                              static_cast<uint32_t>(j)) -
+                             col_ids.begin())
+                       : n_pane;
+  scratch_col_base_.resize(n_pane);
   for (size_t idx = 0; idx < n_pane; ++idx) {
-    if (removing && col_ids[idx] == j) {
-      jj = idx;
-      continue;
-    }
-    scratch_col_base_.push_back(stats.ColBase(col_ids[idx]));
+    scratch_col_base_[idx] = stats.ColBase(col_ids[idx]);
   }
-  if (!removing) scratch_col_base_.push_back(toggled_col_base);
-  size_t n = scratch_col_base_.size();
+  size_t n = removing ? n_pane - 1 : n_pane + 1;
   const double* col_bases = scratch_col_base_.data();
 
   // Column j's entries, read stride-1 on the column-major mirror.
@@ -389,8 +401,8 @@ double ResidueEngine::AfterToggleColImpl(const ClusterWorkspace& ws,
   const SimdKernels& simd = ActiveSimdKernels();
   SimdKernels::SegDenseFn seg_dense =
       kSquared ? simd.seg_dense_sq : simd.seg_dense_abs;
-  SimdKernels::SegMaskedFn seg_masked =
-      kSquared ? simd.seg_masked_sq : simd.seg_masked_abs;
+  SimdKernels::SegRunFn seg_run =
+      kSquared ? simd.seg_run_sq : simd.seg_run_abs;
   double acc = 0.0;
   size_t dense_entries = 0;
   for (size_t pr = 0; pr < row_ids.size(); ++pr) {
@@ -398,11 +410,13 @@ double ResidueEngine::AfterToggleColImpl(const ClusterWorkspace& ws,
     // Adjusted row base: moves only if (i, j) is specified (selected
     // branch-free, as for the column bases of a row toggle). row_cnt
     // becomes the row's specified count over the post-toggle column
-    // set, which doubles as the dense-dispatch predicate.
+    // set, which feeds the dense-coverage tally.
     bool j_specified = col_mask_j[i] != 0;
     double v = col_values_j[i];
     double row_sum = stats.RowSum(i);
-    size_t row_cnt = stats.RowCount(i);
+    size_t run_len = pane.RunLength(pr);
+    DC_DCHECK_EQ(run_len, stats.RowCount(i));
+    size_t row_cnt = run_len;
     double moved_sum = removing ? row_sum - v : row_sum + v;
     size_t moved_cnt = removing ? row_cnt - 1 : row_cnt + 1;
     row_sum = j_specified ? moved_sum : row_sum;
@@ -410,29 +424,36 @@ double ResidueEngine::AfterToggleColImpl(const ClusterWorkspace& ws,
     double row_base = row_cnt == 0 ? 0.0 : row_sum / row_cnt;
 
     const double* row = pane.Row(pr);
-    const uint8_t* mrow = pane.MaskRow(pr);
-    bool dense = row_cnt == n;
     LaneAcc lanes;
-    auto scan = [&](size_t pos, const double* bases, size_t len) {
-      if (dense) {
-        seg_dense(row + pos, bases, len, row_base, cluster_base, lanes);
+    if (run_len == n_pane) {
+      // Dense pane row: unit-stride slices around column jj.
+      if (removing) {
+        seg_dense(row, col_bases, jj, row_base, cluster_base, lanes);
+        seg_dense(row + jj + 1, col_bases + jj + 1, n_pane - jj - 1,
+                  row_base, cluster_base, lanes);
       } else {
-        seg_masked(row + pos, mrow + pos, bases, len, row_base, cluster_base,
-                   lanes);
+        seg_dense(row, col_bases, n_pane, row_base, cluster_base, lanes);
       }
-    };
-    if (removing) {
-      // Skip pane column jj: two contiguous chunks with the lane phase
-      // carried across the split, which keeps the visit sequence -- and
-      // hence the per-lane addition chains -- identical to a single-pass
-      // scan over the post-toggle columns.
-      if (jj > 0) scan(0, col_bases, jj);
-      if (jj + 1 < n_pane) scan(jj + 1, col_bases + jj, n_pane - jj - 1);
     } else {
-      scan(0, col_bases, n_pane);
-      // Column j is outside the pane; it is visited last, matching the
-      // compacted column-base order. Branch-free: the lane keeps its
-      // bits unless (i, j) is specified.
+      // Holey pane row: the run. On removal it splits where its slots
+      // pass jj; if (i, j) is specified, its entry is the first past the
+      // split and is skipped.
+      const uint16_t* slots = pane.Slots(pr);
+      if (removing) {
+        size_t split = static_cast<size_t>(
+            std::lower_bound(slots, slots + run_len, jj) - slots);
+        seg_run(row, slots, col_bases, split, row_base, cluster_base, lanes);
+        size_t rest = split + (j_specified ? 1 : 0);
+        seg_run(row + rest, slots + rest, col_bases, run_len - rest,
+                row_base, cluster_base, lanes);
+      } else {
+        seg_run(row, slots, col_bases, run_len, row_base, cluster_base,
+                lanes);
+      }
+    }
+    if (!removing) {
+      // Column j is visited last, matching the post-toggle column order.
+      // Branch-free: the lane keeps its bits unless (i, j) is specified.
       double& lane = lanes.l[lanes.p & 3];
       double added =
           lane + Contribution<kSquared>(v, row_base, toggled_col_base,
@@ -440,7 +461,7 @@ double ResidueEngine::AfterToggleColImpl(const ClusterWorkspace& ws,
       lane = j_specified ? added : lane;
       lanes.p += j_specified;
     }
-    if (dense) dense_entries += n;
+    if (row_cnt == n) dense_entries += n;
     acc += lanes.Reduce();
   }
   dense_entries_last_scan_ = dense_entries;

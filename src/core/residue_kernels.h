@@ -10,14 +10,20 @@
 // scalar and SIMD outputs are bit-identical -- dispatching between them
 // can never change a mined result.
 //
-// Masked (gap-skipping) rows follow the same contract by compaction:
-// the contribution of *every* position is computed, written at a cursor
-// that advances only on specified entries, and the compacted run is
-// then added exactly like a dense one. The run holds the same doubles in
-// the same order as a skip loop would visit them, so the lanes see the
-// same addition chains; unspecified positions are computed and thrown
-// away, never read into a result. No data-dependent branch is left on
-// the per-entry path.
+// Holey pane rows follow the same contract through their specified-entry
+// runs (PackedPane, src/core/cluster_workspace.h): the pane keeps such a
+// row as its specified values left-packed in pane-column order plus each
+// value's pane-column slot, so entry p of the run is exactly the p-th
+// entry a skip loop over the row would visit, and its column base is
+// col_bases[slot[p]]. The run passes are the dense passes with the base
+// read through the slot -- no mask is read and no unspecified cell is
+// touched on the per-entry path.
+//
+// The gathered matrix-row pass (an added row, read from the matrix
+// through a column-id list, not from the pane) still visits a masked
+// row by branch-free compaction: every position's contribution is
+// stored at a cursor that advances only on specified entries, and the
+// compacted run is added like a dense one.
 //
 // Everything here must stay valid under the baseline ISA: no intrinsics
 // in this header (dclint rule simd-confined keeps them in the kernel
@@ -56,31 +62,31 @@ inline double Contribution(double value, double row_base, double col_base,
   return std::fabs(r);
 }
 
-/// Dense contiguous segment (packed-pane rows): every entry specified,
-/// no mask reads. Peels scalar to a lane-0 boundary, runs a 4-unrolled
-/// body whose offset-to-lane mapping is fixed, then a scalar tail --
-/// the template a 4-wide vector body reproduces element for element.
-template <bool kSquared>
-inline void SegPassDenseScalar(const double* values, const double* col_bases,
-                               size_t n, double row_base, double cluster_base,
-                               LaneAcc& acc) {
+/// The scalar segment pass behind the dense and run passes: entry k's
+/// value is values[k] and its column base bases(k). Peels scalar to a
+/// lane-0 boundary, runs a 4-unrolled body whose offset-to-lane mapping
+/// is fixed, then a scalar tail -- the template a 4-wide vector body
+/// reproduces element for element.
+template <bool kSquared, typename BaseAt>
+inline void SegPassScalar(const double* values, BaseAt bases, size_t n,
+                          double row_base, double cluster_base, LaneAcc& acc) {
   size_t k = 0;
   // Peel to a lane-0 boundary so the unrolled body maps offset to lane
   // without tracking the phase per iteration.
   for (; (acc.p & 3) != 0 && k < n; ++k, ++acc.p) {
-    acc.l[acc.p & 3] += Contribution<kSquared>(values[k], row_base,
-                                               col_bases[k], cluster_base);
+    acc.l[acc.p & 3] +=
+        Contribution<kSquared>(values[k], row_base, bases(k), cluster_base);
   }
   double l0 = acc.l[0], l1 = acc.l[1], l2 = acc.l[2], l3 = acc.l[3];
   size_t unrolled_start = k;
   for (; k + 4 <= n; k += 4) {
-    l0 += Contribution<kSquared>(values[k + 0], row_base, col_bases[k + 0],
+    l0 += Contribution<kSquared>(values[k + 0], row_base, bases(k + 0),
                                  cluster_base);
-    l1 += Contribution<kSquared>(values[k + 1], row_base, col_bases[k + 1],
+    l1 += Contribution<kSquared>(values[k + 1], row_base, bases(k + 1),
                                  cluster_base);
-    l2 += Contribution<kSquared>(values[k + 2], row_base, col_bases[k + 2],
+    l2 += Contribution<kSquared>(values[k + 2], row_base, bases(k + 2),
                                  cluster_base);
-    l3 += Contribution<kSquared>(values[k + 3], row_base, col_bases[k + 3],
+    l3 += Contribution<kSquared>(values[k + 3], row_base, bases(k + 3),
                                  cluster_base);
   }
   acc.p += k - unrolled_start;
@@ -89,13 +95,57 @@ inline void SegPassDenseScalar(const double* values, const double* col_bases,
   acc.l[2] = l2;
   acc.l[3] = l3;
   for (; k < n; ++k, ++acc.p) {
-    acc.l[acc.p & 3] += Contribution<kSquared>(values[k], row_base,
-                                               col_bases[k], cluster_base);
+    acc.l[acc.p & 3] +=
+        Contribution<kSquared>(values[k], row_base, bases(k), cluster_base);
   }
 }
 
+/// Dense contiguous segment (a fully specified pane row): entry k's base
+/// is col_bases[k].
+template <bool kSquared>
+inline void SegPassDenseScalar(const double* values, const double* col_bases,
+                               size_t n, double row_base, double cluster_base,
+                               LaneAcc& acc) {
+  SegPassScalar<kSquared>(
+      values, [col_bases](size_t k) { return col_bases[k]; }, n, row_base,
+      cluster_base, acc);
+}
+
+/// Specified-entry run (a holey pane row): values[0..n) are the row's
+/// specified entries in pane-column order and slots[k] is entry k's pane
+/// column, so its base is col_bases[slots[k]]. Visits exactly the
+/// entries a skip loop over the full row would, in the same order.
+template <bool kSquared>
+inline void SegPassRunScalar(const double* values, const uint16_t* slots,
+                             const double* col_bases, size_t n,
+                             double row_base, double cluster_base,
+                             LaneAcc& acc) {
+  SegPassScalar<kSquared>(
+      values, [col_bases, slots](size_t k) { return col_bases[slots[k]]; },
+      n, row_base, cluster_base, acc);
+}
+
+/// Entries (values and slots) a run pass may read past a run's end: the
+/// vector kernels finish a run with one branch-free four-entry group
+/// whose lanes past the end are masked out (simd_dispatch.h). Holders
+/// of runs keep this many entries readable after every run.
+constexpr size_t kRunReadPad = 4;
+
+/// Whole run from fresh lanes, reduced: the run twin of
+/// SegPassDenseFullScalar.
+template <bool kSquared>
+inline double SegPassRunFullScalar(const double* values,
+                                   const uint16_t* slots,
+                                   const double* col_bases, size_t n,
+                                   double row_base, double cluster_base) {
+  LaneAcc acc;
+  SegPassRunScalar<kSquared>(values, slots, col_bases, n, row_base,
+                             cluster_base, acc);
+  return acc.Reduce();
+}
+
 /// Adds a run of precomputed contributions to `acc` in visit order, in
-/// the peel / 4-unroll / tail shape of SegPassDenseScalar.
+/// the peel / 4-unroll / tail shape of SegPassScalar.
 inline void AddRunScalar(const double* run, size_t n, LaneAcc& acc) {
   size_t k = 0;
   for (; (acc.p & 3) != 0 && k < n; ++k, ++acc.p) acc.l[acc.p & 3] += run[k];
@@ -115,45 +165,9 @@ inline void AddRunScalar(const double* run, size_t n, LaneAcc& acc) {
   for (; k < n; ++k, ++acc.p) acc.l[acc.p & 3] += run[k];
 }
 
-/// Positions per compaction chunk of the masked passes: the stack
-/// buffer's size, so no masked pass allocates.
+/// Positions per compaction chunk of the gathered masked pass: the stack
+/// buffer's size, so the pass never allocates.
 constexpr size_t kMaskedChunk = 64;
-
-/// Masked contiguous segment (pane rows with gaps): only positions with
-/// a nonzero mask byte are visited, and the lane phase advances only on
-/// them. Branch-free compaction, one chunk at a time: every position's
-/// contribution is computed and stored at cursor q, which advances only
-/// on specified entries; the compacted run is then added in visit order.
-template <bool kSquared>
-inline void SegPassMaskedScalar(const double* values, const uint8_t* mask,
-                                const double* col_bases, size_t n,
-                                double row_base, double cluster_base,
-                                LaneAcc& acc) {
-  double run[kMaskedChunk];
-  for (size_t start = 0; start < n; start += kMaskedChunk) {
-    size_t len = n - start < kMaskedChunk ? n - start : kMaskedChunk;
-    size_t q = 0;
-    for (size_t k = start; k < start + len; ++k) {
-      run[q] = Contribution<kSquared>(values[k], row_base, col_bases[k],
-                                      cluster_base);
-      q += mask[k] != 0;
-    }
-    AddRunScalar(run, q, acc);
-  }
-}
-
-/// Whole masked row from fresh lanes, reduced: the masked twin of
-/// SegPassDenseFullScalar.
-template <bool kSquared>
-inline double SegPassMaskedFullScalar(const double* values,
-                                      const uint8_t* mask,
-                                      const double* col_bases, size_t n,
-                                      double row_base, double cluster_base) {
-  LaneAcc acc;
-  SegPassMaskedScalar<kSquared>(values, mask, col_bases, n, row_base,
-                                cluster_base, acc);
-  return acc.Reduce();
-}
 
 /// Whole-row dense pass from fresh lanes: SegPassDenseScalar with phase
 /// 0 followed by the standard reduction. Split out so the hot per-row
@@ -172,8 +186,8 @@ inline double SegPassDenseFullScalar(const double* values,
 
 /// Dense gathered row (matrix rows addressed through a column-id list):
 /// starts from fresh lanes and reduces immediately, with visit order
-/// equal to position order so lane idx mod 4 reproduces the masked
-/// pass's lane pattern exactly.
+/// equal to position order so lane idx mod 4 reproduces the pane
+/// passes' lane pattern exactly.
 template <bool kSquared>
 inline double RowPassDenseScalar(const double* values, const uint32_t* cols,
                                  const double* col_bases, size_t n,
@@ -199,8 +213,10 @@ inline double RowPassDenseScalar(const double* values, const uint32_t* cols,
 }
 
 /// Masked gathered row (a matrix row with gaps, addressed through a
-/// column-id list; `values`/`mask` are indexed by column id): the same
-/// branch-free compaction as SegPassMaskedScalar, from fresh lanes.
+/// column-id list; `values`/`mask` are indexed by column id), from fresh
+/// lanes. Branch-free compaction, one chunk at a time: every position's
+/// contribution is stored at cursor q, which advances only on specified
+/// entries; the compacted run is then added in visit order.
 template <bool kSquared>
 inline double RowPassMaskedScalar(const double* values, const uint8_t* mask,
                                   const uint32_t* cols,

@@ -14,13 +14,12 @@
 // body. Nothing reassociates, nothing fuses, so every double produced
 // here equals the scalar kernel's bit for bit.
 //
-// The masked passes compute four contributions at once with the same
-// ContributionVec, then left-pack the specified ones (a
-// vpermps lookup keyed by the four mask bits) into a stack run at
-// cursor q, which advances by their count. The run is the sequence of
-// doubles the scalar compaction body stores, in the same order, and it
-// is added to the lanes with the same p mod 4 mapping -- bit-identical
-// again.
+// The run passes (holey pane rows, stored as their specified entries
+// plus uint16 pane-column slots) are the dense passes with each group's
+// four column bases loaded through the slots: run entry p still lands
+// in lane p mod 4 and meets the same base, so they are bit-identical
+// again. The whole-run pass ends in a masked four-entry group rather
+// than a scalar tail; see SegPassRunFullAvx2 for why that is exact.
 //
 // Only the unit-stride pane passes are vectorized; the gathered row
 // passes stay scalar -- see simd_dispatch.h.
@@ -30,6 +29,7 @@
 
 #include <immintrin.h>
 
+#include <cstdint>
 #include <cstring>
 
 namespace deltaclus {
@@ -106,131 +106,90 @@ double SegPassDenseFullAvx2(const double* values, const double* col_bases,
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
-// Left-pack lookup: for the 4-bit specified mask m of four doubles
-// (viewed as eight floats), idx[m] moves the selected doubles to the
-// front in order; count[m] is how many there are. Trailing slots are
-// don't-care: they land past the run's cursor and are overwritten.
-struct LeftPackTable {
-  alignas(32) int32_t idx[16][8];
-  uint8_t count[16];
-};
-
-constexpr LeftPackTable MakeLeftPackTable() {
-  LeftPackTable t{};
-  for (int m = 0; m < 16; ++m) {
-    int out = 0;
-    for (int b = 0; b < 4; ++b) {
-      if (((m >> b) & 1) == 0) continue;
-      t.idx[m][2 * out] = 2 * b;
-      t.idx[m][2 * out + 1] = 2 * b + 1;
-      ++out;
-    }
-    t.count[m] = static_cast<uint8_t>(out);
-  }
-  return t;
+// Column bases of run entries k..k+3: one scalar load per slot, packed
+// into a vector. (vgatherdpd measured no faster here, and loading the
+// slots as a vector to extract them measured 1.6x slower.)
+inline __m256d RunBases(const double* col_bases, const uint16_t* slots) {
+  return _mm256_set_pd(col_bases[slots[3]], col_bases[slots[2]],
+                       col_bases[slots[1]], col_bases[slots[0]]);
 }
 
-constexpr LeftPackTable kLeftPack = MakeLeftPackTable();
-
-// Bit b set iff mask byte b of four is nonzero.
-inline unsigned MaskBits4(const uint8_t* mask) {
-  int32_t m4 = 0;
-  std::memcpy(&m4, mask, sizeof(m4));
-  __m128i zero = _mm_cmpeq_epi8(_mm_cvtsi32_si128(m4), _mm_setzero_si128());
-  return ~static_cast<unsigned>(_mm_movemask_epi8(zero)) & 0xFu;
-}
-
-// A run holds a chunk plus up to three entries carried over from the
-// previous chunk; every 4-wide store starts at q <= carry + k with
-// k + 4 <= len, so it ends within the capacity.
-constexpr size_t kRunCapacity = kMaskedChunk + 4;
-
-// Compacts the contributions of the specified entries among the
-// `len` <= kMaskedChunk positions into run[q..), in position order, and
-// returns the new cursor.
+// Run segment into a carried LaneAcc: SegPassDenseAvx2 with each
+// entry's base read through its slot. Peel and tail are the scalar run
+// body, so nothing is read past the run.
 template <bool kSquared>
-inline size_t CompactAvx2(const double* values, const uint8_t* mask,
-                          const double* col_bases, size_t len,
-                          double row_base, double cluster_base, double* run,
-                          size_t q) {
+void SegPassRunAvx2(const double* values, const uint16_t* slots,
+                    const double* col_bases, size_t n, double row_base,
+                    double cluster_base, LaneAcc& acc) {
+  size_t k = 0;
+  for (; (acc.p & 3) != 0 && k < n; ++k, ++acc.p) {
+    acc.l[acc.p & 3] += Contribution<kSquared>(
+        values[k], row_base, col_bases[slots[k]], cluster_base);
+  }
   const __m256d rb = _mm256_set1_pd(row_base);
   const __m256d cb = _mm256_set1_pd(cluster_base);
   const __m256d sign = _mm256_set1_pd(-0.0);
-  size_t k = 0;
-  for (; k + 4 <= len; k += 4) {
-    __m256d c = ContributionVec<kSquared>(_mm256_loadu_pd(values + k), rb,
-                                          _mm256_loadu_pd(col_bases + k), cb,
-                                          sign);
-    unsigned bits = MaskBits4(mask + k);
-    __m256i perm = _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(kLeftPack.idx[bits]));
-    _mm256_storeu_pd(run + q, _mm256_castps_pd(_mm256_permutevar8x32_ps(
-                                  _mm256_castpd_ps(c), perm)));
-    q += kLeftPack.count[bits];
+  __m256d lanes = _mm256_loadu_pd(acc.l);
+  size_t unrolled_start = k;
+  for (; k + 4 <= n; k += 4) {
+    __m256d v = _mm256_loadu_pd(values + k);
+    __m256d b = RunBases(col_bases, slots + k);
+    lanes = _mm256_add_pd(lanes, ContributionVec<kSquared>(v, rb, b, cb,
+                                                           sign));
   }
-  for (; k < len; ++k) {
-    run[q] = Contribution<kSquared>(values[k], row_base, col_bases[k],
-                                    cluster_base);
-    q += mask[k] != 0;
-  }
-  return q;
-}
-
-// Masked segment into a carried LaneAcc: compact each chunk, then add
-// the run in the SegPassDenseAvx2 shape (scalar peel to lane 0, vector
-// body, scalar tail).
-template <bool kSquared>
-void SegPassMaskedAvx2(const double* values, const uint8_t* mask,
-                       const double* col_bases, size_t n, double row_base,
-                       double cluster_base, LaneAcc& acc) {
-  double run[kRunCapacity];
-  for (size_t start = 0; start < n; start += kMaskedChunk) {
-    size_t len = n - start < kMaskedChunk ? n - start : kMaskedChunk;
-    size_t q = CompactAvx2<kSquared>(values + start, mask + start,
-                                     col_bases + start, len, row_base,
-                                     cluster_base, run, 0);
-    size_t t = 0;
-    for (; (acc.p & 3) != 0 && t < q; ++t, ++acc.p) acc.l[acc.p & 3] += run[t];
-    __m256d lanes = _mm256_loadu_pd(acc.l);
-    size_t body_start = t;
-    for (; t + 4 <= q; t += 4) {
-      lanes = _mm256_add_pd(lanes, _mm256_loadu_pd(run + t));
-    }
-    _mm256_storeu_pd(acc.l, lanes);
-    acc.p += t - body_start;
-    for (; t < q; ++t, ++acc.p) acc.l[acc.p & 3] += run[t];
+  _mm256_storeu_pd(acc.l, lanes);
+  acc.p += k - unrolled_start;
+  for (; k < n; ++k, ++acc.p) {
+    acc.l[acc.p & 3] += Contribution<kSquared>(
+        values[k], row_base, col_bases[slots[k]], cluster_base);
   }
 }
 
-// Whole masked row from fresh lanes, reduced. Unlike the LaneAcc
-// wrapper the scalar table uses, the lanes stay in a register across
-// chunks: a chunk's last (q mod 4) entries carry over to the front of
-// the run, so run[0] always sits at lane 0 and no peel is needed. The
-// saving is per row (no lane spill, no phase-indexed tail), which
-// matters on short cluster rows: with the wrapper, 30%-missing mining
-// runs measured slower end to end.
+// kTailKeep + 3 - live holds `live` all-ones words, then zeros: the AND
+// mask of a tail group with `live` (0-3) entries in the run.
+constexpr int64_t kTailKeep[7] = {-1, -1, -1, 0, 0, 0, 0};
+
+// Whole run from fresh lanes, reduced. The run's last 0-3 entries go
+// through one branch-free four-entry group instead of a scalar tail:
+// a holey row of a skinny cluster is a run of one or two entries, and a
+// tail loop whose trip count changes from row to row mispredicts on
+// nearly every row. The group reads entries n..n+3 at most
+// (kRunReadPad); lanes past the run get slot 0 before the base load
+// (col_bases is non-empty) and a contribution AND-masked to +0.0 before
+// the add. Adding +0.0 leaves a lane's bits unchanged, because every
+// lane is a sum of |r| or r^2 terms from +0.0 and so is never -0.0.
 template <bool kSquared>
-double SegPassMaskedFullAvx2(const double* values, const uint8_t* mask,
-                             const double* col_bases, size_t n,
-                             double row_base, double cluster_base) {
-  double run[kRunCapacity];
+double SegPassRunFullAvx2(const double* values, const uint16_t* slots,
+                          const double* col_bases, size_t n, double row_base,
+                          double cluster_base) {
+  const __m256d rb = _mm256_set1_pd(row_base);
+  const __m256d cb = _mm256_set1_pd(cluster_base);
+  const __m256d sign = _mm256_set1_pd(-0.0);
   __m256d lanes_v = _mm256_setzero_pd();
-  size_t carry = 0;
-  for (size_t start = 0; start < n; start += kMaskedChunk) {
-    size_t len = n - start < kMaskedChunk ? n - start : kMaskedChunk;
-    size_t q = CompactAvx2<kSquared>(values + start, mask + start,
-                                     col_bases + start, len, row_base,
-                                     cluster_base, run, carry);
-    size_t t = 0;
-    for (; t + 4 <= q; t += 4) {
-      lanes_v = _mm256_add_pd(lanes_v, _mm256_loadu_pd(run + t));
-    }
-    carry = q - t;
-    for (size_t u = 0; u < carry; ++u) run[u] = run[t + u];
+  size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    __m256d v = _mm256_loadu_pd(values + k);
+    __m256d b = RunBases(col_bases, slots + k);
+    lanes_v = _mm256_add_pd(lanes_v, ContributionVec<kSquared>(v, rb, b, cb,
+                                                               sign));
   }
+  // Tail group: entries k..k+3, of which the first n - k (0-3) are live.
+  // The four slots are read as one word and the dead ones cleared.
+  size_t live = n - k;
+  uint64_t s4;
+  std::memcpy(&s4, slots + k, sizeof(s4));
+  s4 &= (uint64_t{1} << (16 * live)) - 1;
+  __m256d b = _mm256_set_pd(col_bases[s4 >> 48],
+                            col_bases[(s4 >> 32) & 0xFFFF],
+                            col_bases[(s4 >> 16) & 0xFFFF],
+                            col_bases[s4 & 0xFFFF]);
+  __m256d keep = _mm256_castsi256_pd(_mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kTailKeep + 3 - live)));
+  __m256d c = ContributionVec<kSquared>(_mm256_loadu_pd(values + k), rb, b,
+                                        cb, sign);
+  lanes_v = _mm256_add_pd(lanes_v, _mm256_and_pd(c, keep));
   double lanes[4];
   _mm256_storeu_pd(lanes, lanes_v);
-  for (size_t u = 0; u < carry; ++u) lanes[u] += run[u];
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
@@ -238,10 +197,10 @@ double SegPassMaskedFullAvx2(const double* values, const uint8_t* mask,
 
 const SimdKernels* Avx2KernelsOrNull() {
   static const SimdKernels table = {
-      SegPassDenseAvx2<false>,      SegPassDenseAvx2<true>,
-      SegPassDenseFullAvx2<false>,  SegPassDenseFullAvx2<true>,
-      SegPassMaskedAvx2<false>,     SegPassMaskedAvx2<true>,
-      SegPassMaskedFullAvx2<false>, SegPassMaskedFullAvx2<true>,
+      SegPassDenseAvx2<false>,     SegPassDenseAvx2<true>,
+      SegPassDenseFullAvx2<false>, SegPassDenseFullAvx2<true>,
+      SegPassRunAvx2<false>,       SegPassRunAvx2<true>,
+      SegPassRunFullAvx2<false>,   SegPassRunFullAvx2<true>,
       "avx2"};
   return &table;
 }

@@ -6,8 +6,8 @@
 // -ffp-contract=off (src/CMakeLists.txt) so the compiler cannot fuse a
 // vmulq/vaddq pair into the FMA the scalar build never performs. NEON
 // has no gather, so the gathered row passes stay scalar here -- only the
-// contiguous dense pane segments vectorize; the masked slots point at
-// the scalar compaction bodies.
+// contiguous dense pane segments vectorize; the run slots point at the
+// scalar run bodies.
 #include "src/core/simd_dispatch.h"
 
 #if defined(__aarch64__)
@@ -96,10 +96,10 @@ const SimdKernels* NeonKernelsOrNull() {
   static const SimdKernels table = {
       SegPassDenseNeon<false>,     SegPassDenseNeon<true>,
       SegPassDenseFullNeon<false>, SegPassDenseFullNeon<true>,
-      // Masked slots: the scalar compaction bodies. A NEON left-pack
-      // needs an aarch64 host to verify against the scalar reference.
-      SegPassMaskedScalar<false>,     SegPassMaskedScalar<true>,
-      SegPassMaskedFullScalar<false>, SegPassMaskedFullScalar<true>,
+      // Run slots: the scalar bodies. NEON has no gather, so a run's
+      // slot-indexed base loads are scalar either way.
+      SegPassRunScalar<false>,     SegPassRunScalar<true>,
+      SegPassRunFullScalar<false>, SegPassRunFullScalar<true>,
       "neon"};
   return &table;
 }

@@ -17,8 +17,8 @@ const SimdKernels& ScalarKernels() {
   static const SimdKernels table = {
       SegPassDenseScalar<false>,     SegPassDenseScalar<true>,
       SegPassDenseFullScalar<false>, SegPassDenseFullScalar<true>,
-      SegPassMaskedScalar<false>,     SegPassMaskedScalar<true>,
-      SegPassMaskedFullScalar<false>, SegPassMaskedFullScalar<true>,
+      SegPassRunScalar<false>,       SegPassRunScalar<true>,
+      SegPassRunFullScalar<false>,   SegPassRunFullScalar<true>,
       "scalar"};
   return table;
 }

@@ -1,4 +1,4 @@
-// Runtime CPU-feature dispatch for the gain kernels (dense and masked).
+// Runtime CPU-feature dispatch for the gain kernels (dense and run).
 //
 // The CPU is probed once (first use); the best available kernel table --
 // AVX2 on x86-64 that reports it, NEON on AArch64, the scalar bodies in
@@ -32,10 +32,17 @@ enum class SimdMode { kAuto, kOff };
 /// A complete gain-kernel table for one ISA. seg_* stream a contiguous
 /// packed-pane slice into a caller-carried LaneAcc; seg_full_* scan a
 /// whole row from fresh lanes and return the reduction (the hot per-row
-/// call -- no LaneAcc spills around the call). The seg_masked_* twins
-/// take the slice's mask bytes too and visit only specified entries, by
-/// branch-free compaction (residue_kernels.h). _abs/_sq select the
-/// residue norm (|r| vs r^2).
+/// call -- no LaneAcc spills around the call). The seg_run_* twins scan
+/// a holey row's specified-entry run (values plus uint16 pane-column
+/// slots; residue_kernels.h), reading each entry's base through its
+/// slot. _abs/_sq select the residue norm (|r| vs r^2).
+///
+/// Bounded tail: seg_run_full_* may read up to four run entries (values
+/// and slots) past the run's end, so the caller keeps that many readable
+/// past every run (PackedPane pads its arrays; kRunReadPad), and
+/// col_bases must be non-empty. Those entries never reach a result:
+/// their slots are masked to 0 before the base load and their
+/// contributions to +0.0 before the add.
 ///
 /// Only the unit-stride pane passes are dispatched. The gathered
 /// matrix-row passes (RowPass*Scalar in residue_kernels.h) are NOT in
@@ -51,22 +58,21 @@ struct SimdKernels {
   using SegDenseFullFn = double (*)(const double* values,
                                     const double* col_bases, size_t n,
                                     double row_base, double cluster_base);
-  using SegMaskedFn = void (*)(const double* values, const uint8_t* mask,
-                               const double* col_bases, size_t n,
-                               double row_base, double cluster_base,
-                               LaneAcc& acc);
-  using SegMaskedFullFn = double (*)(const double* values,
-                                     const uint8_t* mask,
-                                     const double* col_bases, size_t n,
-                                     double row_base, double cluster_base);
+  using SegRunFn = void (*)(const double* values, const uint16_t* slots,
+                            const double* col_bases, size_t n,
+                            double row_base, double cluster_base,
+                            LaneAcc& acc);
+  using SegRunFullFn = double (*)(const double* values, const uint16_t* slots,
+                                  const double* col_bases, size_t n,
+                                  double row_base, double cluster_base);
   SegDenseFn seg_dense_abs;
   SegDenseFn seg_dense_sq;
   SegDenseFullFn seg_full_abs;
   SegDenseFullFn seg_full_sq;
-  SegMaskedFn seg_masked_abs;
-  SegMaskedFn seg_masked_sq;
-  SegMaskedFullFn seg_masked_full_abs;
-  SegMaskedFullFn seg_masked_full_sq;
+  SegRunFn seg_run_abs;
+  SegRunFn seg_run_sq;
+  SegRunFullFn seg_run_full_abs;
+  SegRunFullFn seg_run_full_sq;
   const char* name;  ///< "scalar" | "avx2" | "neon"
 };
 

@@ -197,7 +197,7 @@ MiningSession::MiningSession(
     pending_restore_ = cp.pending_restore != 0;
     best_average_ = cp.best_average;
     prior_elapsed_seconds_ = cp.prior_elapsed_seconds;
-    walls_.seeding = cp.seeding_seconds;
+    walls_ = cp.walls;
     // ResumeSession verified it against this matrix.
     matrix_fingerprint_ = cp.matrix_fingerprint;
     {
@@ -626,7 +626,7 @@ void MiningSession::Checkpoint(const std::string& path) const {
   cp.pending_restore = pending_restore_ ? 1 : 0;
   cp.best_average = best_average_;
   cp.prior_elapsed_seconds = ElapsedSeconds();
-  cp.seeding_seconds = walls_.seeding;
+  cp.walls = walls_;
   {
     std::ostringstream os;
     os << rng_.engine();

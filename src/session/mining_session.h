@@ -258,22 +258,13 @@ class MiningSession {
   // that audits its toggles.
   bool audit_occupancy_ = false;
 
-  // Wall seconds of each perf-report phase, summed once here as the
-  // steps run and handed to the perf report by Finish(). `seeding` is
-  // Phase 1's (carried through checkpoints); the others cover this
-  // segment's steps.
-  struct PhaseWalls {
-    double seeding = 0.0;
-    double move_phase = 0.0;
-    double determine = 0.0;  ///< Within move_phase: gain determination.
-    double apply = 0.0;      ///< Within move_phase: the apply sweep.
-    double refine = 0.0;
-    double reseed = 0.0;     ///< Restart bookkeeping only.
-  };
-
   FlocResult result_;
   Stopwatch stopwatch_;
   double prior_elapsed_seconds_ = 0.0;  ///< From pre-resume segments.
+  // Wall seconds of each perf-report phase, summed once here as the
+  // steps run and handed to the perf report by Finish(). A resumed
+  // session starts from the checkpoint's walls, so they cover every
+  // segment, like ElapsedSeconds().
   PhaseWalls walls_;
 };
 

@@ -250,7 +250,12 @@ void WriteSessionCheckpoint(const SessionCheckpoint& cp,
   w.U8(cp.pending_restore);
   w.F64(cp.best_average);
   w.F64(cp.prior_elapsed_seconds);
-  w.F64(cp.seeding_seconds);
+  w.F64(cp.walls.seeding);
+  w.F64(cp.walls.move_phase);
+  w.F64(cp.walls.determine);
+  w.F64(cp.walls.apply);
+  w.F64(cp.walls.refine);
+  w.F64(cp.walls.reseed);
   w.String(cp.rng_state);
   for (const ClusterMembers& m : cp.clusters) w.Members(m);
   w.U64(cp.stagnant.size());
@@ -376,7 +381,12 @@ SessionCheckpoint ReadSessionCheckpoint(const std::string& path,
   cp.pending_restore = r.U8();
   cp.best_average = r.F64();
   cp.prior_elapsed_seconds = r.F64();
-  cp.seeding_seconds = r.F64();
+  cp.walls.seeding = r.F64();
+  cp.walls.move_phase = r.F64();
+  cp.walls.determine = r.F64();
+  cp.walls.apply = r.F64();
+  cp.walls.refine = r.F64();
+  cp.walls.reseed = r.F64();
   cp.rng_state = r.String();
   cp.clusters.reserve(static_cast<size_t>(k));
   for (uint64_t c = 0; c < k; ++c) {

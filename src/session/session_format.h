@@ -20,7 +20,8 @@
 //       72    56  reserved, zero
 //
 // The payload is the session's entire algorithmic state in declaration
-// order of SessionCheckpoint: the state-machine position, the RNG
+// order of SessionCheckpoint (plus the phase walls its perf report
+// sums across segments): the state-machine position, the RNG
 // engine (the exact mt19937_64 stream state, via the standard library's
 // guaranteed textual serialization), and the cluster memberships -- one
 // list for the live views, which at every step boundary are the best
@@ -71,7 +72,20 @@ inline constexpr size_t kDcsHeaderBytes = 128;
 
 /// Format magic ("dcs1") and the current version.
 inline constexpr char kDcsMagic[4] = {'d', 'c', 's', '1'};
-inline constexpr uint32_t kDcsVersion = 4;
+inline constexpr uint32_t kDcsVersion = 5;
+
+/// Wall seconds of each perf-report phase, summed by MiningSession as its
+/// steps run and carried through checkpoints, so a resumed run reports
+/// the walls of every segment (as its total time does). `seeding` is
+/// Phase 1's; determine and apply lie within move_phase.
+struct PhaseWalls {
+  double seeding = 0.0;
+  double move_phase = 0.0;
+  double determine = 0.0;  ///< Within move_phase: gain determination.
+  double apply = 0.0;      ///< Within move_phase: the apply sweep.
+  double refine = 0.0;
+  double reseed = 0.0;     ///< Restart bookkeeping only.
+};
 
 /// One cluster's membership, as sorted parent-space id lists (the
 /// canonical form Cluster stores and Cluster::FromMembers accepts).
@@ -98,7 +112,7 @@ struct SessionCheckpoint {
   uint8_t pending_restore = 0;  ///< A reseed round awaits restore-worse.
   double best_average = 0.0;
   double prior_elapsed_seconds = 0.0;  ///< Wall seconds of earlier segments.
-  double seeding_seconds = 0.0;
+  PhaseWalls walls;  ///< Phase walls of earlier segments (six doubles).
   std::string rng_state;  ///< mt19937_64 textual stream state.
   std::vector<ClusterMembers> clusters;  ///< The live (= best) clustering.
   std::vector<uint64_t> stagnant;       ///< Reseeded slots (pending restore).

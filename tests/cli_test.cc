@@ -282,12 +282,12 @@ TEST(CliTest, ResumeRejectsCheckpointOfAnotherVersion) {
   ASSERT_NE(stopped.out.find("wrote session checkpoint"), std::string::npos)
       << stopped.out;
 
-  // Rewrite the header's format version (u32 at offset 4) to 3, the
-  // previous layout (it carried a per-iteration history section).
+  // Rewrite the header's format version (u32 at offset 4) to 4, the
+  // previous layout (it carried Phase-1 seeding as its only phase wall).
   std::fstream f(checkpoint, std::ios::in | std::ios::out | std::ios::binary);
   f.seekp(4);
-  const char v3[4] = {3, 0, 0, 0};
-  f.write(v3, sizeof(v3));
+  const char v4[4] = {4, 0, 0, 0};
+  f.write(v4, sizeof(v4));
   f.close();
 
   CliRun resumed = RunCliArgs({"mine", "--input", matrix_path, "--k=4",

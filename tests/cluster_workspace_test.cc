@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <optional>
+#include <vector>
+
 #include "src/core/audit.h"
 #include "src/core/residue.h"
 #include "src/obs/metrics.h"
@@ -224,24 +228,57 @@ TEST(ClusterWorkspaceTest, AlternatingNormsNeverServeStaleNumerators) {
   }
 }
 
-// The logical pane contents (resolved through both indirections) must
-// mirror the cluster's submatrix exactly.
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The logical pane contents (resolved through the row-slot indirection)
+// must mirror the cluster's submatrix exactly: each pane row's run is
+// the row's specified entries in column order, `RunLength` of them,
+// with each entry's pane-column slot while the row has holes, and the
+// row's base is the stats' bits. The same
+// must hold for -- and agree bit for bit with -- a fresh rebuild of the
+// same membership, so a patched pane is indistinguishable from one
+// built from scratch.
 void ExpectPaneMirrorsCluster(const ClusterWorkspace& ws) {
   const PackedPane& pane = ws.EnsurePane();
+  ClusterWorkspace fresh = ws;
+  fresh.InvalidatePane();
+  const PackedPane& rebuilt = fresh.EnsurePane();
   const Cluster& c = ws.cluster();
   const DataMatrix& m = ws.matrix();
-  ASSERT_EQ(pane.num_cols, c.col_ids().size());
+  size_t n = c.col_ids().size();
+  ASSERT_EQ(pane.num_cols, n);
+  ASSERT_EQ(rebuilt.num_cols, n);
   ASSERT_EQ(pane.row_slots.size(), c.row_ids().size());
+  ASSERT_EQ(rebuilt.row_slots.size(), c.row_ids().size());
   for (size_t pr = 0; pr < c.row_ids().size(); ++pr) {
-    for (size_t pc = 0; pc < c.col_ids().size(); ++pc) {
-      size_t i = c.row_ids()[pr];
+    size_t i = c.row_ids()[pr];
+    std::vector<double> want_values;
+    std::vector<uint16_t> want_slots;
+    for (size_t pc = 0; pc < n; ++pc) {
       size_t j = c.col_ids()[pc];
-      ASSERT_EQ(pane.MaskAt(pr, pc) != 0, m.IsSpecified(i, j))
-          << "pr=" << pr << " pc=" << pc;
-      if (m.IsSpecified(i, j)) {
-        ASSERT_EQ(pane.ValueAt(pr, pc), m.Value(i, j))
-            << "pr=" << pr << " pc=" << pc;
-      }
+      if (!m.IsSpecified(i, j)) continue;
+      want_values.push_back(m.Value(i, j));
+      want_slots.push_back(static_cast<uint16_t>(pc));
+    }
+    size_t len = want_values.size();
+    ASSERT_EQ(pane.RunLength(pr), len) << "pr=" << pr;
+    ASSERT_EQ(rebuilt.RunLength(pr), len) << "pr=" << pr;
+    ASSERT_TRUE(SameBits(pane.RowBase(pr), ws.stats().RowBase(i)))
+        << "pr=" << pr;
+    ASSERT_TRUE(SameBits(rebuilt.RowBase(pr), ws.stats().RowBase(i)))
+        << "pr=" << pr;
+    ASSERT_EQ(pane.RowDense(pr), len == n) << "pr=" << pr;
+    for (size_t k = 0; k < len; ++k) {
+      ASSERT_TRUE(SameBits(pane.Row(pr)[k], want_values[k]))
+          << "pr=" << pr << " k=" << k;
+      ASSERT_TRUE(SameBits(rebuilt.Row(pr)[k], want_values[k]))
+          << "pr=" << pr << " k=" << k;
+      if (len == n) continue;  // a dense row's slots are implied
+      ASSERT_EQ(pane.Slots(pr)[k], want_slots[k]) << "pr=" << pr << " k=" << k;
+      ASSERT_EQ(rebuilt.Slots(pr)[k], want_slots[k])
+          << "pr=" << pr << " k=" << k;
     }
   }
 }
@@ -329,6 +366,152 @@ TEST(ClusterWorkspaceTest, RandomizedTogglePatchingMatchesRebuild) {
     ExpectPaneMirrorsCluster(ws);
     if (HasFatalFailure()) return;
   }
+}
+
+// The run upkeep of column patches on a 30%-missing matrix: seeded
+// random toggle walks from several starting shapes, checked against the
+// matrix and a fresh rebuild after every toggle. Rows gain and lose
+// holes, runs shrink to nothing and grow back, and both patch-decline
+// paths (capacity, dead rows) hand over to compacting rebuilds.
+TEST(ClusterWorkspaceTest, RandomizedHoleyTogglePatchingMatchesRebuild) {
+  SyntheticConfig config;
+  config.rows = 50;
+  config.cols = 30;
+  config.num_clusters = 3;
+  config.noise_stddev = 1.0;
+  config.missing_fraction = 0.3;
+  config.seed = 29;
+  SyntheticDataset data = GenerateSynthetic(config);
+  for (uint64_t seed : {3u, 11u, 31u}) {
+    Rng rng(seed);
+    ClusterWorkspace ws(
+        data.matrix,
+        Cluster::FromMembers(50, 30, rng.SampleWithoutReplacement(50, 6),
+                             rng.SampleWithoutReplacement(30, 2)));
+    ws.EnsurePane();
+    for (int step = 0; step < 400; ++step) {
+      if (rng.Bernoulli(0.5)) {
+        ws.ToggleRow(rng.UniformIndex(50));
+      } else {
+        ws.ToggleCol(rng.UniformIndex(30));
+      }
+      ExpectPaneMirrorsCluster(ws);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+DataMatrix HoleyMatrix() {
+  // Row 0 dense; row 1's only hole is column 2; row 2 all missing;
+  // row 3 holey at both ends; row 4 alternating.
+  constexpr std::nullopt_t kNa = std::nullopt;
+  return DataMatrix::FromOptionalRows({
+      {1.0, 2.0, 3.0, 4.0, 5.0},
+      {6.0, 7.0, kNa, 8.0, 9.0},
+      {kNa, kNa, kNa, kNa, kNa},
+      {kNa, 1.5, 2.5, 3.5, kNa},
+      {4.5, kNa, 5.5, kNa, 6.5},
+  });
+}
+
+TEST(ClusterWorkspaceTest, ColumnRemovalAtFirstAndLastPanePosition) {
+  DataMatrix m = HoleyMatrix();
+  ClusterWorkspace ws(m, Cluster::FromMembers(5, 5, {0, 1, 2, 3, 4},
+                                              {0, 1, 2, 3, 4}));
+  ws.EnsurePane();
+  ws.ToggleCol(0);  // first pane position
+  EXPECT_TRUE(ws.PaneValid());
+  ExpectPaneMirrorsCluster(ws);
+  ws.ToggleCol(4);  // last pane position
+  EXPECT_TRUE(ws.PaneValid());
+  ExpectPaneMirrorsCluster(ws);
+  ws.ToggleCol(0);  // and back in at the front and the back
+  ws.ToggleCol(4);
+  EXPECT_TRUE(ws.PaneValid());
+  ExpectPaneMirrorsCluster(ws);
+}
+
+TEST(ClusterWorkspaceTest, RowTurnsDenseThenHoleyAgain) {
+  DataMatrix m = HoleyMatrix();
+  ClusterWorkspace ws(m, Cluster::FromMembers(5, 5, {0, 1}, {0, 1, 2, 3}));
+  const PackedPane& pane = ws.EnsurePane();
+  ASSERT_FALSE(pane.RowDense(1));
+  ws.ToggleCol(2);  // row 1's only hole leaves: its run is the whole row
+  ASSERT_TRUE(ws.PaneValid());
+  EXPECT_TRUE(ws.EnsurePane().RowDense(1));
+  ExpectPaneMirrorsCluster(ws);
+  ws.ToggleCol(2);  // and comes back: the row's slots are rebuilt
+  ASSERT_TRUE(ws.PaneValid());
+  EXPECT_FALSE(ws.EnsurePane().RowDense(1));
+  ExpectPaneMirrorsCluster(ws);
+  ws.ToggleCol(4);  // a specified column appended past every slot
+  ExpectPaneMirrorsCluster(ws);
+}
+
+TEST(ClusterWorkspaceTest, AllMissingRowHasAnEmptyRun) {
+  DataMatrix m = HoleyMatrix();
+  ClusterWorkspace ws(m, Cluster::FromMembers(5, 5, {0, 3}, {1, 2}));
+  ws.EnsurePane();
+  ws.ToggleRow(2);  // spliced in with an empty run
+  ASSERT_TRUE(ws.PaneValid());
+  const PackedPane& pane = ws.EnsurePane();
+  EXPECT_EQ(pane.RunLength(1), 0u);  // row 2 sits between rows 0 and 3
+  ExpectPaneMirrorsCluster(ws);
+  for (size_t j : {0u, 1u, 2u, 4u}) {
+    ws.ToggleCol(j);
+    ExpectPaneMirrorsCluster(ws);
+  }
+  ResidueEngine engine;
+  ws.InvalidateResidue();
+  EXPECT_NEAR(engine.Residue(ws),
+              ClusterResidueNaive(m, ws.cluster(), ResidueNorm::kMeanAbsolute),
+              1e-12);
+}
+
+TEST(ClusterWorkspaceTest, DeclinedPatchThenCompactingRebuild) {
+  SyntheticConfig config;
+  config.rows = 40;
+  config.cols = 30;
+  config.num_clusters = 2;
+  config.missing_fraction = 0.3;
+  config.seed = 37;
+  SyntheticDataset data = GenerateSynthetic(config);
+  bool was_enabled = obs::MetricsRegistry::Enabled();
+  obs::MetricsRegistry::SetEnabled(true);
+  obs::Counter* compactions =
+      obs::MetricsRegistry::Global().GetCounter("floc.pane.compactions");
+  // A 2-column pane has phys_stride 2 + 8 = 10: the ninth added column
+  // finds no capacity, declines, and the next EnsurePane rebuilds.
+  ClusterWorkspace ws(data.matrix,
+                      Cluster::FromMembers(40, 30, {0, 1, 2, 3, 4, 5}, {0, 1}));
+  ws.EnsurePane();
+  uint64_t before = compactions->Value();
+  size_t j = 2;
+  while (compactions->Value() == before && j < 30) {
+    ws.ToggleCol(j++);
+    if (ws.PaneValid()) ExpectPaneMirrorsCluster(ws);
+    if (HasFatalFailure()) break;
+  }
+  obs::MetricsRegistry::SetEnabled(was_enabled);
+  ASSERT_GT(compactions->Value(), before);
+  EXPECT_FALSE(ws.PaneValid());
+  ExpectPaneMirrorsCluster(ws);  // the compacting rebuild
+  EXPECT_TRUE(ws.PaneValid());
+  // Patching resumes on the rebuilt pane.
+  ws.ToggleCol(2);
+  EXPECT_TRUE(ws.PaneValid());
+  ExpectPaneMirrorsCluster(ws);
+}
+
+// A run's slots are uint16, so a pane spans at most kMaxPaneCols
+// columns; a wider cluster is refused when its pane is built.
+TEST(ClusterWorkspaceTest, PaneWiderThanItsSlotsReachIsRefused) {
+  size_t cols = kMaxPaneCols + 1;
+  DataMatrix m(1, cols, 1.0);
+  std::vector<size_t> all(cols);
+  for (size_t j = 0; j < cols; ++j) all[j] = j;
+  ClusterWorkspace ws(m, Cluster::FromMembers(1, cols, {0}, all));
+  EXPECT_DEATH(ws.EnsurePane(), "too wide");
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <unistd.h>
@@ -34,6 +35,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/cluster.h"
@@ -153,6 +155,52 @@ FlocConfig PaperModeConfig(size_t refine_passes) {
   config.perform_negative_actions = true;
   config.refine_passes = refine_passes;
   return config;
+}
+
+// A resumed run's perf report covers every session segment: each phase
+// wall it reports is at least the checkpointed one, as its total time
+// covers the earlier segments' elapsed time. The checkpoint is taken at
+// the last step boundary, so the resumed segment alone runs no move
+// sweep and its own walls could not reach the checkpointed ones.
+TEST(SessionTest, ResumedRunReportsEveryPhaseWall) {
+  SyntheticDataset data = MakeData(5, 0.3);
+  FlocConfig config = PaperModeConfig(1);
+  size_t steps = 0;
+  {
+    Floc floc(config);
+    std::unique_ptr<MiningSession> straight = floc.StartSession(data.matrix);
+    while (straight->Step()) ++steps;
+  }
+  ASSERT_GT(steps, 2u);
+  Floc floc(config);
+  std::unique_ptr<MiningSession> first = floc.StartSession(data.matrix);
+  for (size_t step = 0; step + 1 < steps; ++step) ASSERT_TRUE(first->Step());
+  std::string path = TempPath("session_walls_resume.dcs");
+  first->Checkpoint(path);
+  SessionCheckpoint cp = ReadSessionCheckpoint(path, path);
+  ASSERT_GT(cp.walls.move_phase, 0.0);
+  ASSERT_GT(cp.walls.determine, 0.0);
+
+  Floc resumer(config);
+  std::unique_ptr<MiningSession> second =
+      resumer.ResumeSession(data.matrix, path);
+  while (second->Step()) {
+  }
+  FlocResult resumed = second->Finish();
+  const std::pair<const char*, double> checkpointed[] = {
+      {"seeding", cp.walls.seeding},   {"move_phase", cp.walls.move_phase},
+      {"determine", cp.walls.determine}, {"apply", cp.walls.apply},
+      {"refine", cp.walls.refine},     {"reseed", cp.walls.reseed}};
+  for (const auto& [name, wall] : checkpointed) {
+    const obs::PerfPhase* phase = nullptr;
+    for (const obs::PerfPhase& p : resumed.perf.phases) {
+      if (p.name == name) phase = &p;
+    }
+    ASSERT_NE(phase, nullptr) << name;
+    EXPECT_GE(phase->wall_seconds, wall) << name;
+  }
+  EXPECT_GE(resumed.perf.total_seconds,
+            cp.prior_elapsed_seconds + cp.walls.seeding);
 }
 
 // The core gate: a checkpoint taken at *every* step boundary of a run
@@ -668,14 +716,33 @@ TEST_F(SessionRejectTest, BadMagicRejected) {
 
 TEST_F(SessionRejectTest, VersionMismatchRejected) {
   // 1 carried per-cluster memo heat; 2 carried a best-clustering list
-  // and the live views' stats bits; 3 carried the per-iteration history.
-  for (char version : {1, 2, 3, 99}) {
+  // and the live views' stats bits; 3 carried the per-iteration history;
+  // 4 carried Phase-1 seeding as its only phase wall.
+  for (char version : {1, 2, 3, 4, 99}) {
     std::vector<char> bytes = ReadAllBytes(*valid_path_);
     bytes[4] = version;
     std::string path = TempPath("session_bad_version.dcs");
     WriteAllBytes(path, bytes);
     ExpectRejects(path, "version mismatch");
   }
+}
+
+// All six phase walls travel through a checkpoint as bit patterns.
+TEST_F(SessionRejectTest, CheckpointRoundTripsPhaseWallsExactly) {
+  SessionCheckpoint cp = ReadSessionCheckpoint(*valid_path_, *valid_path_);
+  EXPECT_GT(cp.walls.move_phase, 0.0) << "two steps ran before the checkpoint";
+  cp.walls = {0.1 + 0.2, 1e300, std::numeric_limits<double>::denorm_min(),
+              3.0 / 7.0, 0.0, 1.25};
+  std::string path = TempPath("session_walls.dcs");
+  WriteSessionCheckpoint(cp, path);
+  SessionCheckpoint back = ReadSessionCheckpoint(path, path);
+  const double want[] = {cp.walls.seeding, cp.walls.move_phase,
+                         cp.walls.determine, cp.walls.apply,
+                         cp.walls.refine, cp.walls.reseed};
+  const double got[] = {back.walls.seeding, back.walls.move_phase,
+                        back.walls.determine, back.walls.apply,
+                        back.walls.refine, back.walls.reseed};
+  EXPECT_EQ(std::memcmp(want, got, sizeof(want)), 0);
 }
 
 TEST_F(SessionRejectTest, EndiannessMismatchRejected) {

@@ -6,8 +6,9 @@
 //   1. Kernel-level: every function in the best-available table is fed
 //      the same random segments/rows (across lane phases, lengths, and
 //      both norms) and must reproduce the scalar output bit for bit.
-//      The masked slots (branch-free compaction) are additionally held
-//      to the plain skip loop kept below as their reference.
+//      The run slots (holey rows as specified-entry runs) and the
+//      gathered masked row pass are additionally held to the plain skip
+//      loop kept below as their reference.
 //   2. End-to-end: full FLOC runs with --simd off vs auto must take
 //      identical actions and emit identical clusters, across thread
 //      counts {1, 8}, dense and sparse (missing-entry) data, both
@@ -21,6 +22,8 @@
 // same comparison through the CLI via DELTACLUS_SIMD.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -56,9 +59,9 @@ class ScopedSimdMode {
   SimdMode saved_;
 };
 
-// The reference masked pass: the skip loop the compaction kernels
-// replaced. Visits only specified entries; the phase advances only on
-// them. `cols` (optional) makes it the gathered row pass.
+// The reference masked pass: a skip loop over the full row. Visits only
+// specified entries; the phase advances only on them. `cols` (optional)
+// makes it the gathered row pass.
 template <bool kSquared>
 void SkipLoopReference(const double* values, const uint8_t* mask,
                        const uint32_t* cols, const double* col_bases,
@@ -81,9 +84,9 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-// Mask patterns for the masked-slot contract: uniform densities from
-// empty to full, plus long runs of holes (a whole chunk and more) between
-// short specified bursts.
+// Mask patterns for the run and masked-row contracts: uniform densities
+// from empty to full, plus long runs of holes (a whole compaction chunk
+// and more) between short specified bursts.
 std::vector<uint8_t> MaskPattern(int pattern, size_t n, Rng& rng) {
   static constexpr double kDensity[] = {0.0, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0};
   std::vector<uint8_t> mask(n, 0);
@@ -100,7 +103,8 @@ std::vector<uint8_t> MaskPattern(int pattern, size_t n, Rng& rng) {
 constexpr int kMaskPatterns = 8;
 
 // Unspecified positions carry poison (nan, +-inf, denormals): the
-// compaction kernels compute on them and must throw the result away.
+// gathered compaction pass computes on them and must throw the result
+// away, and a run must never contain them.
 std::vector<double> PoisonedValues(const std::vector<uint8_t>& mask,
                                    Rng& rng) {
   static const double kPoison[] = {
@@ -115,15 +119,50 @@ std::vector<double> PoisonedValues(const std::vector<uint8_t>& mask,
   return values;
 }
 
+// A holey row as the pane stores it (src/core/cluster_workspace.h): the
+// specified entries of `values` left-packed with their positions as
+// slots. kRunReadPad entries follow the run, as in the pane: poison
+// values, and slots that index one past the end of the row's
+// column-base array, so a vector tail that let either reach a load or a
+// lane would fail the bit comparison or the sanitizer.
+struct PaneRun {
+  std::vector<double> values;
+  std::vector<uint16_t> slots;
+  size_t len = 0;
+};
+
+PaneRun MakeRun(const std::vector<double>& values,
+                const std::vector<uint8_t>& mask) {
+  static const double kPoison[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(), -1e-310};
+  PaneRun run;
+  for (size_t k = 0; k < mask.size(); ++k) {
+    if (!mask[k]) continue;
+    run.values.push_back(values[k]);
+    run.slots.push_back(static_cast<uint16_t>(k));
+  }
+  run.len = run.values.size();
+  for (size_t t = 0; t < kRunReadPad; ++t) {
+    run.values.push_back(kPoison[t % 4]);
+    run.slots.push_back(static_cast<uint16_t>(mask.size()));
+  }
+  return run;
+}
+
+// Both run slots of `table` against the skip loop over the full row:
+// the carried pass from every lane phase (with distinct lane contents),
+// and the whole-run pass from fresh lanes.
 template <bool kSquared>
-void CheckMaskedSlots(const SimdKernels& table, const std::vector<double>& values,
-                      const std::vector<uint8_t>& mask,
-                      const std::vector<double>& col_bases, double row_base,
-                      double cluster_base, const std::string& label) {
+void CheckRunSlots(const SimdKernels& table, const std::vector<double>& values,
+                   const std::vector<uint8_t>& mask,
+                   const std::vector<double>& col_bases, double row_base,
+                   double cluster_base, const std::string& label) {
   size_t n = values.size();
-  auto seg = kSquared ? table.seg_masked_sq : table.seg_masked_abs;
-  auto seg_full =
-      kSquared ? table.seg_masked_full_sq : table.seg_masked_full_abs;
+  PaneRun run = MakeRun(values, mask);
+  auto seg = kSquared ? table.seg_run_sq : table.seg_run_abs;
+  auto seg_full = kSquared ? table.seg_run_full_sq : table.seg_run_full_abs;
   for (size_t phase = 0; phase < 4; ++phase) {
     LaneAcc ref, scalar, dispatched;
     for (size_t l = 0; l < 4; ++l) {
@@ -134,11 +173,11 @@ void CheckMaskedSlots(const SimdKernels& table, const std::vector<double>& value
     SkipLoopReference<kSquared>(values.data(), mask.data(), nullptr,
                                 col_bases.data(), n, row_base, cluster_base,
                                 ref);
-    SegPassMaskedScalar<kSquared>(values.data(), mask.data(),
-                                  col_bases.data(), n, row_base, cluster_base,
-                                  scalar);
-    seg(values.data(), mask.data(), col_bases.data(), n, row_base,
-        cluster_base, dispatched);
+    SegPassRunScalar<kSquared>(run.values.data(), run.slots.data(),
+                               col_bases.data(), run.len, row_base,
+                               cluster_base, scalar);
+    seg(run.values.data(), run.slots.data(), col_bases.data(), run.len,
+        row_base, cluster_base, dispatched);
     ASSERT_TRUE(SameBits(ref, scalar)) << label << " scalar phase=" << phase;
     ASSERT_TRUE(SameBits(ref, dispatched))
         << label << " " << table.name << " phase=" << phase;
@@ -148,31 +187,70 @@ void CheckMaskedSlots(const SimdKernels& table, const std::vector<double>& value
                               col_bases.data(), n, row_base, cluster_base,
                               fresh);
   double ref_full = fresh.Reduce();
-  ASSERT_TRUE(SameBits(ref_full, SegPassMaskedFullScalar<kSquared>(
-                                     values.data(), mask.data(),
-                                     col_bases.data(), n, row_base,
+  ASSERT_TRUE(SameBits(ref_full, SegPassRunFullScalar<kSquared>(
+                                     run.values.data(), run.slots.data(),
+                                     col_bases.data(), run.len, row_base,
                                      cluster_base)))
       << label << " scalar full";
-  ASSERT_TRUE(SameBits(ref_full, seg_full(values.data(), mask.data(),
-                                          col_bases.data(), n, row_base,
-                                          cluster_base)))
+  ASSERT_TRUE(SameBits(ref_full,
+                       seg_full(run.values.data(), run.slots.data(),
+                                col_bases.data(), run.len, row_base,
+                                cluster_base)))
       << label << " " << table.name << " full";
 }
 
-// The masked slots of both the scalar and the best table reproduce the
-// skip loop bit for bit: every length 0..200 (which crosses the 64-entry
-// compaction chunk at 63/64/65 and 128/129), every starting lane phase,
-// densities 0..100% and long hole runs, both norms.
-TEST(SimdDispatchTest, MaskedSlotsBitIdenticalToSkipLoop) {
-  const SimdKernels* tables[2];
+// The scalar and best tables each as the other sees them: the kernel
+// table at --simd=off and at auto.
+std::vector<const SimdKernels*> ScalarAndBestTables() {
+  std::vector<const SimdKernels*> tables;
   {
     ScopedSimdMode off(SimdMode::kOff);
-    tables[0] = &ActiveSimdKernels();
+    tables.push_back(&ActiveSimdKernels());
   }
   ScopedSimdMode on(SimdMode::kAuto);
-  tables[1] = &ActiveSimdKernels();
+  tables.push_back(&ActiveSimdKernels());
+  return tables;
+}
+
+// The run slots of both the scalar and the best table reproduce the
+// skip loop over the full row bit for bit, for every run length 0-9 and
+// 63-65 (the vector body's group boundaries and the branch-free tail's
+// 0-3 live lanes), with 0, 1 and many holes between the entries, every
+// starting lane phase, and both norms.
+TEST(SimdDispatchTest, RunSlotsBitIdenticalToSkipLoop) {
+  std::vector<const SimdKernels*> tables = ScalarAndBestTables();
   Rng rng(47);
-  for (size_t n = 0; n <= 200; ++n) {
+  std::vector<size_t> lengths = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65};
+  for (size_t len : lengths) {
+    for (size_t holes : {size_t{0}, size_t{1}, size_t{2}, len / 2 + 3}) {
+      size_t n = len + holes;
+      if (n == 0) continue;  // a scan never runs without pane columns
+      std::vector<uint8_t> mask(n, 1);
+      for (size_t pos : rng.SampleWithoutReplacement(n, holes)) mask[pos] = 0;
+      std::vector<double> values = PoisonedValues(mask, rng);
+      std::vector<double> col_bases(n);
+      for (double& b : col_bases) b = rng.Uniform(-2.0, 2.0);
+      double row_base = rng.Uniform(-2.0, 2.0);
+      double cluster_base = rng.Uniform(-1.0, 1.0);
+      std::string label =
+          "len=" + std::to_string(len) + " holes=" + std::to_string(holes);
+      for (const SimdKernels* table : tables) {
+        CheckRunSlots<false>(*table, values, mask, col_bases, row_base,
+                             cluster_base, label + " abs");
+        CheckRunSlots<true>(*table, values, mask, col_bases, row_base,
+                            cluster_base, label + " sq");
+      }
+    }
+  }
+}
+
+// The same contract over the mask shapes mining meets: row widths 1-200
+// at densities 0-100% and long hole runs, so runs of every length up to
+// 200 and every tail phase occur.
+TEST(SimdDispatchTest, RunSlotsBitIdenticalAcrossDensities) {
+  std::vector<const SimdKernels*> tables = ScalarAndBestTables();
+  Rng rng(61);
+  for (size_t n = 1; n <= 200; ++n) {
     std::vector<double> col_bases(n);
     for (double& b : col_bases) b = rng.Uniform(-2.0, 2.0);
     double row_base = rng.Uniform(-2.0, 2.0);
@@ -183,34 +261,71 @@ TEST(SimdDispatchTest, MaskedSlotsBitIdenticalToSkipLoop) {
       std::string label =
           "n=" + std::to_string(n) + " pattern=" + std::to_string(pattern);
       for (const SimdKernels* table : tables) {
-        CheckMaskedSlots<false>(*table, values, mask, col_bases, row_base,
-                                cluster_base, label + " abs");
-        CheckMaskedSlots<true>(*table, values, mask, col_bases, row_base,
-                               cluster_base, label + " sq");
+        CheckRunSlots<false>(*table, values, mask, col_bases, row_base,
+                             cluster_base, label + " abs");
+        CheckRunSlots<true>(*table, values, mask, col_bases, row_base,
+                            cluster_base, label + " sq");
       }
     }
   }
 }
 
-// The column-toggle kernel's masked row shapes: two slices around a
-// skipped pane column (removal) or one slice plus an appended entry
-// (addition), with the phase carried between calls. Held here to two
-// slices plus an appended entry against one skip loop over the whole
-// visit sequence.
-TEST(SimdDispatchTest, SplitMaskedSegmentsBitIdenticalToOnePass) {
-  ScopedSimdMode on(SimdMode::kAuto);
-  const SimdKernels& simd = ActiveSimdKernels();
+// The column-toggle kernel's run shapes: on removal the run splits where
+// its slots pass the removed column, whose entry (if specified) is
+// skipped; on addition the whole run is followed by one appended entry.
+// Both with the phase carried between calls, against one skip loop over
+// the post-toggle visit sequence.
+TEST(SimdDispatchTest, SplitRunSegmentsBitIdenticalToOnePass) {
   Rng rng(53);
-  for (size_t n : {2u, 5u, 9u, 64u, 66u, 130u, 200u}) {
-    for (int pattern = 0; pattern < kMaskPatterns; ++pattern) {
-      // Visit sequence: n pane entries then one appended entry.
-      std::vector<uint8_t> mask = MaskPattern(pattern, n + 1, rng);
-      std::vector<double> values = PoisonedValues(mask, rng);
-      std::vector<double> col_bases(n + 1);
-      for (double& b : col_bases) b = rng.Uniform(-2.0, 2.0);
-      double row_base = rng.Uniform(-2.0, 2.0);
-      double cluster_base = rng.Uniform(-1.0, 1.0);
-      for (size_t split : {size_t{0}, size_t{1}, n / 3, n - 1, n}) {
+  for (const SimdKernels* table : ScalarAndBestTables()) {
+    for (size_t n : {1u, 2u, 5u, 9u, 64u, 66u, 130u, 200u}) {
+      for (int pattern = 0; pattern < kMaskPatterns; ++pattern) {
+        std::vector<uint8_t> mask = MaskPattern(pattern, n + 1, rng);
+        std::vector<double> values = PoisonedValues(mask, rng);
+        std::vector<double> col_bases(n + 1);
+        for (double& b : col_bases) b = rng.Uniform(-2.0, 2.0);
+        double row_base = rng.Uniform(-2.0, 2.0);
+        double cluster_base = rng.Uniform(-1.0, 1.0);
+        // Pane row: the first n positions; position n is the appended
+        // column of an addition.
+        std::vector<uint8_t> pane_mask(mask.begin(), mask.begin() + n);
+        PaneRun run = MakeRun(values, pane_mask);
+        std::string label = std::string(table->name) + " n=" +
+                            std::to_string(n) + " pattern=" +
+                            std::to_string(pattern);
+        // Removal of pane column jj.
+        for (size_t jj : {size_t{0}, size_t{1}, n / 3, n - 1}) {
+          if (jj >= n) continue;
+          std::vector<uint8_t> visit = pane_mask;
+          visit[jj] = 0;
+          LaneAcc ref_abs, ref_sq, abs, sq;
+          SkipLoopReference<false>(values.data(), visit.data(), nullptr,
+                                   col_bases.data(), n, row_base,
+                                   cluster_base, ref_abs);
+          SkipLoopReference<true>(values.data(), visit.data(), nullptr,
+                                  col_bases.data(), n, row_base, cluster_base,
+                                  ref_sq);
+          size_t split = static_cast<size_t>(
+              std::lower_bound(run.slots.begin(),
+                               run.slots.begin() +
+                                   static_cast<std::ptrdiff_t>(run.len),
+                               jj) -
+              run.slots.begin());
+          size_t rest = split + (pane_mask[jj] ? 1 : 0);
+          for (auto [pos, len] :
+               {std::pair{size_t{0}, split}, {rest, run.len - rest}}) {
+            table->seg_run_abs(run.values.data() + pos, run.slots.data() + pos,
+                               col_bases.data(), len, row_base, cluster_base,
+                               abs);
+            table->seg_run_sq(run.values.data() + pos, run.slots.data() + pos,
+                              col_bases.data(), len, row_base, cluster_base,
+                              sq);
+          }
+          ASSERT_TRUE(SameBits(ref_abs, abs)) << label << " jj=" << jj;
+          ASSERT_TRUE(SameBits(ref_sq, sq)) << label << " jj=" << jj;
+        }
+        // Addition: the whole run, then the appended entry (as the
+        // kernel visits it, only when specified).
         LaneAcc ref_abs, ref_sq, abs, sq;
         SkipLoopReference<false>(values.data(), mask.data(), nullptr,
                                  col_bases.data(), n + 1, row_base,
@@ -218,20 +333,21 @@ TEST(SimdDispatchTest, SplitMaskedSegmentsBitIdenticalToOnePass) {
         SkipLoopReference<true>(values.data(), mask.data(), nullptr,
                                 col_bases.data(), n + 1, row_base,
                                 cluster_base, ref_sq);
-        for (auto [pos, len] : {std::pair{size_t{0}, split},
-                                {split, n - split}, {n, size_t{1}}}) {
-          simd.seg_masked_abs(values.data() + pos, mask.data() + pos,
-                              col_bases.data() + pos, len, row_base,
-                              cluster_base, abs);
-          simd.seg_masked_sq(values.data() + pos, mask.data() + pos,
-                             col_bases.data() + pos, len, row_base,
-                             cluster_base, sq);
-        }
-        ASSERT_TRUE(SameBits(ref_abs, abs))
-            << "n=" << n << " pattern=" << pattern << " split=" << split;
-        ASSERT_TRUE(SameBits(ref_sq, sq))
-            << "n=" << n << " pattern=" << pattern << " split=" << split;
-        ASSERT_TRUE(SameBits(ref_abs.Reduce(), abs.Reduce()));
+        table->seg_run_abs(run.values.data(), run.slots.data(),
+                           col_bases.data(), run.len, row_base, cluster_base,
+                           abs);
+        table->seg_run_sq(run.values.data(), run.slots.data(),
+                          col_bases.data(), run.len, row_base, cluster_base,
+                          sq);
+        SkipLoopReference<false>(values.data() + n, mask.data() + n, nullptr,
+                                 col_bases.data() + n, 1, row_base,
+                                 cluster_base, abs);
+        SkipLoopReference<true>(values.data() + n, mask.data() + n, nullptr,
+                                col_bases.data() + n, 1, row_base,
+                                cluster_base, sq);
+        ASSERT_TRUE(SameBits(ref_abs, abs)) << label << " append";
+        ASSERT_TRUE(SameBits(ref_sq, sq)) << label << " append";
+        ASSERT_TRUE(SameBits(ref_abs.Reduce(), abs.Reduce())) << label;
       }
     }
   }
@@ -467,8 +583,9 @@ TEST(SimdDispatchTest, FlocBitIdenticalSimdOffVsAuto) {
   }
 }
 
-// The masked kernels compute on unspecified cells before discarding
-// them, so an unspecified cell's payload must never reach a result. A
+// An unspecified cell's payload must never reach a result: pane runs
+// hold only specified entries, and the gathered added-row pass computes
+// on unspecified cells before discarding them. A
 // .dcm whose unspecified cells hold nan, +-inf and denormals (payload
 // checksum left stale: only DcmVerify::kFull reads it, and the default
 // open maps the file without) must mine exactly what the zero-filled
