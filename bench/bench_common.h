@@ -1,6 +1,6 @@
 // Shared helpers for the experiment drivers (one binary per paper
-// table/figure). Each driver accepts --quick (or env
-// DELTACLUS_BENCH_QUICK=1) to run a reduced sweep, prints column-aligned
+// table/figure). Each driver accepts --quick to run a reduced sweep,
+// prints column-aligned
 // tables mirroring the paper's, and emits a machine-readable
 // BENCH_<name>.json record through BenchReport so CI (and humans) can
 // diff runs without scraping stdout. scripts/validate_bench_json.py
@@ -25,16 +25,12 @@
 
 namespace deltaclus::bench {
 
-/// True when a reduced sweep was requested via --quick or
-/// DELTACLUS_BENCH_QUICK=1.
+/// True when a reduced sweep was requested via --quick.
 inline bool QuickMode(int argc, char** argv) {
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--quick") == 0) return true;
   }
-  // Bench mains are single-threaded at option-parse time.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* env = std::getenv("DELTACLUS_BENCH_QUICK");
-  return env != nullptr && std::string(env) == "1";
+  return false;
 }
 
 /// Worker threads for FLOC's gain-determination phase.
@@ -71,26 +67,19 @@ using BenchRow = std::vector<std::pair<std::string, std::string>>;
 ///   report.AddResult({{"ratio", Num(r)}, {"seconds", Num(s)}});
 ///   ...  // Write() runs at destruction
 ///
-/// The record lands in BENCH_<name>.json under, in order of preference:
-/// the --json-out=PATH flag (full path), the DELTACLUS_BENCH_JSON_DIR
-/// environment variable (directory), or the working directory.
+/// The record lands at the --json-out=PATH flag's path, else in
+/// BENCH_<name>.json in the working directory.
 class BenchReport {
  public:
   BenchReport(std::string name, int argc, char** argv)
-      : name_(std::move(name)), quick_(QuickMode(argc, argv)) {
+      : name_(std::move(name)),
+        quick_(QuickMode(argc, argv)),
+        path_("BENCH_" + name_ + ".json") {
     for (int a = 1; a < argc; ++a) {
       constexpr const char* kJsonOut = "--json-out=";
       if (std::strncmp(argv[a], kJsonOut, std::strlen(kJsonOut)) == 0) {
         path_ = argv[a] + std::strlen(kJsonOut);
       }
-    }
-    if (path_.empty()) {
-      // Constructor runs before the bench spawns workers.
-      // NOLINTNEXTLINE(concurrency-mt-unsafe)
-      const char* dir = std::getenv("DELTACLUS_BENCH_JSON_DIR");
-      path_ = (dir != nullptr && dir[0] != '\0')
-                  ? std::string(dir) + "/BENCH_" + name_ + ".json"
-                  : "BENCH_" + name_ + ".json";
     }
   }
 

@@ -349,7 +349,7 @@ void BM_GainDetermination(benchmark::State& state) {
   GainMemo memo;
   memo.Configure(data.matrix.rows(), data.matrix.cols(), views.size());
   GainDeterminer determiner(ResidueNorm::kMeanAbsolute, 0.0, pool.get(),
-                            engine::EngineConfig::kDefaultSerialCutoff,
+                            engine::kSerialCutoff,
                             &memo);
   for (auto _ : state) {
     benchmark::DoNotOptimize(

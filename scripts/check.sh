@@ -14,9 +14,14 @@
 #   ubsan   standalone strict-UBSan preset: configure, build, ctest
 #   audit   FLOC invariant-audit mode: floc/property test binaries rerun
 #           with DELTACLUS_AUDIT=1 (see docs/DEVELOPMENT.md)
+#   trajectory
+#           the committed-record gates: dcstat compares checked-in
+#           bench/trajectory/ records against each other (speedup floors,
+#           the telemetry-overhead envelope); needs no build tree
 #   bench   run one small bench binary in --quick mode and validate its
-#           BENCH_*.json record against scripts/bench_schema.json; pin
-#           the checked-in speedup/whole-run trajectory records
+#           BENCH_*.json record against scripts/bench_schema.json, run
+#           the trajectory stage, and hold fresh quick runs to floors
+#           under the checked-in load-path and whole-run records
 #
 # Usage:
 #   scripts/check.sh              # everything
@@ -139,23 +144,8 @@ stage_audit() {
   fi
 }
 
-stage_bench() {
-  note "bench (quick run + BENCH json schema validation)"
-  if [ ! -x build/bench/bench_fig8_seed_volume ]; then
-    cmake --preset default >/dev/null
-    cmake --build --preset default -j "$JOBS" --target bench_fig8_seed_volume
-  fi
-  local out
-  out="$(mktemp -d)"
-  if ./build/bench/bench_fig8_seed_volume --quick \
-        --json-out="$out/BENCH_fig8_seed_volume.json" \
-      && python3 scripts/validate_bench_json.py \
-        "$out/BENCH_fig8_seed_volume.json"; then
-    echo "bench: BENCH json valid"
-  else
-    fail "bench run or BENCH json validation"
-  fi
-  rm -rf "$out"
+stage_trajectory() {
+  note "trajectory (gates over the committed bench/trajectory/ records)"
   # Telemetry-overhead envelope (PR 2): the full-telemetry FLOC run must
   # stay within 1.10x of the telemetry-off run. Gated on the checked-in
   # PR 5 record via dcstat, so it is deterministic; refresh the record
@@ -168,24 +158,6 @@ stage_bench() {
   else
     fail "telemetry overhead gate (tools/dcstat.py overhead)"
   fi
-  # A live mine run must produce a perf report that validates against
-  # scripts/perf_report_schema.json (the CLI --perf-report contract).
-  if [ ! -x build/tools/deltaclus_cli ]; then
-    cmake --build --preset default -j "$JOBS" --target deltaclus_cli
-  fi
-  out="$(mktemp -d)"
-  if ./build/tools/deltaclus_cli generate --rows 80 --cols 20 --clusters 3 \
-        --seed 5 --out "$out/m.csv" >/dev/null \
-      && ./build/tools/deltaclus_cli mine --input "$out/m.csv" --k 3 \
-        --seed 7 --out "$out/c.txt" \
-        --perf-report="$out/perf_report.json" >/dev/null \
-      && python3 scripts/validate_bench_json.py \
-        --schema scripts/perf_report_schema.json "$out/perf_report.json"; then
-    echo "bench: perf report json valid"
-  else
-    fail "perf report generation/schema validation"
-  fi
-  rm -rf "$out"
   # Pin the recorded kernel-speedup trajectory (bench/trajectory/): the
   # gain kernels and memoized determination must stay >= 2x their
   # pre-optimization baseline. Compares two checked-in records, so this
@@ -302,6 +274,44 @@ stage_bench() {
   else
     fail "end-to-end bench gate (pre_pr10 vs pr10 table2_3 records)"
   fi
+}
+
+stage_bench() {
+  note "bench (quick run + BENCH json schema validation)"
+  if [ ! -x build/bench/bench_fig8_seed_volume ]; then
+    cmake --preset default >/dev/null
+    cmake --build --preset default -j "$JOBS" --target bench_fig8_seed_volume
+  fi
+  local out
+  out="$(mktemp -d)"
+  if ./build/bench/bench_fig8_seed_volume --quick \
+        --json-out="$out/BENCH_fig8_seed_volume.json" \
+      && python3 scripts/validate_bench_json.py \
+        "$out/BENCH_fig8_seed_volume.json"; then
+    echo "bench: BENCH json valid"
+  else
+    fail "bench run or BENCH json validation"
+  fi
+  rm -rf "$out"
+  # A live mine run must produce a perf report that validates against
+  # scripts/perf_report_schema.json (the CLI --perf-report contract).
+  if [ ! -x build/tools/deltaclus_cli ]; then
+    cmake --build --preset default -j "$JOBS" --target deltaclus_cli
+  fi
+  out="$(mktemp -d)"
+  if ./build/tools/deltaclus_cli generate --rows 80 --cols 20 --clusters 3 \
+        --seed 5 --out "$out/m.csv" >/dev/null \
+      && ./build/tools/deltaclus_cli mine --input "$out/m.csv" --k 3 \
+        --seed 7 --out "$out/c.txt" \
+        --perf-report="$out/perf_report.json" >/dev/null \
+      && python3 scripts/validate_bench_json.py \
+        --schema scripts/perf_report_schema.json "$out/perf_report.json"; then
+    echo "bench: perf report json valid"
+  else
+    fail "perf report generation/schema validation"
+  fi
+  rm -rf "$out"
+  stage_trajectory
   # Load-path floor: a fresh quick run of the storage load benchmarks
   # (CSV parse, .dcm convert, mmap open, heap copy) must stay within 3x
   # of the checked-in record. Loose for CI-hardware tolerance, but an
@@ -350,8 +360,8 @@ STAGES=("$@")
 
 for stage in "${STAGES[@]}"; do
   case "$stage" in
-    lint|format|tidy|build|release|asan|tsan|ubsan|audit|bench) "stage_$stage" ;;
-    *) echo "unknown stage: $stage (expected: lint format tidy build release asan tsan ubsan audit bench)"; exit 2 ;;
+    lint|format|tidy|build|release|asan|tsan|ubsan|audit|trajectory|bench) "stage_$stage" ;;
+    *) echo "unknown stage: $stage (expected: lint format tidy build release asan tsan ubsan audit trajectory bench)"; exit 2 ;;
   esac
 done
 

@@ -62,27 +62,21 @@ commands:
             tools/dcstat.py).
             --threads N sizes the execution engine (default 1; 0 = all
             hardware threads; results are bit-identical at any count).
-            The DELTACLUS_THREADS environment variable supplies the
-            default when the flag is absent.
             [--backend=mem|mmap] picks the matrix storage backend
-            (default mem; the DELTACLUS_BACKEND environment variable
-            supplies the default when the flag is absent). mmap maps
-            .dcm inputs directly; text inputs are compiled to an
-            unlinked temporary .dcm first. Results are bit-identical
-            across backends.
+            (default mem). mmap maps .dcm inputs directly; text inputs
+            are compiled to an unlinked temporary .dcm first. Results
+            are bit-identical across backends.
             [--simd=auto|off] picks the gain-kernel dispatch (default
             auto = best ISA the CPU reports, e.g. AVX2; off pins the
-            scalar reference kernels; the DELTACLUS_SIMD environment
-            variable supplies the default when the flag is absent).
-            Results are bit-identical either way.
+            scalar reference kernels). Results are bit-identical
+            either way.
             observability (see docs/OBSERVABILITY.md):
             [--telemetry off|summary|full] [--telemetry-out run.jsonl]
             [--trace-out trace.json] [--metrics-out metrics.json]
-            [--metrics-format=json|prom] [--perf-report[=report.json]]
+            [--perf-report[=report.json]]
             --perf-report without a value prints the per-phase
             attribution table; with =PATH it writes the report JSON
-            (feed it to tools/dcstat.py). --metrics-format=prom writes
-            --metrics-out in Prometheus text exposition format.
+            (feed it to tools/dcstat.py).
   stats     summarize a clustering
             --input matrix.csv --clusters clusters.txt
             [--truth truth.txt] [--backend=mem|mmap] [--simd=auto|off]
@@ -105,25 +99,12 @@ int UsageError(std::ostream& err, const std::string& message) {
   return 1;
 }
 
-// Storage-backend selection: --backend wins, then DELTACLUS_BACKEND,
-// then the in-memory backend. A malformed environment value exits 2
-// (like DELTACLUS_THREADS); a malformed flag value is a usage error.
-// Returns 0 and sets *backend on success.
+// Storage-backend selection: --backend, default the in-memory backend.
+// A malformed value is a usage error. Returns 0 and sets *backend on
+// success.
 int ResolveBackend(FlagParser& flags, std::ostream& err,
                    MatrixBackend* backend) {
-  std::string selected = "mem";
-  // Read once at startup, before any worker thread exists.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  if (const char* env = std::getenv("DELTACLUS_BACKEND");
-      env != nullptr && env[0] != '\0') {
-    selected = env;
-    if (selected != "mem" && selected != "mmap") {
-      err << "error: DELTACLUS_BACKEND must be 'mem' or 'mmap', got "
-          << selected << "\n";
-      return 2;
-    }
-  }
-  selected = flags.StringOr("backend", selected);
+  std::string selected = flags.StringOr("backend", "mem");
   if (selected == "mem") {
     *backend = MatrixBackend::kMem;
   } else if (selected == "mmap") {
@@ -135,26 +116,13 @@ int ResolveBackend(FlagParser& flags, std::ostream& err,
   return 0;
 }
 
-// SIMD kernel dispatch: --simd wins, then DELTACLUS_SIMD, then auto.
-// `auto` picks the best ISA the CPU reports; `off` pins the scalar
-// reference kernels. Result-neutral either way (the SIMD kernels are
-// bit-identical to scalar by the LaneAcc contract), so like --threads
-// and --backend this never enters the config fingerprint. Env reads
-// stay at the CLI boundary (dclint banned-getenv).
+// SIMD kernel dispatch: --simd, default auto. `auto` picks the best
+// ISA the CPU reports; `off` pins the scalar reference kernels.
+// Result-neutral either way (the SIMD kernels are bit-identical to
+// scalar by the LaneAcc contract), so like --threads and --backend
+// this never enters the config fingerprint.
 int ResolveSimd(FlagParser& flags, std::ostream& err) {
-  std::string selected = "auto";
-  // Read once at startup, before any worker thread exists.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  if (const char* env = std::getenv("DELTACLUS_SIMD");
-      env != nullptr && env[0] != '\0') {
-    selected = env;
-    if (selected != "auto" && selected != "off") {
-      err << "error: DELTACLUS_SIMD must be 'auto' or 'off', got "
-          << selected << "\n";
-      return 2;
-    }
-  }
-  selected = flags.StringOr("simd", selected);
+  std::string selected = flags.StringOr("simd", "auto");
   if (selected == "auto") {
     SetSimdMode(SimdMode::kAuto);
   } else if (selected == "off") {
@@ -167,47 +135,26 @@ int ResolveSimd(FlagParser& flags, std::ostream& err) {
 }
 
 // Budget/threads-style numeric settings resolve through this one
-// checked parser instead of per-flag copies: --<flag> wins, then the
-// `env_var` environment variable (when non-null and non-empty), then
+// checked parser instead of per-flag copies: --<flag> if given, else
 // `def`. Accepted values are finite non-negative numbers; `integer`
 // additionally rejects fractional values (thread counts, iteration
-// caps). A bad value -- from either source -- exits 2 naming the
-// offending flag or variable. Returns 0 and stores into *value on
-// success. A malformed environment value is rejected even when the
-// flag overrides it, matching the original DELTACLUS_THREADS handling.
-int ParseSizeFlag(FlagParser& flags, const std::string& flag,
-                  const char* env_var, bool integer, double def,
-                  double* value, std::ostream& err) {
-  const auto parse = [integer](const std::string& text, double* parsed) {
-    errno = 0;
-    char* end = nullptr;
-    double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
-        !std::isfinite(v) || v < 0.0 || (integer && v != std::floor(v))) {
-      return false;
-    }
-    *parsed = v;
-    return true;
-  };
-  const char* expected = integer ? "integer" : "number";
+// caps). A bad value exits 2 naming the flag. Returns 0 and stores
+// into *value on success.
+int ParseSizeFlag(FlagParser& flags, const std::string& flag, bool integer,
+                  double def, double* value, std::ostream& err) {
   *value = def;
-  if (env_var != nullptr) {
-    // Read once at startup, before any worker thread exists.
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    if (const char* env = std::getenv(env_var);
-        env != nullptr && env[0] != '\0' && !parse(env, value)) {
-      err << "error: " << env_var << " is not a non-negative " << expected
-          << ": " << env << "\n";
-      return 2;
-    }
+  std::optional<std::string> raw = flags.GetString(flag);
+  if (!raw) return 0;
+  errno = 0;
+  char* end = nullptr;
+  double v = std::strtod(raw->c_str(), &end);
+  if (end == raw->c_str() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(v) || v < 0.0 || (integer && v != std::floor(v))) {
+    err << "error: --" << flag << " is not a non-negative "
+        << (integer ? "integer" : "number") << ": " << *raw << "\n";
+    return 2;
   }
-  if (std::optional<std::string> raw = flags.GetString(flag)) {
-    if (!parse(*raw, value)) {
-      err << "error: --" << flag << " is not a non-negative " << expected
-          << ": " << *raw << "\n";
-      return 2;
-    }
-  }
+  *value = v;
   return 0;
 }
 
@@ -341,12 +288,12 @@ int CmdMine(FlagParser& flags, std::ostream& out, std::ostream& err) {
   config.seeding.col_probability = flags.DoubleOr("col-probability", 0.2);
   config.refine_passes = static_cast<size_t>(flags.IntOr("refine", 2));
   config.reseed_rounds = static_cast<size_t>(flags.IntOr("reseed", 2));
-  // Thread count: --threads wins, then DELTACLUS_THREADS, then serial.
-  // 0 means std::thread::hardware_concurrency(); either way results are
+  // Thread count, default serial. 0 means
+  // std::thread::hardware_concurrency(); either way results are
   // bit-identical (the engine shards work independently of the count).
   double threads = 1;
-  if (int rc = ParseSizeFlag(flags, "threads", "DELTACLUS_THREADS",
-                             /*integer=*/true, 1, &threads, err)) {
+  if (int rc = ParseSizeFlag(flags, "threads", /*integer=*/true, 1, &threads,
+                             err)) {
     return rc;
   }
   config.threads = static_cast<int>(threads);
@@ -354,12 +301,12 @@ int CmdMine(FlagParser& flags, std::ostream& out, std::ostream& err) {
   // checked parser. 0 means unbounded.
   double deadline_s = 0.0;
   double max_iterations = 0.0;
-  if (int rc = ParseSizeFlag(flags, "deadline-s", /*env_var=*/nullptr,
-                             /*integer=*/false, 0.0, &deadline_s, err)) {
+  if (int rc = ParseSizeFlag(flags, "deadline-s", /*integer=*/false, 0.0,
+                             &deadline_s, err)) {
     return rc;
   }
-  if (int rc = ParseSizeFlag(flags, "max-iterations", /*env_var=*/nullptr,
-                             /*integer=*/true, 0.0, &max_iterations, err)) {
+  if (int rc = ParseSizeFlag(flags, "max-iterations", /*integer=*/true, 0.0,
+                             &max_iterations, err)) {
     return rc;
   }
   config.deadline_seconds = deadline_s;
@@ -396,11 +343,6 @@ int CmdMine(FlagParser& flags, std::ostream& out, std::ostream& err) {
   std::string telemetry_out = flags.StringOr("telemetry-out", "");
   std::string trace_out = flags.StringOr("trace-out", "");
   std::string metrics_out = flags.StringOr("metrics-out", "");
-  std::string metrics_format = flags.StringOr("metrics-format", "json");
-  if (metrics_format != "json" && metrics_format != "prom") {
-    return UsageError(err,
-                      "unknown --metrics-format '" + metrics_format + "'");
-  }
   // A bare --perf-report prints the text table; =PATH writes JSON.
   bool perf_report_requested = flags.GetBool("perf-report");
   std::string perf_report_path = flags.StringOr("perf-report", "");
@@ -527,12 +469,8 @@ int CmdMine(FlagParser& flags, std::ostream& out, std::ostream& err) {
     }
   }
   if (!metrics_out.empty()) {
-    bool wrote = metrics_format == "prom"
-        ? obs::MetricsRegistry::Global().WriteExpositionFile(metrics_out)
-        : obs::MetricsRegistry::Global().WriteJsonFile(metrics_out);
-    if (wrote) {
-      out << "wrote metrics snapshot (" << metrics_format << ") to "
-          << metrics_out << "\n";
+    if (obs::MetricsRegistry::Global().WriteJsonFile(metrics_out)) {
+      out << "wrote metrics snapshot to " << metrics_out << "\n";
     } else {
       err << "error: cannot write --metrics-out " << metrics_out << "\n";
       return 2;

@@ -40,7 +40,7 @@ std::vector<AppliedAction> ActionApplier::Apply(
   // inline, it would only move the same scans around.
   bool warm = config.fresh_gains_at_apply && memo_ != nullptr &&
               pool_ != nullptr && pool_->threads() > 1 &&
-              kApplyWindow * k >= engine::EngineConfig::kDefaultSerialCutoff;
+              kApplyWindow * k >= engine::kSerialCutoff;
 
   for (size_t pos = 0; pos < order.size(); ++pos) {
     if (warm && pos % kApplyWindow == 0) {

@@ -57,7 +57,6 @@ std::vector<std::string> FlocConfig::Validate() const {
   if (annealing_temperature < 0) {
     problems.push_back("annealing_temperature must be >= 0");
   }
-  if (min_improvement < 0) problems.push_back("min_improvement must be >= 0");
   if (relative_improvement < 0) {
     problems.push_back("relative_improvement must be >= 0");
   }

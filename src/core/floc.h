@@ -58,6 +58,12 @@ class MiningSession;
 struct SessionCheckpoint;
 }  // namespace session
 
+/// Absolute improvement floor: an iteration must lower the best average
+/// score, a refinement toggle or re-pick must lower a cluster's score,
+/// and a reseeded slot must beat its saved score by more than this to
+/// count as an improvement.
+inline constexpr double kMinImprovement = 1e-9;
+
 /// Tuning knobs for one FLOC run.
 struct FlocConfig {
   /// Number k of clusters to discover.
@@ -96,10 +102,6 @@ struct FlocConfig {
   /// Hard cap on Phase-2 iterations (the paper observes ~5-11 in
   /// practice; the cap is a safety net, not a tuning knob).
   size_t max_iterations = 100;
-
-  /// An iteration must lower the best average residue by more than this
-  /// to count as an improvement.
-  double min_improvement = 1e-9;
 
   /// Optional *relative* convergence tolerance: when > 0, an iteration
   /// only counts as improving if it lowers the best average score by
@@ -288,6 +290,12 @@ class Floc {
   FlocResult RunWithSeeds(const DataMatrix& matrix,
                           std::vector<Cluster> seeds);
 
+  /// Every entry point below (and Run/RunWithSeeds above) throws
+  /// std::invalid_argument naming the limit, before any mining starts,
+  /// when a cluster could outgrow a packed pane (kMaxPaneCols columns):
+  /// when both matrix.cols() and constraints.max_cols exceed it, or
+  /// when an initial cluster is already wider.
+  ///
   /// Opens a stepwise mining session: Phase-1 seeding runs eagerly, then
   /// the returned session owns the Phase-2 state machine -- call Step()
   /// until it returns false, then Finish() (see

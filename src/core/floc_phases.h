@@ -157,7 +157,7 @@ void WarmGainMemo(const std::vector<Action>& actions, const size_t* window,
 /// the action vector and tallies blocked toggles into its own slot,
 /// merged in shard order afterwards -- so the result is bit-identical
 /// for any pool size, including the inline serial path below
-/// `serial_cutoff` (see EngineConfig::kDefaultSerialCutoff).
+/// `serial_cutoff` (see engine::kSerialCutoff).
 class GainDeterminer {
  public:
   /// `pool` is non-owning and may be null (serial). `serial_cutoff` is
@@ -167,7 +167,7 @@ class GainDeterminer {
   /// outlive the determiner); `audit_memo` recomputes every memo hit.
   GainDeterminer(ResidueNorm norm, double target_residue,
                  engine::ThreadPool* pool,
-                 size_t serial_cutoff = engine::EngineConfig::kDefaultSerialCutoff,
+                 size_t serial_cutoff = engine::kSerialCutoff,
                  GainMemo* memo = nullptr, bool audit_memo = false)
       : norm_(norm),
         target_residue_(target_residue),
@@ -271,7 +271,7 @@ struct AppliedAction {
 ///
 /// With fresh gains, a memo, a pool of more than one thread and a window
 /// of kApplyWindow x k pairs large enough for ParallelApply to fan out
-/// (at least EngineConfig::kDefaultSerialCutoff, i.e. k >= 4), the sweep
+/// (at least engine::kSerialCutoff, i.e. k >= 4), the sweep
 /// runs WarmGainMemo over the next kApplyWindow entities of `order`
 /// before committing them, so each re-decision rescans only the
 /// clusters toggled earlier in its window. Every other configuration
@@ -318,7 +318,7 @@ class ActionApplier {
 
 /// One refinement sweep (FlocConfig::refine_passes) over every cluster in
 /// turn: all of the cluster's unblocked toggles are ranked by ToggleGain,
-/// and those above config.min_improvement are applied best-first, each
+/// and those above kMinImprovement are applied best-first, each
 /// re-validated by ToggleGain against the cluster's current state (an
 /// earlier toggle shifts later gains). Updates `scores` and `tracker` as
 /// it toggles. Evaluations go through `memo` (optional) and are tallied
@@ -339,7 +339,7 @@ size_t RefineSweep(const FlocConfig& config, const DataMatrix& matrix,
 /// The candidate replaces views[c] (a freshly built workspace, so its
 /// stats equal a Build()) only if it satisfies the unary constraints,
 /// stays within any overlap bound against the other views, and improves
-/// *score by more than config.min_improvement; *score is then updated.
+/// *score by more than kMinImprovement; *score is then updated.
 /// Returns whether views[c] was replaced. Requires target_residue > 0
 /// (returns false otherwise). The caller rebuilds its ConstraintTracker
 /// after a replacement.

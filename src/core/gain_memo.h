@@ -39,7 +39,7 @@
 //
 //   * The determination sweep's shards write disjoint entity ranges
 //     (entries are laid out entity-major, matching the engine's
-//     shard-stable partitioning of the entity axis -- engine::ShardOf),
+//     shard-stable partitioning of the entity axis -- engine::ShardGrain),
 //     so parallel shards never touch the same Entry.
 //   * The apply sweep's warm-up (WarmGainMemo, floc_phases.h) fans one
 //     window of distinct entities x all clusters out as flattened

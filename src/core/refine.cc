@@ -45,7 +45,7 @@ size_t RefineSweep(const FlocConfig& config, const DataMatrix& matrix,
       bool is_row = t < num_rows;
       size_t index = is_row ? t : t - num_rows;
       std::optional<double> gain = ToggleGain(is_row, index, c, ctx, engine);
-      if (gain && *gain > config.min_improvement) {
+      if (gain && *gain > kMinImprovement) {
         candidates.push_back({*gain, is_row, index});
       }
     }
@@ -59,7 +59,7 @@ size_t RefineSweep(const FlocConfig& config, const DataMatrix& matrix,
     for (const Candidate& cand : candidates) {
       std::optional<double> gain =
           ToggleGain(cand.is_row, cand.index, c, ctx, engine);
-      if (!gain || *gain <= config.min_improvement) continue;
+      if (!gain || *gain <= kMinImprovement) continue;
       if (cand.is_row) {
         views[c].ToggleRow(cand.index);
         tracker.OnRowToggled(views, c, cand.index);
@@ -210,7 +210,7 @@ bool ReanchorCluster(const FlocConfig& config, const DataMatrix& matrix,
   double cand_score = ObjectiveScore(engine.Residue(cand_ws),
                                      cand_ws.stats().Volume(),
                                      config.target_residue);
-  if (cand_score >= *score - config.min_improvement) return false;
+  if (cand_score >= *score - kMinImprovement) return false;
   // The candidate's workspace already holds freshly built stats, its
   // cached residue and its pane; adopting it equals Reset(candidate).
   view = std::move(cand_ws);

@@ -18,12 +18,14 @@
 // member rows stream unit-stride instead of gathering through the
 // column-id list. The kernels are lane-split: each row's contributions
 // accumulate into four independent lanes (the p-th *visited* entry lands
-// in lane p mod 4) that reduce as (l0 + l1) + (l2 + l3). Rows that are
-// fully specified over the visited columns dispatch to the dense pass;
-// rows with gaps take a masked pass that compacts the specified entries'
-// contributions branch-free and adds them in the exact same lane
-// pattern, so the two paths are bit-identical on dense rows and the
-// result never depends on which path ran. Both are slots of the
+// in lane p mod 4) that reduce as (l0 + l1) + (l2 + l3). Each pane row
+// is stored as its *specified-entry run*: its specified values
+// left-packed in column order. A fully specified (dense) row's run is
+// the whole row and takes the dense pass; a holey row's run carries
+// parallel uint16 pane-column slots, and the run pass reads each entry's
+// column base through its slot. Both visit exactly the specified entries
+// in column order and add them in the same lane pattern, so the result
+// never depends on which pass ran. Both are slots of the
 // runtime-dispatched SIMD table. See DESIGN.md "The gain kernel".
 #ifndef DELTACLUS_CORE_RESIDUE_H_
 #define DELTACLUS_CORE_RESIDUE_H_

@@ -1,8 +1,8 @@
-// AVX2 gain kernels. The ONLY translation unit (with the NEON
-// twin) allowed to use vector intrinsics (dclint rule simd-confined),
-// and the only one compiled with -mavx2 -- plus -ffp-contract=off and
-// deliberately WITHOUT -mfma, so no fused multiply-adds can change a
-// rounding (src/CMakeLists.txt sets the per-TU options).
+// AVX2 gain kernels. The ONLY translation unit allowed to use vector
+// intrinsics (dclint rule simd-confined), and the only one compiled
+// with -mavx2 -- plus -ffp-contract=off and deliberately WITHOUT -mfma,
+// so no fused multiply-adds can change a rounding (src/CMakeLists.txt
+// sets the per-TU options).
 //
 // Bit-identity argument (the LaneAcc contract,
 // src/core/residue_kernels.h): vector element p carries scalar lane p.

@@ -65,8 +65,8 @@ std::vector<Cluster> GenerateSeeds(const DataMatrix& matrix,
     for (size_t j = 0; j < cols; ++j) {
       if (rng.Bernoulli(p_col)) cluster.AddCol(j);
     }
-    EnsureMinRows(rows, config.min_rows, &cluster, rng);
-    EnsureMinCols(cols, config.min_cols, &cluster, rng);
+    EnsureMinRows(rows, kMinSeedSide, &cluster, rng);
+    EnsureMinCols(cols, kMinSeedSide, &cluster, rng);
     seeds.push_back(std::move(cluster));
   }
   return seeds;

@@ -38,14 +38,13 @@ struct SeedingConfig {
   bool mixed_volumes = false;
   double volume_mean = 0.0;
   double volume_variance = 0.0;
-
-  /// Minimum number of member rows and columns per seed. Random draws that
-  /// come up short are topped up with uniformly chosen extra members; this
-  /// prevents degenerate (empty or single-line) seeds, whose residue is
-  /// trivially zero.
-  size_t min_rows = 2;
-  size_t min_cols = 2;
 };
+
+/// Minimum number of member rows and of member columns per seed. Random
+/// draws that come up short are topped up with uniformly chosen extra
+/// members; this prevents degenerate (empty or single-line) seeds, whose
+/// residue is trivially zero.
+inline constexpr size_t kMinSeedSide = 2;
 
 /// Generates `num_clusters` random seed clusters for `matrix`.
 std::vector<Cluster> GenerateSeeds(const DataMatrix& matrix,

@@ -31,9 +31,6 @@ const SimdKernels& BestKernels() {
         avx2 != nullptr && CpuHasAvx2()) {
       return avx2;
     }
-    if (const SimdKernels* neon = NeonKernelsOrNull(); neon != nullptr) {
-      return neon;
-    }
     return &ScalarKernels();
   }();
   return *best;

@@ -1,20 +1,18 @@
 // Runtime CPU-feature dispatch for the gain kernels (dense and run).
 //
 // The CPU is probed once (first use); the best available kernel table --
-// AVX2 on x86-64 that reports it, NEON on AArch64, the scalar bodies in
+// AVX2 on x86-64 that reports it, the scalar bodies in
 // src/core/residue_kernels.h otherwise -- is selected behind a
 // function-pointer table that ResidueEngine's scan loops call through.
 // Every table implements the LaneAcc contract, so which one runs is
 // bit-invisible: SIMD and scalar outputs are identical to the last bit,
 // which is why the mode is NOT part of the result-affecting config
-// fingerprint (unlike --norm, and like --threads / --backend).
+// fingerprint (like --threads / --backend).
 //
-// Mode selection follows the --backend pattern: the CLI reads the
-// DELTACLUS_SIMD env default, lets an explicit --simd=auto|off flag win,
-// and calls SetSimdMode before mining starts. This layer never reads
-// the environment itself (dclint banned-getenv: env translation happens
-// at the CLI boundary). `off` pins the scalar table -- the lever the
-// scalar-vs-SIMD cmp tests and the CI determinism matrix pull.
+// Mode selection follows the --backend pattern: the CLI translates its
+// --simd=auto|off flag and calls SetSimdMode before mining starts.
+// `off` pins the scalar table -- the lever the scalar-vs-SIMD cmp tests
+// and the CI determinism matrix pull.
 #ifndef DELTACLUS_CORE_SIMD_DISPATCH_H_
 #define DELTACLUS_CORE_SIMD_DISPATCH_H_
 
@@ -73,7 +71,7 @@ struct SimdKernels {
   SegRunFn seg_run_sq;
   SegRunFullFn seg_run_full_abs;
   SegRunFullFn seg_run_full_sq;
-  const char* name;  ///< "scalar" | "avx2" | "neon"
+  const char* name;  ///< "scalar" | "avx2"
 };
 
 /// Sets the dispatch mode. Called once at CLI startup (before worker
@@ -94,12 +92,11 @@ const char* ActiveSimdPath();
 /// machines stay comparable.
 const char* DetectedCpuFeatures();
 
-/// Per-ISA tables, defined in their own translation units (the only TUs
+/// The AVX2 table, defined in its own translation unit (the only TU
 /// compiled with vector-ISA flags; see src/CMakeLists.txt). Null when
-/// the TU was built without that ISA. Returning a table does not imply
-/// the CPU can run it -- dispatch checks the CPU feature first.
+/// the TU was built without AVX2. Returning a table does not imply the
+/// CPU can run it -- dispatch checks the CPU feature first.
 const SimdKernels* Avx2KernelsOrNull();
-const SimdKernels* NeonKernelsOrNull();
 
 }  // namespace deltaclus
 

@@ -49,17 +49,12 @@ namespace deltaclus::engine {
 /// upstream (FlocConfig::Validate rejects them) and clamp to 1 here.
 int ResolveThreads(int configured);
 
-/// Tuning knobs of the execution engine, shared by every phase component
-/// that runs on the pool.
-struct EngineConfig {
-  /// Work-item count below which a parallel scan runs inline on the
-  /// calling thread: for tiny sweeps the cost of waking the workers
-  /// exceeds the scan itself. The serial path iterates the same shard
-  /// boundaries, so crossing the cutoff never changes results (pinned by
-  /// tests/floc_phases_test.cc above/below-cutoff agreement).
-  static constexpr size_t kDefaultSerialCutoff = 64;
-  size_t serial_cutoff = kDefaultSerialCutoff;
-};
+/// Work-item count below which a parallel scan runs inline on the
+/// calling thread: for tiny sweeps the cost of waking the workers
+/// exceeds the scan itself. The serial path iterates the same shard
+/// boundaries, so crossing the cutoff never changes results (pinned by
+/// tests/floc_phases_test.cc above/below-cutoff agreement).
+inline constexpr size_t kSerialCutoff = 64;
 
 /// Target shard count of a parallel sweep. More shards than any sane
 /// worker count so dynamic claiming load-balances heterogeneous items,
@@ -77,18 +72,6 @@ inline size_t ShardGrain(size_t total) {
 /// Number of shards ParallelFor splits `total` items into under `grain`.
 inline size_t ShardCount(size_t total, size_t grain) {
   return grain == 0 ? 0 : (total + grain - 1) / grain;
-}
-
-/// The shard an item index lands in under the default grain for `total`
-/// items. Because shard boundaries are a function of `total` only, this
-/// mapping is *stable* across worker counts and across sweeps of the
-/// same total -- which is what lets caches partitioned along the item
-/// axis (e.g. the gain memo's entity-major entry stripes,
-/// src/core/gain_memo.h) be written by parallel shards without locks:
-/// the same item always belongs to the same shard, and distinct shards
-/// own disjoint index ranges.
-inline size_t ShardOf(size_t index, size_t total) {
-  return index / ShardGrain(total);
 }
 
 class ThreadPool {
@@ -187,7 +170,7 @@ class ThreadPool {
 /// paths, remaining shards skipped once it fires, and the caller
 /// discards the sweep's partial output after checking the token.
 void ParallelApply(ThreadPool* pool, size_t total, const ThreadPool::ShardFn& fn,
-                   size_t serial_cutoff = EngineConfig::kDefaultSerialCutoff,
+                   size_t serial_cutoff = kSerialCutoff,
                    const StopToken* stop = nullptr);
 
 }  // namespace deltaclus::engine

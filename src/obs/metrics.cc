@@ -1,9 +1,6 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -14,13 +11,7 @@ namespace deltaclus::obs {
 
 namespace internal {
 // DC_LOCK_FREE: see the declaration in metrics.h -- relaxed gate flag.
-std::atomic<bool> g_metrics_enabled{[] {
-  // Init-time read, before any worker thread exists.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* env = std::getenv("DELTACLUS_METRICS");
-  return env != nullptr && env[0] != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
-}()};
+std::atomic<bool> g_metrics_enabled{false};
 }  // namespace internal
 
 // Out-of-line so unique_ptr<QuantileHistogram> destroys a complete type.
@@ -79,7 +70,7 @@ void MetricsRegistry::ResetAll() {
 
 namespace {
 
-// Registration order -> name-sorted order, shared by both exports.
+// Registration order -> name-sorted order.
 template <typename V>
 std::vector<size_t> SortedOrder(const V& v) {
   std::vector<size_t> order(v.size());
@@ -89,52 +80,26 @@ std::vector<size_t> SortedOrder(const V& v) {
   return order;
 }
 
-// Prometheus metric names allow [a-zA-Z0-9_:] and must not start with
-// a digit; everything else (the registry uses '.') becomes '_'.
-std::string PromName(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-              (c >= '0' && c <= '9') || c == '_' || c == ':';
-    if (!ok) c = '_';
-  }
-  if (!out.empty() && out[0] >= '0' && out[0] <= '9') {
-    out.insert(out.begin(), '_');
-  }
-  return out;
-}
-
-// Prometheus text values: plain decimal, with the spec's spellings for
-// the non-finite cases (unlike JSON, the format has them).
-std::string PromNumber(double v) {
-  if (std::isnan(v)) return "NaN";
-  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 }  // namespace
 
 void MetricsRegistry::WriteJson(std::ostream& out) const {
   dc::MutexLock lock(mu_);
-  auto sorted_names = [](const auto& v) { return SortedOrder(v); };
 
   JsonWriter w(out);
   w.BeginObject();
   w.Key("counters").BeginObject();
-  for (size_t t : sorted_names(counters_)) {
+  for (size_t t : SortedOrder(counters_)) {
     w.Key(counters_[t].first).Uint(counters_[t].second->Value());
   }
   w.EndObject();
   w.Key("gauges").BeginObject();
-  for (size_t t : sorted_names(gauges_)) {
+  for (size_t t : SortedOrder(gauges_)) {
     w.Key(gauges_[t].first).Number(gauges_[t].second->Value());
   }
   w.EndObject();
   if (!quantile_histograms_.empty()) {
     w.Key("quantile_histograms").BeginObject();
-    for (size_t t : sorted_names(quantile_histograms_)) {
+    for (size_t t : SortedOrder(quantile_histograms_)) {
       w.Key(quantile_histograms_[t].first);
       std::ostringstream qs;
       quantile_histograms_[t].second->Snapshot().WriteJson(qs);
@@ -156,39 +121,6 @@ bool MetricsRegistry::WriteJsonFile(const std::string& path) const {
   std::ofstream out(path);
   if (!out) return false;
   WriteJson(out);
-  return out.good();
-}
-
-void MetricsRegistry::WriteExposition(std::ostream& out) const {
-  dc::MutexLock lock(mu_);
-  for (size_t t : SortedOrder(counters_)) {
-    std::string n = PromName(counters_[t].first);
-    out << "# TYPE " << n << " counter\n"
-        << n << " " << counters_[t].second->Value() << "\n";
-  }
-  for (size_t t : SortedOrder(gauges_)) {
-    std::string n = PromName(gauges_[t].first);
-    out << "# TYPE " << n << " gauge\n"
-        << n << " " << PromNumber(gauges_[t].second->Value()) << "\n";
-  }
-  for (size_t t : SortedOrder(quantile_histograms_)) {
-    QuantileHistogramSnapshot snap = quantile_histograms_[t].second->Snapshot();
-    std::string n = PromName(quantile_histograms_[t].first);
-    out << "# TYPE " << n << " summary\n";
-    constexpr double kQuantiles[] = {0.5, 0.9, 0.99, 0.999};
-    for (double q : kQuantiles) {
-      out << n << "{quantile=\"" << PromNumber(q) << "\"} "
-          << PromNumber(snap.ValueAtQuantile(q)) << "\n";
-    }
-    out << n << "_sum " << PromNumber(snap.sum) << "\n"
-        << n << "_count " << snap.count << "\n";
-  }
-}
-
-bool MetricsRegistry::WriteExpositionFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  WriteExposition(out);
   return out.good();
 }
 

@@ -1,12 +1,12 @@
 // Process-wide metrics registry: lock-free counters, gauges, and quantile
-// histograms (src/obs/quantile_histogram.h) with snapshot-to-JSON and
-// Prometheus export.
+// histograms (src/obs/quantile_histogram.h) with snapshot-to-JSON
+// export.
 //
 // Design goals, in order:
 //   1. Near-zero overhead when disabled: every mutation first does one
 //      relaxed atomic load of the global enabled flag and returns. The
 //      registry starts disabled; nothing is recorded until
-//      MetricsRegistry::SetEnabled(true) (or DELTACLUS_METRICS=1).
+//      MetricsRegistry::SetEnabled(true).
 //   2. Lock-free hot path when enabled: mutations are relaxed atomic
 //      read-modify-writes on pre-registered cells; no locks, no
 //      allocation. Registration (name -> cell lookup) takes a mutex and
@@ -131,12 +131,6 @@ class MetricsRegistry {
   /// I/O failure.
   bool WriteJsonFile(const std::string& path) const;
 
-  /// Writes the whole registry in Prometheus text exposition format
-  /// (one `# TYPE` line per metric; quantile histograms as summaries
-  /// with `quantile` labels). Metric names are sanitized to the Prometheus
-  /// charset [a-zA-Z0-9_:].
-  void WriteExposition(std::ostream& out) const DC_EXCLUDES(mu_);
-  bool WriteExpositionFile(const std::string& path) const;
 
  private:
   mutable dc::Mutex mu_;

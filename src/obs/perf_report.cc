@@ -247,11 +247,11 @@ void PerfReport::PrintTable(std::ostream& out) const {
   }
   if (!trace_valid) {
     out << "  (per-phase cpu requires tracing: --trace-out or "
-           "DELTACLUS_TRACE)\n";
+           "TraceRecorder::SetEnabled)\n";
   }
   if (!metrics_valid) {
     out << "  (kernel counters require metrics: --metrics-out or "
-           "DELTACLUS_METRICS)\n";
+           "MetricsRegistry::SetEnabled)\n";
     return;
   }
   std::snprintf(buf, sizeof(buf),

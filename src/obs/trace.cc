@@ -1,8 +1,6 @@
 #include "src/obs/trace.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "src/obs/clock.h"
@@ -31,7 +29,7 @@ uint32_t ThisThreadId() {
 thread_local uint32_t t_span_depth = 0;
 
 // tid -> display name, filled by NameCurrentThread. Process-global and
-// leaked (like the recorders) so late atexit trace dumps can read it.
+// leaked, like the recorders.
 struct ThreadNameRegistry {
   dc::Mutex mu;
   std::vector<std::pair<uint32_t, std::string>> names DC_GUARDED_BY(mu);
@@ -41,17 +39,6 @@ struct ThreadNameRegistry {
     return *registry;
   }
 };
-
-// Path DELTACLUS_TRACE asked the global recorder to dump to at exit.
-std::string* g_trace_exit_path = nullptr;
-
-void WriteTraceAtExit() {
-  if (g_trace_exit_path == nullptr) return;
-  if (!TraceRecorder::Global().WriteChromeTraceFile(*g_trace_exit_path)) {
-    std::fprintf(stderr, "deltaclus: failed to write DELTACLUS_TRACE file %s\n",
-                 g_trace_exit_path->c_str());
-  }
-}
 
 }  // namespace
 
@@ -67,23 +54,6 @@ TraceRecorder& TraceRecorder::Global() {
 
 void TraceRecorder::SetEnabled(bool enabled) {
   internal::g_trace_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-void TraceRecorder::InitFromEnv() {
-  static bool done = false;
-  if (done) return;
-  done = true;
-  // Init-time read, before any worker thread exists.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* env = std::getenv("DELTACLUS_TRACE");
-  if (env == nullptr || env[0] == '\0' || (env[0] == '0' && env[1] == '\0')) {
-    return;
-  }
-  SetEnabled(true);
-  if (!(env[0] == '1' && env[1] == '\0')) {
-    g_trace_exit_path = new std::string(env);
-    std::atexit(WriteTraceAtExit);
-  }
 }
 
 void TraceRecorder::NameCurrentThread(const std::string& name) {

@@ -19,8 +19,8 @@
 // overwritten and `dropped()` counts the overflow, so tracing can stay
 // on for arbitrarily long runs with fixed memory.
 //
-// Enabling: TraceRecorder::SetEnabled(true), or the DELTACLUS_TRACE
-// environment variable (see TraceRecorder::InitFromEnv).
+// Enabling: TraceRecorder::SetEnabled(true) (the CLI's --trace-out does
+// this).
 #ifndef DELTACLUS_OBS_TRACE_H_
 #define DELTACLUS_OBS_TRACE_H_
 
@@ -71,12 +71,6 @@ class TraceRecorder {
   /// Process-wide switch consulted by every span.
   static void SetEnabled(bool enabled);
   static bool Enabled() { return internal::TraceEnabled(); }
-
-  /// Applies the DELTACLUS_TRACE environment variable: unset/""/"0"
-  /// leaves tracing off; any other value enables it, and a value that is
-  /// not "1" is additionally interpreted as a path the global recorder
-  /// writes (Chrome trace JSON) to at normal process exit. Idempotent.
-  static void InitFromEnv();
 
   /// Registers a human-readable name for the calling thread
   /// (process-global, last write wins). Exported as a Chrome

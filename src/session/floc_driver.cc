@@ -7,8 +7,9 @@
 // Phase-2 state; ResumeSession is the checkpoint entry point, binding a
 // decoded .dcs file to this Floc's config (fingerprint-checked) and
 // matrix (shape-checked). Every entry point ends in OpenSession, which
-// hands the session what it borrows from this Floc -- config, pool and
-// perf window -- once, at construction.
+// refuses clusters a packed pane cannot hold and hands the session what
+// it borrows from this Floc -- config, pool and perf window -- once, at
+// construction.
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -16,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/cluster_workspace.h"
 #include "src/core/floc.h"
 #include "src/core/seeding.h"
 #include "src/obs/clock.h"
@@ -31,6 +33,35 @@ FlocResult DriveToCompletion(session::MiningSession* s) {
   while (s->Step()) {
   }
   return s->Finish();
+}
+
+// A packed pane addresses at most kMaxPaneCols columns (its run slots
+// are uint16). Clusters gain columns only through toggles that
+// constraints.max_cols blocks, so they stay within a pane unless both
+// the matrix and max_cols are wider. Such a run is refused up front,
+// naming the limit, instead of aborting when a pane outgrows it.
+void RequireClustersFitPane(const DataMatrix& matrix,
+                            const Constraints& constraints) {
+  if (matrix.cols() <= kMaxPaneCols || constraints.max_cols <= kMaxPaneCols) {
+    return;
+  }
+  std::ostringstream os;
+  os << "cluster width limit: the matrix has " << matrix.cols()
+     << " columns and constraints.max_cols allows clusters wider than "
+     << kMaxPaneCols << " columns, the most a cluster's packed pane can "
+     << "address; bound max_cols to at most " << kMaxPaneCols;
+  throw std::invalid_argument(os.str());
+}
+
+void RequireSeedsFitPane(const std::vector<Cluster>& seeds) {
+  for (size_t c = 0; c < seeds.size(); ++c) {
+    if (seeds[c].NumCols() <= kMaxPaneCols) continue;
+    std::ostringstream os;
+    os << "cluster width limit: initial cluster " << c << " spans "
+       << seeds[c].NumCols() << " columns, more than the " << kMaxPaneCols
+       << " a cluster's packed pane can address";
+    throw std::invalid_argument(os.str());
+  }
 }
 
 }  // namespace
@@ -49,6 +80,8 @@ FlocResult Floc::RunWithSeeds(const DataMatrix& matrix,
 
 std::unique_ptr<session::MiningSession> Floc::StartSession(
     const DataMatrix& matrix) {
+  // Refuse before Phase 1 spends any time on seeds.
+  RequireClustersFitPane(matrix, config_.constraints);
   Rng rng(config_.rng_seed);
   // Open the perf delta window before seeding so the report's counter
   // deltas and trace attribution cover Phase 1 too.
@@ -76,6 +109,8 @@ std::unique_ptr<session::MiningSession> Floc::StartSessionWithSeeds(
 std::unique_ptr<session::MiningSession> Floc::OpenSession(
     const DataMatrix& matrix, std::vector<Cluster> seeds,
     double seeding_seconds, const session::SessionCheckpoint* restore_from) {
+  RequireClustersFitPane(matrix, config_.constraints);
+  RequireSeedsFitPane(seeds);
   // Not make_unique: the session's constructor is private to keep the
   // borrowing contract (Floc + matrix must outlive it) behind these
   // factory methods, and Floc is its friend.

@@ -127,7 +127,7 @@ MiningSession::MiningSession(
       collector_(config.telemetry, config.telemetry_sink),
       engine_(config.norm),
       determiner_(config.norm, config.target_residue, pool,
-                  engine::EngineConfig::kDefaultSerialCutoff, &gain_memo_,
+                  engine::kSerialCutoff, &gain_memo_,
                   config.audit),
       scheduler_(config.ordering),
       tracker_(matrix, config.constraints),
@@ -400,7 +400,7 @@ void MiningSession::StepMove() {
     walls_.apply += apply_seconds;
 
     double needed =
-        std::max(config_.min_improvement,
+        std::max(kMinImprovement,
                  config_.relative_improvement * std::abs(best_average_));
     bool improved = selector.has_best() &&
                     selector.best_average() < best_average_ - needed;
@@ -522,7 +522,7 @@ void MiningSession::StepRefine() {
     bool restored = false;
     for (size_t t = 0; t < stagnant_.size(); ++t) {
       size_t c = stagnant_[t];
-      if (scores_[c] > saved_scores_[t] - config_.min_improvement) {
+      if (scores_[c] > saved_scores_[t] - kMinImprovement) {
         views_[c].Reset(std::move(saved_[t]));
         restored = true;
       }

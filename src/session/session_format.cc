@@ -184,8 +184,10 @@ uint64_t FingerprintConfig(const FlocConfig& config, uint64_t rows,
   w.U8(config.seeding.mixed_volumes ? 1 : 0);
   w.F64(config.seeding.volume_mean);
   w.F64(config.seeding.volume_variance);
-  w.U64(config.seeding.min_rows);
-  w.U64(config.seeding.min_cols);
+  // Former config fields, now constants: kept at their byte positions
+  // so existing fingerprints (and the checkpoints carrying them) match.
+  w.U64(kMinSeedSide);
+  w.U64(kMinSeedSide);
   w.F64(config.constraints.alpha);
   w.U64(config.constraints.min_rows);
   w.U64(config.constraints.min_cols);
@@ -200,7 +202,7 @@ uint64_t FingerprintConfig(const FlocConfig& config, uint64_t rows,
   w.U32(static_cast<uint32_t>(config.norm));
   w.F64(config.target_residue);
   w.U64(config.max_iterations);
-  w.F64(config.min_improvement);
+  w.F64(kMinImprovement);
   w.F64(config.relative_improvement);
   w.U8(config.fresh_gains_at_apply ? 1 : 0);
   w.U8(config.perform_negative_actions ? 1 : 0);

@@ -20,16 +20,6 @@
 // layout, every algorithm downstream is backend-blind: FLOC and the
 // baselines produce bit-identical output whichever backend supplied the
 // planes (tests/storage_test.cc pins this at 1, 2, and 8 threads).
-//
-// The store also carries the determinism contract's sharding hook:
-// ShardSpecifiedCounts() splits an axis's specified counts into
-// contiguous shards whose boundaries are a function of the item count
-// and grain only -- the same boundary rule as engine::ParallelApply --
-// and whose in-order merge reproduces the axis totals exactly. A future
-// distributed backend shards rows across processes along these same
-// boundaries and merges per-shard accumulators in shard order, so the
-// bit-identical-at-any-width guarantee extends across processes, not
-// just threads (DESIGN.md "The storage layer").
 #ifndef DELTACLUS_STORAGE_MATRIX_STORE_H_
 #define DELTACLUS_STORAGE_MATRIX_STORE_H_
 
@@ -37,7 +27,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 namespace deltaclus::storage {
 
@@ -103,19 +92,6 @@ class MatrixStore {
   double Value(size_t i, size_t j) const {
     return planes_.values_rm[i * cols_ + j];
   }
-
-  /// Per-shard specified counts along an axis: shard s covers items
-  /// [s*grain, min((s+1)*grain, n)) -- the boundary rule of
-  /// engine::ParallelApply, a function of (n, grain) only -- and the
-  /// returned counts merged in shard order sum to the axis total
-  /// exactly. `counts` is RowSpecifiedCounts() or ColSpecifiedCounts().
-  static std::vector<uint64_t> ShardSpecifiedCounts(
-      std::span<const uint64_t> counts, size_t grain);
-
-  /// Sum of specified counts over the half-open item range [begin, end)
-  /// of an axis; the primitive ShardSpecifiedCounts is built from.
-  static uint64_t SpecifiedInRange(std::span<const uint64_t> counts,
-                                   size_t begin, size_t end);
 
   /// Human-readable backend tag ("mem", "mmap"), for diagnostics and
   /// telemetry.

@@ -2,12 +2,12 @@
 // gtest's temp dir.
 #include "src/cli/cli.h"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "src/core/cluster_workspace.h"
 #include "src/data/cluster_io.h"
 #include "src/data/matrix_io.h"
 #include "src/obs/metrics.h"
@@ -54,6 +54,13 @@ TEST(CliTest, UnknownFlagIsReported) {
   CliRun r = RunCliArgs({"generate", "--bogus=1", "--out", Tmp("x.csv")});
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.err.find("--bogus"), std::string::npos);
+  // The metrics snapshot has one format; the old selector is unknown.
+  CliRun format = RunCliArgs({"mine", "--input", Tmp("x.csv"),
+                              "--metrics-format=json"});
+  EXPECT_EQ(format.exit_code, 1);
+  EXPECT_NE(format.err.find("unknown flag --metrics-format"),
+            std::string::npos)
+      << format.err;
 }
 
 TEST(CliTest, GenerateToStdout) {
@@ -149,32 +156,6 @@ TEST(CliTest, MinePerfReportTableAndJson) {
   EXPECT_NE(bad.err.find("--perf-report"), std::string::npos);
 }
 
-TEST(CliTest, MineMetricsFormatSelectsExposition) {
-  std::string matrix_path = Tmp("cli_prom.csv");
-  std::string found_path = Tmp("cli_prom_found.txt");
-  std::string metrics_path = Tmp("cli_prom_metrics.txt");
-  ASSERT_EQ(RunCliArgs({"generate", "--rows=60", "--cols=15", "--clusters=2",
-                 "--seed=5", "--out", matrix_path})
-                .exit_code,
-            0);
-  CliRun prom = RunCliArgs({"mine", "--input", matrix_path, "--k=2",
-                     "--seed=7", "--metrics-out", metrics_path,
-                     "--metrics-format=prom", "--out", found_path});
-  obs::MetricsRegistry::SetEnabled(false);
-  ASSERT_EQ(prom.exit_code, 0) << prom.err;
-  std::ifstream in(metrics_path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_NE(buf.str().find("# TYPE "), std::string::npos);
-  EXPECT_NE(buf.str().find("floc_iterations"), std::string::npos);
-
-  CliRun bad = RunCliArgs({"mine", "--input", matrix_path, "--k=2",
-                    "--metrics-format=xml", "--out", found_path});
-  EXPECT_EQ(bad.exit_code, 1);
-  EXPECT_NE(bad.err.find("--metrics-format"), std::string::npos);
-}
-
 TEST(CliTest, ImputeFillsMissing) {
   std::string matrix_path = Tmp("cli_imp.csv");
   std::string clusters_path = Tmp("cli_imp_clusters.txt");
@@ -215,41 +196,36 @@ TEST(CliTest, BadOrderingRejected) {
   EXPECT_EQ(r.exit_code, 1);
 }
 
-TEST(CliTest, ThreadsEnvDefault) {
-  // DELTACLUS_THREADS supplies the default; --threads wins over it;
-  // garbage and negative values are rejected before any mining starts.
-  std::string matrix_path = Tmp("threads_env.csv");
+TEST(CliTest, ThreadsFlagValidatedAndResultNeutral) {
+  // Garbage and negative thread counts are rejected before any mining
+  // starts, naming the flag; a valid count never changes the clusters.
+  std::string matrix_path = Tmp("threads_flag.csv");
   ASSERT_EQ(RunCliArgs({"generate", "--rows=40", "--cols=10", "--clusters=1",
                         "--seed=3", "--out", matrix_path})
                 .exit_code,
             0);
 
-  setenv("DELTACLUS_THREADS", "2", 1);
-  CliRun env_run = RunCliArgs({"mine", "--input", matrix_path, "--k=2",
-                               "--seed=5", "--out", Tmp("t_env.txt")});
-  EXPECT_EQ(env_run.exit_code, 0);
+  for (const char* bad_value : {"--threads=bogus", "--threads=-2"}) {
+    CliRun bad = RunCliArgs({"mine", "--input", matrix_path, "--k=2",
+                             bad_value, "--out", Tmp("t_bad.txt")});
+    EXPECT_EQ(bad.exit_code, 2) << bad_value;
+    EXPECT_NE(bad.err.find("--threads"), std::string::npos) << bad.err;
+    EXPECT_EQ(bad.out.find("mining"), std::string::npos) << bad.out;
+  }
 
-  CliRun flag_wins = RunCliArgs({"mine", "--input", matrix_path, "--k=2",
-                                 "--seed=5", "--threads=1", "--out",
-                                 Tmp("t_flag.txt")});
-  EXPECT_EQ(flag_wins.exit_code, 0);
-
-  setenv("DELTACLUS_THREADS", "bogus", 1);
-  CliRun bad = RunCliArgs({"mine", "--input", matrix_path, "--k=2"});
-  EXPECT_EQ(bad.exit_code, 2);
-  EXPECT_NE(bad.err.find("DELTACLUS_THREADS"), std::string::npos);
-
-  setenv("DELTACLUS_THREADS", "-2", 1);
-  CliRun negative = RunCliArgs({"mine", "--input", matrix_path, "--k=2"});
-  EXPECT_EQ(negative.exit_code, 2);
-  unsetenv("DELTACLUS_THREADS");
-
-  // Determinism guarantee: env-threaded and flag-threaded runs mined the
-  // same clusters.
-  std::ifstream a(Tmp("t_env.txt")), b(Tmp("t_flag.txt"));
+  CliRun one = RunCliArgs({"mine", "--input", matrix_path, "--k=2",
+                           "--seed=5", "--threads", "1", "--out",
+                           Tmp("t_one.txt")});
+  ASSERT_EQ(one.exit_code, 0) << one.err;
+  CliRun two = RunCliArgs({"mine", "--input", matrix_path, "--k=2",
+                           "--seed=5", "--threads", "2", "--out",
+                           Tmp("t_two.txt")});
+  ASSERT_EQ(two.exit_code, 0) << two.err;
+  std::ifstream a(Tmp("t_one.txt")), b(Tmp("t_two.txt"));
   std::stringstream sa, sb;
   sa << a.rdbuf();
   sb << b.rdbuf();
+  EXPECT_FALSE(sa.str().empty());
   EXPECT_EQ(sa.str(), sb.str());
 }
 
@@ -266,6 +242,22 @@ TEST(CliTest, MineRejectsEmptyAndNonFiniteInputs) {
   CliRun nan = RunCliArgs({"mine", "--input", nan_path, "--k=1"});
   EXPECT_EQ(nan.exit_code, 2);
   EXPECT_NE(nan.err.find("line 2, column 2"), std::string::npos) << nan.err;
+}
+
+TEST(CliTest, MineRefusesClustersWiderThanAPane) {
+  // --k and the default constraints leave max_cols unbounded, so on a
+  // matrix wider than a packed pane can address a cluster could outgrow
+  // it: mine exits 2 naming the limit before any mining starts.
+  std::string wide_path = Tmp("wide.csv");
+  WriteCsvFile(DataMatrix(2, kMaxPaneCols + 1, 1.0), wide_path);
+  CliRun wide = RunCliArgs({"mine", "--input", wide_path, "--k=1",
+                            "--out", Tmp("wide_clusters.txt")});
+  EXPECT_EQ(wide.exit_code, 2);
+  EXPECT_NE(wide.err.find("cluster width limit"), std::string::npos)
+      << wide.err;
+  EXPECT_NE(wide.err.find(std::to_string(kMaxPaneCols)), std::string::npos)
+      << wide.err;
+  EXPECT_EQ(wide.out.find("FLOC:"), std::string::npos) << wide.out;
 }
 
 TEST(CliTest, ResumeRejectsCheckpointOfAnotherVersion) {

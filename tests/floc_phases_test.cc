@@ -116,12 +116,12 @@ TEST(GainDeterminerTest, SerialAndPooledAgreeAboveCutoff) {
 }
 
 TEST(GainDeterminerTest, SerialAndPooledAgreeBelowCutoff) {
-  // 30 rows + 10 cols = 40 work items, below kDefaultSerialCutoff: the
+  // 30 rows + 10 cols = 40 work items, below kSerialCutoff: the
   // determiner must stay inline even with a live pool. Forcing the pooled
   // path with serial_cutoff=0 must still give the same actions.
   Fixture fx(30, 10, 43);
   ASSERT_LT(fx.data.matrix.rows() + fx.data.matrix.cols(),
-            engine::EngineConfig::kDefaultSerialCutoff);
+            engine::kSerialCutoff);
 
   GainDeterminer serial(ResidueNorm::kMeanAbsolute, Fixture::kTarget,
                         /*pool=*/nullptr);
@@ -237,7 +237,7 @@ std::vector<SweepOutcome> RunApplySweeps(const DataMatrix& matrix,
   }
 
   GainDeterminer determiner(config.norm, config.target_residue, pool,
-                            engine::EngineConfig::kDefaultSerialCutoff, memo,
+                            engine::kSerialCutoff, memo,
                             config.audit);
   ActionScheduler scheduler(config.ordering);
   ActionApplier applier(config, memo, pool);
@@ -360,9 +360,9 @@ TEST(ActionApplierTest, WarmUpRunsOnlyWhenItsWindowFansOut) {
   // plain loop and a 4-thread pool sees exactly the 1-thread pool's memo
   // hits. From k = 4 the window fans out and the warm-up serves more.
   ASSERT_LT(ActionApplier::kApplyWindow * 3,
-            engine::EngineConfig::kDefaultSerialCutoff);
+            engine::kSerialCutoff);
   ASSERT_GE(ActionApplier::kApplyWindow * 4,
-            engine::EngineConfig::kDefaultSerialCutoff);
+            engine::kSerialCutoff);
   SyntheticDataset data = ApplyData();
   bool was_enabled = obs::MetricsRegistry::Enabled();
   obs::MetricsRegistry::SetEnabled(true);

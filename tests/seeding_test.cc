@@ -45,11 +45,16 @@ TEST(SeedingTest, EnforcesMinimumSize) {
   SeedingConfig config;
   config.row_probability = 0.0;  // would produce empty seeds
   config.col_probability = 0.0;
-  config.min_rows = 3;
-  config.min_cols = 2;
+  // Empty draws are topped up to exactly the constant floor.
   for (const Cluster& s : GenerateSeeds(m, config, 10, rng)) {
-    EXPECT_GE(s.NumRows(), 3u);
-    EXPECT_GE(s.NumCols(), 2u);
+    EXPECT_EQ(s.NumRows(), kMinSeedSide);
+    EXPECT_EQ(s.NumCols(), kMinSeedSide);
+  }
+  // The floor never asks for more lines than the matrix has.
+  DataMatrix single_col = Dense(50, 1);
+  for (const Cluster& s : GenerateSeeds(single_col, config, 10, rng)) {
+    EXPECT_EQ(s.NumRows(), kMinSeedSide);
+    EXPECT_EQ(s.NumCols(), 1u);
   }
 }
 

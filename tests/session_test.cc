@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "src/core/cluster.h"
+#include "src/core/cluster_workspace.h"
 #include "src/core/data_matrix.h"
 #include "src/core/floc.h"
 #include "src/core/gain_memo.h"
@@ -47,6 +48,7 @@
 #include "src/data/synthetic.h"
 #include "src/obs/metrics.h"
 #include "src/obs/telemetry.h"
+#include "src/obs/trace.h"
 #include "src/session/mining_session.h"
 #include "src/session/session_format.h"
 #include "src/storage/dcm_format.h"
@@ -840,6 +842,17 @@ TEST_F(SessionRejectTest, MemberIdOutOfBoundsRejected) {
       "out of bounds");
 }
 
+// The config fingerprint every .dcs header carries must not move when
+// the config structs change shape: FingerprintConfig hashes the former
+// fields min_improvement and seeding.min_rows/min_cols, now constants,
+// at their old byte positions, so checkpoints of earlier builds still
+// resume. The golden value was computed before those fields became
+// constants.
+TEST_F(SessionRejectTest, DefaultConfigFingerprintIsStable) {
+  EXPECT_EQ(session::FingerprintConfig(FlocConfig(), 100, 20, 5),
+            uint64_t{0x894e222cf49d8c8dULL});
+}
+
 // -- Resume binding checks --------------------------------------------
 
 TEST_F(SessionRejectTest, ResumeRejectsShapeMismatch) {
@@ -1032,6 +1045,67 @@ TEST(SessionTest, ReanchoredClusterIsNotRebuiltAtRefineEnd) {
   EXPECT_EQ(refine_toggles, 0u) << "the sweep toggled the adopted cluster";
   EXPECT_EQ(refine_rebuilds, 2u)
       << "the adopted cluster was rebuilt again at the end of refinement";
+}
+
+// A cluster wider than a packed pane can address (kMaxPaneCols columns)
+// is refused at the session entry points with a named limit, before
+// Phase-1 seeding or any mining step runs.
+TEST(SessionEntryTest, ClusterWiderThanAPaneIsRefusedBeforeMining) {
+  const size_t wide = kMaxPaneCols + 1;
+  DataMatrix matrix(2, wide, 1.0);
+  // Spans ever recorded, the ones a full ring overwrote included.
+  auto spans_recorded = [] {
+    const obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+    return recorder.size() + recorder.dropped();
+  };
+  auto expect_refused = [&](auto&& open) {
+    obs::TraceRecorder::SetEnabled(true);
+    uint64_t spans_before = spans_recorded();
+    try {
+      open();
+      ADD_FAILURE() << "expected the cluster width limit";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("cluster width limit"),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(std::to_string(kMaxPaneCols)),
+                std::string::npos)
+          << e.what();
+    }
+    // No span -- Phase-1 seeding's included -- ran before the refusal.
+    EXPECT_EQ(spans_recorded(), spans_before);
+    obs::TraceRecorder::SetEnabled(false);
+  };
+
+  FlocConfig config = MakeConfig();
+  config.num_clusters = 1;
+  // Unbounded max_cols on a matrix wider than a pane.
+  expect_refused([&] { Floc(config).StartSession(matrix); });
+  expect_refused([&] {
+    Floc(config).RunWithSeeds(matrix,
+                              {Cluster::FromMembers(2, wide, {0, 1}, {0, 1})});
+  });
+
+  // With max_cols bounded, only a seed that is already too wide fails.
+  config.constraints.max_cols = kMaxPaneCols;
+  std::vector<size_t> all_cols(wide);
+  for (size_t j = 0; j < wide; ++j) all_cols[j] = j;
+  expect_refused([&] {
+    Floc(config).StartSessionWithSeeds(
+        matrix, {Cluster::FromMembers(2, wide, {0, 1}, all_cols)});
+  });
+  // A resumed cluster is checked like a caller's seed: widen the one
+  // cluster of a valid checkpoint past the limit, then resume it.
+  Floc bounded(config);
+  std::string path = TempPath("session_too_wide.dcs");
+  bounded.StartSession(matrix)->Checkpoint(path);
+  SessionCheckpoint cp = ReadSessionCheckpoint(path, path);
+  cp.clusters[0].cols.resize(wide);
+  for (size_t j = 0; j < wide; ++j) {
+    cp.clusters[0].cols[j] = static_cast<uint32_t>(j);
+  }
+  WriteSessionCheckpoint(cp, path);
+  expect_refused([&] { Floc(config).ResumeSession(matrix, path); });
 }
 
 }  // namespace

@@ -19,7 +19,7 @@
 // both modes resolve to the scalar kernels and the tests degenerate to
 // trivially-true self-comparisons -- still worth running for the
 // dispatch plumbing. The CI determinism matrix additionally drives the
-// same comparison through the CLI via DELTACLUS_SIMD.
+// same comparison through the CLI via --simd.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -402,8 +402,6 @@ TEST(SimdDispatchTest, OffPinsScalarAutoPicksDetectedBest) {
   if (Avx2KernelsOrNull() != nullptr &&
       features.find("avx2") != std::string::npos) {
     EXPECT_STREQ(path, "avx2");
-  } else if (NeonKernelsOrNull() != nullptr) {
-    EXPECT_STREQ(path, "neon");
   } else {
     EXPECT_STREQ(path, "scalar");
   }

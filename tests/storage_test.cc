@@ -9,17 +9,13 @@
 //     magic, version mismatch, checksum failure) plus the offending
 //     path;
 //   * loading stays O(header): payload corruption passes a default open
-//     and is only caught by the explicit DcmVerify::kFull opt-in;
-//   * ShardSpecifiedCounts' in-order merge reproduces axis totals
-//     exactly for any grain -- the hook a distributed backend would
-//     shard along.
+//     and is only caught by the explicit DcmVerify::kFull opt-in.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -370,51 +366,6 @@ TEST(DcmRejection, NonFiniteCellOnFullVerifyOnly) {
 
 TEST(DcmRejection, MissingFile) {
   ExpectRejects(TempPath("storage_no_such_file.dcm"), "cannot open");
-}
-
-TEST(ShardCounts, MergeReproducesAxisTotals) {
-  SyntheticDataset data = MakeData(23, 0.3);
-  const storage::MatrixStore& store = data.matrix.store();
-  auto row_counts = store.RowSpecifiedCounts();
-  uint64_t total =
-      std::accumulate(row_counts.begin(), row_counts.end(), uint64_t{0});
-  ASSERT_EQ(data.matrix.NumSpecified(), total);
-
-  for (size_t grain : {size_t{1}, size_t{3}, size_t{7}, row_counts.size(),
-                       row_counts.size() + 13}) {
-    std::vector<uint64_t> shards =
-        storage::MatrixStore::ShardSpecifiedCounts(row_counts, grain);
-    // Shard boundaries are a function of (n, grain) only: shard s covers
-    // [s*grain, min((s+1)*grain, n)).
-    size_t expected_shards = (row_counts.size() + grain - 1) / grain;
-    ASSERT_EQ(expected_shards, shards.size()) << "grain " << grain;
-    uint64_t merged = 0;
-    for (size_t s = 0; s < shards.size(); ++s) {
-      size_t begin = s * grain;
-      size_t end = std::min(begin + grain, row_counts.size());
-      EXPECT_EQ(storage::MatrixStore::SpecifiedInRange(row_counts, begin, end),
-                shards[s])
-          << "grain " << grain << " shard " << s;
-      merged += shards[s];
-    }
-    // The in-order merge reproduces the axis total exactly.
-    EXPECT_EQ(total, merged) << "grain " << grain;
-  }
-}
-
-TEST(ShardCounts, ColumnAxisAndEdgeRanges) {
-  SyntheticDataset data = MakeData(29, 0.2);
-  const storage::MatrixStore& store = data.matrix.store();
-  auto col_counts = store.ColSpecifiedCounts();
-  uint64_t total =
-      std::accumulate(col_counts.begin(), col_counts.end(), uint64_t{0});
-  EXPECT_EQ(total, storage::MatrixStore::SpecifiedInRange(col_counts, 0,
-                                                          col_counts.size()));
-  EXPECT_EQ(0u, storage::MatrixStore::SpecifiedInRange(col_counts, 4, 4));
-
-  std::vector<uint64_t> shards =
-      storage::MatrixStore::ShardSpecifiedCounts(col_counts, 5);
-  EXPECT_EQ(total, std::accumulate(shards.begin(), shards.end(), uint64_t{0}));
 }
 
 }  // namespace

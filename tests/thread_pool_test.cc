@@ -178,11 +178,11 @@ TEST(ParallelApplyTest, SerialBelowCutoffPooledAbove) {
 
   // total < cutoff: inline even with a live multi-worker pool.
   ParallelApply(
-      &pool, EngineConfig::kDefaultSerialCutoff - 1,
+      &pool, kSerialCutoff - 1,
       [&](size_t, size_t, size_t) {
         EXPECT_EQ(std::this_thread::get_id(), coordinator);
       },
-      EngineConfig::kDefaultSerialCutoff);
+      kSerialCutoff);
 
   // total >= cutoff: at least one shard lands off-thread (workers claim
   // dynamically, so assert only that the sweep visits everything and

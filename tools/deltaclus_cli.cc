@@ -5,12 +5,8 @@
 #include <vector>
 
 #include "src/cli/cli.h"
-#include "src/obs/trace.h"
 
 int main(int argc, char** argv) {
-  // DELTACLUS_TRACE=1 enables tracing; any other non-empty value also
-  // dumps the Chrome trace to that path at exit (see src/obs/trace.h).
-  deltaclus::obs::TraceRecorder::InitFromEnv();
   std::vector<std::string> args(argv + 1, argv + argc);
   return deltaclus::RunCli(args, std::cout, std::cerr);
 }

@@ -167,8 +167,8 @@ RULES = [
             "raw_mask accessors) must not appear outside it. Consumers "
             "read through the typed stride-1 span accessors "
             "(RowValues/RowMask/ColValues/ColMask on MatrixStore or "
-            "DataMatrix), which keep every backend -- in-memory, mmap, "
-            "future distributed -- byte-compatible and backend-blind "
+            "DataMatrix), which keep every backend -- in-memory and "
+            "mmap -- byte-compatible and backend-blind "
             "(DESIGN.md, \"The storage layer\").",
     },
     {
@@ -310,7 +310,6 @@ RULES = [
         "scope": SRC_AND_TOOLS,
         "exclude": (
             "src/core/residue_kernels_avx2.cc",
-            "src/core/residue_kernels_neon.cc",
         ),
         "trigger": re.compile(
             r"immintrin\.h|arm_neon\.h|x86intrin\.h"
