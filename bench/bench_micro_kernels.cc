@@ -348,9 +348,7 @@ void BM_GainDetermination(benchmark::State& state) {
   if (threads > 1) pool = std::make_unique<engine::ThreadPool>(threads);
   GainMemo memo;
   memo.Configure(data.matrix.rows(), data.matrix.cols(), views.size());
-  GainDeterminer determiner(ResidueNorm::kMeanAbsolute, 0.0, pool.get(),
-                            engine::kSerialCutoff,
-                            &memo);
+  GainDeterminer determiner(0.0, pool.get(), engine::kSerialCutoff, &memo);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         determiner.Determine(data.matrix, views, scores, tracker, nullptr));
@@ -384,7 +382,7 @@ void BM_GainDeterminationNoMemo(benchmark::State& state) {
   tracker.Rebuild(views);
   std::unique_ptr<engine::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<engine::ThreadPool>(threads);
-  GainDeterminer determiner(ResidueNorm::kMeanAbsolute, 0.0, pool.get());
+  GainDeterminer determiner(0.0, pool.get());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         determiner.Determine(data.matrix, views, scores, tracker, nullptr));

@@ -260,6 +260,25 @@ stage_trajectory() {
   else
     fail "specified-entry-run bench gate (pre_pr20 vs pr20 micro-kernel records)"
   fi
+  # Pane-scan gate: each residue scan is one kernel call whose row loop
+  # makes no call, and an added row is scanned as its trailing row.
+  # pre_pr22 is the parent tip recorded on the same host as pr22, each
+  # record the per-benchmark median of 12 runs of the gated families
+  # (bench/trajectory/README.md). The change claims no gain, so every
+  # gated family holds >= 0.95x: the dense pair, the sparse evals (the
+  # skinny 250x2 shape, where the removed per-row calls weighed most,
+  # included) and the applied-toggle composites. Deterministic: compares
+  # two checked-in records.
+  if python3 tools/dcstat.py diff \
+        bench/trajectory/BENCH_micro_kernels_pre_pr22.json \
+        bench/trajectory/BENCH_micro_kernels_pr22.json \
+        --min-ratio 'BM_GainEval(RowToggleTall|ColToggleWide)$=0.95' \
+        --min-ratio 'BM_GainEval.*Sparse=0.95' \
+        --min-ratio 'BM_GainApply=0.95'; then
+    echo "bench: pane-scan kernel floor holds"
+  else
+    fail "pane-scan bench gate (pre_pr22 vs pr22 micro-kernel records)"
+  fi
   # End-to-end iteration-time gate (PR 10): the Table-2/3 whole-run
   # records, recorded back-to-back pre/post on one machine, must show
   # the 500-row configurations >= 1.2x and the tiny 100-row ones (4-8

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "src/core/cluster_tools.h"
+#include "src/core/cluster_workspace.h"
 #include "src/core/floc.h"
 #include "src/core/predict.h"
 #include "src/core/simd_dispatch.h"
@@ -408,6 +409,13 @@ int CmdMine(FlagParser& flags, std::ostream& out, std::ostream& err) {
   out << "mining " << matrix.rows() << "x" << matrix.cols() << " matrix ("
       << 100.0 * matrix.Density() << "% dense, backend "
       << matrix.BackendName() << "), k = " << config.num_clusters << "\n";
+  // A cluster's packed pane addresses at most kMaxPaneCols columns, so on
+  // a wider matrix clusters are bounded there instead of the run refused.
+  if (matrix.cols() > kMaxPaneCols) {
+    config.constraints.max_cols = kMaxPaneCols;
+    out << "clusters bounded at " << kMaxPaneCols
+        << " columns, the widest a packed pane can address\n";
+  }
 
   // Drive mining through the session layer so budgets can stop the run
   // at a step boundary and --checkpoint/--resume work; with no budgets

@@ -16,7 +16,7 @@ std::vector<AppliedAction> ActionApplier::Apply(
   // The sweep's counters are tallied locally and published once at the
   // end, like the determination shards'.
   SweepTally tally;
-  ResidueEngine engine(config.norm, &tally.scan);
+  ResidueEngine engine(ResidueNorm::kMeanAbsolute, &tally.scan);
   GainContext ctx{&views, &scores, &tracker, config.target_residue,
                   /*blocked=*/nullptr, memo_, config.audit, &tally};
 
@@ -46,7 +46,7 @@ std::vector<AppliedAction> ActionApplier::Apply(
     if (warm && pos % kApplyWindow == 0) {
       WarmGainMemo(actions, order.data() + pos,
                    std::min(kApplyWindow, order.size() - pos), views, *memo_,
-                   config.norm, pool_);
+                   pool_);
     }
     Action action = actions[order[pos]];
     bool is_row = action.target == ActionTarget::kRow;
@@ -77,7 +77,8 @@ std::vector<AppliedAction> ActionApplier::Apply(
       tracker.OnColToggled(views, action.cluster, action.index);
     }
     if (config.audit) {
-      AuditClusterWorkspace(view, config.constraints, config.norm,
+      AuditClusterWorkspace(view, config.constraints,
+                            ResidueNorm::kMeanAbsolute,
                             kDefaultAuditTolerance, "move_phase",
                             audit_occupancy_);
     }

@@ -51,22 +51,6 @@ size_t SortedIndexOf(const std::vector<uint32_t>& ids, size_t id) {
       ids.begin());
 }
 
-// Gathers matrix row `values`/`mask` over `col_ids` into a run:
-// branch-free compaction, each entry stored at cursor q, which advances
-// only on specified entries. Returns the run length.
-size_t GatherRun(const double* values, const uint8_t* mask,
-                 const std::vector<uint32_t>& col_ids, double* dst_values,
-                 uint16_t* dst_slots) {
-  size_t q = 0;
-  for (size_t idx = 0; idx < col_ids.size(); ++idx) {
-    uint32_t col = col_ids[idx];
-    dst_values[q] = values[col];
-    dst_slots[q] = static_cast<uint16_t>(idx);
-    q += mask[col] != 0;
-  }
-  return q;
-}
-
 }  // namespace
 
 void ClusterWorkspace::RebuildPane() const {
@@ -92,8 +76,8 @@ void ClusterWorkspace::RebuildPane() const {
     pane_.row_slots[pr] = static_cast<uint32_t>(pr);
     uint32_t i = row_ids[pr];
     pane_.run_len[pr] = static_cast<uint32_t>(
-        GatherRun(m.RowValues(i).data(), m.RowMask(i).data(), col_ids,
-                  pane_.values.data() + pr * stride,
+        GatherRun(m.RowValues(i).data(), m.RowMask(i).data(),
+                  col_ids.data(), n, pane_.values.data() + pr * stride,
                   pane_.slots.data() + pr * stride));
     pane_.row_base[pr] = view_.stats().RowBase(i);
   }
@@ -122,10 +106,11 @@ void ClusterWorkspace::PatchPaneRow(size_t i, bool removed) {
     // Gather the new row's run into a fresh physical row and splice its
     // slot in at the sorted logical position.
     const DataMatrix& m = view_.matrix();
+    const auto& col_ids = view_.cluster().col_ids();
     size_t phys = pane.next_phys_row++;
     pane.run_len[phys] = static_cast<uint32_t>(
         GatherRun(m.RowValues(i).data(), m.RowMask(i).data(),
-                  view_.cluster().col_ids(),
+                  col_ids.data(), col_ids.size(),
                   pane.values.data() + phys * pane.phys_stride,
                   pane.slots.data() + phys * pane.phys_stride));
     pane.row_base[phys] = view_.stats().RowBase(i);

@@ -19,7 +19,7 @@
 //
 // The four steps, and the refinement stage after them, are separate
 // phase components (src/core/floc_phases.h: GainDeterminer,
-// ActionScheduler, ActionApplier, BestPrefixSelector, RefineSweep,
+// MakeActionOrder, ActionApplier, BestPrefixSelector, RefineSweep,
 // ReanchorCluster) running on the execution engine
 // (src/engine/thread_pool.h). A MiningSession (src/session/) drives
 // them step by step; Floc is the configured factory that opens
@@ -78,10 +78,6 @@ struct FlocConfig {
   /// Order in which the N + M best actions are performed each iteration.
   /// The paper's Table 4 shows weighted random is the strongest choice.
   ActionOrdering ordering = ActionOrdering::kWeightedRandom;
-
-  /// Residue aggregation norm (the paper uses the arithmetic mean of
-  /// absolute residues).
-  ResidueNorm norm = ResidueNorm::kMeanAbsolute;
 
   /// Target residue r of the paper's "r-residue delta-cluster" concept
   /// (Section 3). 0 keeps the paper's literal objective: minimize the

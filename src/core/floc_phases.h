@@ -4,8 +4,9 @@
 //
 //   GainDeterminer     step 1: the best action per row/column, fanned
 //                      out over the thread pool in deterministic shards.
-//   ActionScheduler    step 2: the order the N + M actions are performed
-//                      in (wraps the three orderings of Section 5.2).
+//   MakeActionOrder    step 2: the order the N + M actions are performed
+//                      in (the three orderings of Section 5.2, ordering.h),
+//                      from the determination gains.
 //   ActionApplier      step 3: the sequential apply sweep -- re-deciding
 //                      or re-validating each action against the current
 //                      state, annealing negatives, toggling memberships.
@@ -147,7 +148,7 @@ Action BestActionFor(bool is_row, size_t index, const GainContext& ctx,
 /// counters), tallied per shard and merged once per call.
 void WarmGainMemo(const std::vector<Action>& actions, const size_t* window,
                   size_t count, const std::vector<ClusterWorkspace>& views,
-                  GainMemo& memo, ResidueNorm norm, engine::ThreadPool* pool);
+                  GainMemo& memo, engine::ThreadPool* pool);
 
 /// Phase-2 step 1: determines the best action for every row and column
 /// against the current clustering, sharded over the thread pool.
@@ -165,12 +166,10 @@ class GainDeterminer {
   /// `memo` is a non-owning, optional gain memo shared with the apply
   /// sweep (must be Configure()d for this matrix/cluster-count and
   /// outlive the determiner); `audit_memo` recomputes every memo hit.
-  GainDeterminer(ResidueNorm norm, double target_residue,
-                 engine::ThreadPool* pool,
+  GainDeterminer(double target_residue, engine::ThreadPool* pool,
                  size_t serial_cutoff = engine::kSerialCutoff,
                  GainMemo* memo = nullptr, bool audit_memo = false)
-      : norm_(norm),
-        target_residue_(target_residue),
+      : target_residue_(target_residue),
         pool_(pool),
         serial_cutoff_(serial_cutoff),
         memo_(memo),
@@ -191,30 +190,11 @@ class GainDeterminer {
                                 const StopToken* stop = nullptr) const;
 
  private:
-  ResidueNorm norm_;
   double target_residue_;
   engine::ThreadPool* pool_;
   size_t serial_cutoff_;
   GainMemo* memo_;
   bool audit_memo_;
-};
-
-/// Phase-2 step 2: the order in which the N + M determined actions are
-/// performed. Wraps the three ordering schemes (fixed / random /
-/// gain-weighted random, Section 5.2); the gains feeding the weighted
-/// scheme are the determination-time gains even when the applier later
-/// re-decides actions freshly.
-class ActionScheduler {
- public:
-  explicit ActionScheduler(ActionOrdering ordering) : ordering_(ordering) {}
-
-  /// A permutation `order` of [0, actions.size()): the action performed
-  /// t-th is actions[order[t]].
-  std::vector<size_t> Order(const std::vector<Action>& actions,
-                            Rng& rng) const;
-
- private:
-  ActionOrdering ordering_;
 };
 
 /// Phase-2 step 4: tracks the best intermediate clustering of the apply

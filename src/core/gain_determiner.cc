@@ -167,7 +167,7 @@ std::vector<Action> GainDeterminer::Determine(
                         memo_, audit_memo_, &tally};
         // Per-shard scratch: ResidueEngine's buffers must not be shared
         // across threads, and construction is trivial next to the scan.
-        ResidueEngine engine(norm_, &tally.scan);
+        ResidueEngine engine(ResidueNorm::kMeanAbsolute, &tally.scan);
         for (size_t t = begin; t < end; ++t) {
           bool is_row = t < num_rows;
           size_t index = is_row ? t : t - num_rows;
@@ -186,7 +186,7 @@ std::vector<Action> GainDeterminer::Determine(
 
 void WarmGainMemo(const std::vector<Action>& actions, const size_t* window,
                   size_t count, const std::vector<ClusterWorkspace>& views,
-                  GainMemo& memo, ResidueNorm norm, engine::ThreadPool* pool) {
+                  GainMemo& memo, engine::ThreadPool* pool) {
   // Pane fills are not thread-safe; once fresh, the workers' EnsurePane
   // calls only read (as in GainDeterminer::Determine).
   for (const ClusterWorkspace& ws : views) ws.EnsurePane();
@@ -202,7 +202,7 @@ void WarmGainMemo(const std::vector<Action>& actions, const size_t* window,
                                          size_t shard) {
     SweepTally tally;  // stored once, as in Determine
     // Per-shard scratch, as in Determine.
-    ResidueEngine engine(norm, &tally.scan);
+    ResidueEngine engine(ResidueNorm::kMeanAbsolute, &tally.scan);
     for (size_t p = begin; p < end; ++p) {
       const Action& action = actions[window[p / k]];
       bool is_row = action.target == ActionTarget::kRow;

@@ -25,7 +25,7 @@ size_t RefineSweep(const FlocConfig& config, const DataMatrix& matrix,
   // The sweep's counters are tallied locally and published once at the
   // end, like the apply sweep's.
   SweepTally tally;
-  ResidueEngine engine(config.norm, &tally.scan);
+  ResidueEngine engine(ResidueNorm::kMeanAbsolute, &tally.scan);
   GainContext ctx{&views, &scores, &tracker, config.target_residue,
                   /*blocked=*/nullptr, memo, config.audit, &tally};
   size_t applied = 0;
@@ -68,7 +68,8 @@ size_t RefineSweep(const FlocConfig& config, const DataMatrix& matrix,
         tracker.OnColToggled(views, c, cand.index);
       }
       if (config.audit) {
-        AuditClusterWorkspace(views[c], config.constraints, config.norm,
+        AuditClusterWorkspace(views[c], config.constraints,
+                              ResidueNorm::kMeanAbsolute,
                               kDefaultAuditTolerance, "RefineSweep",
                               audit_occupancy);
       }
@@ -92,7 +93,7 @@ bool ReanchorCluster(const FlocConfig& config, const DataMatrix& matrix,
   size_t num_rows = matrix.rows();
   size_t num_cols = matrix.cols();
   const Constraints& cons = config.constraints;
-  ResidueEngine engine(config.norm);
+  ResidueEngine engine(ResidueNorm::kMeanAbsolute);
 
   Cluster candidate = view.cluster();
   for (int round = 0; round < 2; ++round) {
@@ -215,8 +216,9 @@ bool ReanchorCluster(const FlocConfig& config, const DataMatrix& matrix,
   // cached residue and its pane; adopting it equals Reset(candidate).
   view = std::move(cand_ws);
   if (config.audit) {
-    AuditClusterWorkspace(view, cons, config.norm, kDefaultAuditTolerance,
-                          "ReanchorCluster", audit_occupancy);
+    AuditClusterWorkspace(view, cons, ResidueNorm::kMeanAbsolute,
+                          kDefaultAuditTolerance, "ReanchorCluster",
+                          audit_occupancy);
   }
   *score = cand_score;
   return true;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 
 #include "src/core/residue_kernels.h"
 #include "src/core/simd_dispatch.h"
@@ -45,13 +46,43 @@ obs::Counter* GainEvalEntriesDenseCounter() {
 // position) makes every pass bit-identical whenever every visited entry
 // is specified, so dispatch between them can never change a result.
 //
-// The bodies (LaneAcc, Contribution, the dense passes and the
-// specified-entry run passes) live in src/core/residue_kernels.h, shared
-// with the per-ISA SIMD translation units; the pane scan loops below
-// call them through the runtime-dispatched table
-// (src/core/simd_dispatch.h), which is bit-invisible by the same lane
-// contract. Only the gathered added row calls the scalar bodies
-// directly.
+// The bodies (LaneAcc, Contribution, the dense and run passes and the
+// pane-scan row loop) live in src/core/residue_kernels.h, shared with
+// the AVX2 translation unit; the scans below call them through the
+// runtime-dispatched table (src/core/simd_dispatch.h), which is
+// bit-invisible by the same lane contract. A row and a column scan make
+// one table call per scan and per pane row respectively.
+
+// The pane-scan view of the workspace's pane: every logical row but
+// `skip`, with the given column bases and cluster base, and no trailing
+// row. A row's run length is its specified count over the columns.
+PaneScan ScanOf(const ClusterWorkspace& ws, const double* col_bases,
+                double cluster_base, size_t skip) {
+  const PackedPane& pane = ws.EnsurePane();
+  const auto& row_ids = ws.cluster().row_ids();
+  for (size_t pr = 0; pr < row_ids.size(); ++pr) {
+    DC_DCHECK_EQ(pane.RunLength(pr), ws.stats().RowCount(row_ids[pr]));
+  }
+  PaneScan scan;
+  scan.values = pane.values.data();
+  scan.slots = pane.slots.data();
+  scan.run_len = pane.run_len.data();
+  scan.row_base = pane.row_base.data();
+  scan.row_slots = pane.row_slots.data();
+  scan.rows = pane.row_slots.size();
+  scan.num_cols = pane.num_cols;
+  scan.stride = pane.phys_stride;
+  scan.skip = skip;
+  scan.col_bases = col_bases;
+  scan.cluster_base = cluster_base;
+  return scan;
+}
+
+template <bool kSquared>
+PaneSum ScanPane(const PaneScan& scan) {
+  const SimdKernels& simd = ActiveSimdKernels();
+  return kSquared ? simd.scan_pane_sq(scan) : simd.scan_pane_abs(scan);
+}
 
 }  // namespace
 
@@ -198,9 +229,7 @@ double ResidueEngine::NumeratorImpl(const ClusterWorkspace& ws) {
   dense_entries_last_scan_ = 0;
   if (stats.Volume() == 0) return 0.0;
 
-  const PackedPane& pane = ws.EnsurePane();
   const auto& col_ids = c.col_ids();
-  const auto& row_ids = c.row_ids();
   size_t n = col_ids.size();
   scratch_col_base_.resize(n);
   for (size_t idx = 0; idx < n; ++idx) {
@@ -209,32 +238,10 @@ double ResidueEngine::NumeratorImpl(const ClusterWorkspace& ws) {
   double cluster_base = stats.ClusterBase();
   const double* col_bases = scratch_col_base_.data();
 
-  const SimdKernels& simd = ActiveSimdKernels();
-  SimdKernels::SegDenseFullFn seg_full =
-      kSquared ? simd.seg_full_sq : simd.seg_full_abs;
-  SimdKernels::SegRunFullFn seg_run_full =
-      kSquared ? simd.seg_run_full_sq : simd.seg_run_full_abs;
-  // Every pane row is one run, so every row is a single whole-row call
-  // that keeps the lanes in registers -- bit-identical between the dense
-  // and run slots by the LaneAcc contract, and roughly half the per-row
-  // cost of a spill-around-the-call shape on short rows. A row's run
-  // length is its specified count over the cluster's columns.
-  double acc = 0.0;
-  size_t dense_entries = 0;
-  for (size_t pr = 0; pr < row_ids.size(); ++pr) {
-    double row_base = pane.RowBase(pr);
-    size_t count = pane.RunLength(pr);
-    DC_DCHECK_EQ(count, stats.RowCount(row_ids[pr]));
-    if (count == n) {
-      dense_entries += n;
-      acc += seg_full(pane.Row(pr), col_bases, n, row_base, cluster_base);
-    } else {
-      acc += seg_run_full(pane.Row(pr), pane.Slots(pr), col_bases, count,
-                          row_base, cluster_base);
-    }
-  }
-  dense_entries_last_scan_ = dense_entries;
-  return acc;
+  PaneSum scanned = ScanPane<kSquared>(
+      ScanOf(ws, col_bases, cluster_base, /*skip=*/SIZE_MAX));
+  dense_entries_last_scan_ = scanned.dense_entries;
+  return scanned.sum;
 }
 
 template <bool kSquared>
@@ -290,55 +297,30 @@ double ResidueEngine::AfterToggleRowImpl(const ClusterWorkspace& ws,
   }
   const double* col_bases = scratch_col_base_.data();
 
-  const PackedPane& pane = ws.EnsurePane();
-  const SimdKernels& simd = ActiveSimdKernels();
-  SimdKernels::SegDenseFullFn seg_full =
-      kSquared ? simd.seg_full_sq : simd.seg_full_abs;
-  SimdKernels::SegRunFullFn seg_run_full =
-      kSquared ? simd.seg_run_full_sq : simd.seg_run_full_abs;
-  // This loop is the determination sweep's hot interior (it runs per
-  // candidate row eval), so the per-row call shape matters as much as
-  // the kernel: every row takes a one-call whole-row pass.
-  double acc = 0.0;
-  size_t dense_entries = 0;
-  // Existing member rows stream from the pane (their row bases are
-  // unchanged by a row toggle); on removal, row i's pane row is skipped.
-  // Row i's pane row on removal; past the last row on addition.
+  // Member rows stream from the pane (their row bases are unchanged by a
+  // row toggle); on removal, row i's pane row is left out. An added row
+  // lies outside the pane: it is gathered into the scratch run (padded
+  // like a pane run) and scanned last, in the same kernel call.
   size_t skip = removing ? static_cast<size_t>(
                                std::lower_bound(row_ids.begin(),
                                                 row_ids.end(),
                                                 static_cast<uint32_t>(i)) -
                                row_ids.begin())
-                         : row_ids.size();
-  for (size_t pr = 0; pr < row_ids.size(); ++pr) {
-    if (pr == skip) continue;
-    double row_base = pane.RowBase(pr);
-    size_t count = pane.RunLength(pr);
-    DC_DCHECK_EQ(count, stats.RowCount(row_ids[pr]));
-    if (count == n) {
-      dense_entries += n;
-      acc += seg_full(pane.Row(pr), col_bases, n, row_base, cluster_base);
-    } else {
-      acc += seg_run_full(pane.Row(pr), pane.Slots(pr), col_bases, count,
-                          row_base, cluster_base);
-    }
-  }
-  // The newly-added row lives outside the pane: one gathered row pass.
+                         : SIZE_MAX;
+  PaneScan scan = ScanOf(ws, col_bases, cluster_base, skip);
   if (!removing && toggled_cnt > 0) {
-    double row_base = toggled_sum / toggled_cnt;
-    const uint32_t* cols = col_ids.data();
-    if (row_i_dense) {
-      acc += RowPassDenseScalar<kSquared>(row_values_i, cols, col_bases, n,
-                                          row_base, cluster_base);
-      dense_entries += n;
-    } else {
-      acc += RowPassMaskedScalar<kSquared>(row_values_i, row_mask_i, cols,
-                                           col_bases, n, row_base,
-                                           cluster_base);
-    }
+    scratch_run_values_.resize(n + kRunReadPad);
+    scratch_run_slots_.resize(n + kRunReadPad);
+    scan.added_values = scratch_run_values_.data();
+    scan.added_slots = scratch_run_slots_.data();
+    scan.added_len = GatherRun(row_values_i, row_mask_i, col_ids.data(), n,
+                               scratch_run_values_.data(),
+                               scratch_run_slots_.data());
+    scan.added_row_base = toggled_sum / toggled_cnt;
   }
-  dense_entries_last_scan_ = dense_entries;
-  return acc / new_volume;
+  PaneSum scanned = ScanPane<kSquared>(scan);
+  dense_entries_last_scan_ = scanned.dense_entries;
+  return scanned.sum / new_volume;
 }
 
 template <bool kSquared>

@@ -25,12 +25,16 @@
 // parallel uint16 pane-column slots, and the run pass reads each entry's
 // column base through its slot. Both visit exactly the specified entries
 // in column order and add them in the same lane pattern, so the result
-// never depends on which pass ran. Both are slots of the
-// runtime-dispatched SIMD table. See DESIGN.md "The gain kernel".
+// never depends on which pass ran. A cluster scan and a row-toggle scan
+// are each one call of the runtime-dispatched SIMD table's pane-scan
+// slot, which walks the rows and picks the pass per row; a row being
+// added is gathered into a run and scanned last in that same call. See
+// DESIGN.md "The gain kernel".
 #ifndef DELTACLUS_CORE_RESIDUE_H_
 #define DELTACLUS_CORE_RESIDUE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/core/cluster.h"
@@ -123,9 +127,10 @@ class ResidueEngine {
   /// Residue the cluster would have after toggling row i's membership.
   /// Does not modify the cluster. One pass over the *post-toggle*
   /// submatrix plus an O(|J|) adjusted-column-base pass: member rows
-  /// stream from the pane, and an added row (outside the pane) takes one
-  /// gathered pass. If `new_volume` is non-null it receives the
-  /// post-toggle volume.
+  /// stream from the pane, and an added row (outside the pane) is
+  /// gathered into a scratch run and scanned last, in the same kernel
+  /// call. If `new_volume` is non-null it receives the post-toggle
+  /// volume.
   double ResidueAfterToggleRow(const ClusterWorkspace& ws, size_t i,
                                size_t* new_volume = nullptr);
 
@@ -170,6 +175,10 @@ class ResidueEngine {
   // Scratch: column bases aligned with the visited-column list of the
   // current scan.
   std::vector<double> scratch_col_base_;
+  // Scratch: the run of a row being added (GatherRun), with
+  // kRunReadPad readable entries past it like a pane run.
+  std::vector<double> scratch_run_values_;
+  std::vector<uint16_t> scratch_run_slots_;
   // Entries the most recent scan accumulated through the dense kernel,
   // counted into floc.gain_eval_entries_dense.
   size_t dense_entries_last_scan_ = 0;

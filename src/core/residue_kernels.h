@@ -1,5 +1,5 @@
 // The gain-kernel bodies shared between the scalar reference path and
-// the per-ISA SIMD translation units (src/core/residue_kernels_*.cc,
+// the per-ISA SIMD translation unit (src/core/residue_kernels_avx2.cc,
 // dispatched at runtime by src/core/simd_dispatch.h).
 //
 // LaneAcc is the correctness spec for every implementation: the p-th
@@ -19,11 +19,14 @@
 // read through the slot -- no mask is read and no unspecified cell is
 // touched on the per-entry path.
 //
-// The gathered matrix-row pass (an added row, read from the matrix
-// through a column-id list, not from the pane) still visits a masked
-// row by branch-free compaction: every position's contribution is
-// stored at a cursor that advances only on specified entries, and the
-// compacted run is added like a dense one.
+// A row being added lies outside the pane. It is gathered from the
+// matrix into a padded scratch run (GatherRun, the same compaction that
+// builds a pane row) and scanned as the trailing row of the pane scan,
+// through the same row bodies as a member row.
+//
+// The pane-scan row loop (ScanPaneRows) is written once, here; each
+// kernel table instantiates it with its own whole-row bodies, so a
+// whole scan is one table call whatever the pane's height.
 //
 // Everything here must stay valid under the baseline ISA: no intrinsics
 // in this header (dclint rule simd-confined keeps them in the kernel
@@ -68,8 +71,11 @@ inline double Contribution(double value, double row_base, double col_base,
 /// is fixed, then a scalar tail -- the template a 4-wide vector body
 /// reproduces element for element.
 template <bool kSquared, typename BaseAt>
-inline void SegPassScalar(const double* values, BaseAt bases, size_t n,
-                          double row_base, double cluster_base, LaneAcc& acc) {
+[[gnu::always_inline]] inline void SegPassScalar(const double* values,
+                                                 BaseAt bases, size_t n,
+                                                 double row_base,
+                                                 double cluster_base,
+                                                 LaneAcc& acc) {
   size_t k = 0;
   // Peel to a lane-0 boundary so the unrolled body maps offset to lane
   // without tracking the phase per iteration.
@@ -103,9 +109,9 @@ inline void SegPassScalar(const double* values, BaseAt bases, size_t n,
 /// Dense contiguous segment (a fully specified pane row): entry k's base
 /// is col_bases[k].
 template <bool kSquared>
-inline void SegPassDenseScalar(const double* values, const double* col_bases,
-                               size_t n, double row_base, double cluster_base,
-                               LaneAcc& acc) {
+[[gnu::always_inline]] inline void SegPassDenseScalar(
+    const double* values, const double* col_bases, size_t n, double row_base,
+    double cluster_base, LaneAcc& acc) {
   SegPassScalar<kSquared>(
       values, [col_bases](size_t k) { return col_bases[k]; }, n, row_base,
       cluster_base, acc);
@@ -116,10 +122,9 @@ inline void SegPassDenseScalar(const double* values, const double* col_bases,
 /// column, so its base is col_bases[slots[k]]. Visits exactly the
 /// entries a skip loop over the full row would, in the same order.
 template <bool kSquared>
-inline void SegPassRunScalar(const double* values, const uint16_t* slots,
-                             const double* col_bases, size_t n,
-                             double row_base, double cluster_base,
-                             LaneAcc& acc) {
+[[gnu::always_inline]] inline void SegPassRunScalar(
+    const double* values, const uint16_t* slots, const double* col_bases,
+    size_t n, double row_base, double cluster_base, LaneAcc& acc) {
   SegPassScalar<kSquared>(
       values, [col_bases, slots](size_t k) { return col_bases[slots[k]]; },
       n, row_base, cluster_base, acc);
@@ -132,110 +137,127 @@ inline void SegPassRunScalar(const double* values, const uint16_t* slots,
 constexpr size_t kRunReadPad = 4;
 
 /// Whole run from fresh lanes, reduced: the run twin of
-/// SegPassDenseFullScalar.
+/// SegPassDenseFullScalar, and the scalar table's run row body.
 template <bool kSquared>
-inline double SegPassRunFullScalar(const double* values,
-                                   const uint16_t* slots,
-                                   const double* col_bases, size_t n,
-                                   double row_base, double cluster_base) {
+[[gnu::always_inline]] inline double SegPassRunFullScalar(
+    const double* values, const uint16_t* slots, const double* col_bases,
+    size_t n, double row_base, double cluster_base) {
   LaneAcc acc;
   SegPassRunScalar<kSquared>(values, slots, col_bases, n, row_base,
                              cluster_base, acc);
   return acc.Reduce();
 }
 
-/// Adds a run of precomputed contributions to `acc` in visit order, in
-/// the peel / 4-unroll / tail shape of SegPassScalar.
-inline void AddRunScalar(const double* run, size_t n, LaneAcc& acc) {
-  size_t k = 0;
-  for (; (acc.p & 3) != 0 && k < n; ++k, ++acc.p) acc.l[acc.p & 3] += run[k];
-  double l0 = acc.l[0], l1 = acc.l[1], l2 = acc.l[2], l3 = acc.l[3];
-  size_t unrolled_start = k;
-  for (; k + 4 <= n; k += 4) {
-    l0 += run[k + 0];
-    l1 += run[k + 1];
-    l2 += run[k + 2];
-    l3 += run[k + 3];
-  }
-  acc.p += k - unrolled_start;
-  acc.l[0] = l0;
-  acc.l[1] = l1;
-  acc.l[2] = l2;
-  acc.l[3] = l3;
-  for (; k < n; ++k, ++acc.p) acc.l[acc.p & 3] += run[k];
-}
-
-/// Positions per compaction chunk of the gathered masked pass: the stack
-/// buffer's size, so the pass never allocates.
-constexpr size_t kMaskedChunk = 64;
-
 /// Whole-row dense pass from fresh lanes: SegPassDenseScalar with phase
-/// 0 followed by the standard reduction. Split out so the hot per-row
-/// loops can make one call per row and keep the lanes in registers --
-/// carrying a LaneAcc across an out-of-line kernel call forces it
-/// through memory, which doubles the per-row overhead on short rows.
+/// 0 followed by the standard reduction, and the scalar table's dense
+/// row body. Inlined into the pane scan's row loop (as every row body
+/// is), so the lanes stay in registers and no call splits the loop.
 template <bool kSquared>
-inline double SegPassDenseFullScalar(const double* values,
-                                     const double* col_bases, size_t n,
-                                     double row_base, double cluster_base) {
+[[gnu::always_inline]] inline double SegPassDenseFullScalar(
+    const double* values, const double* col_bases, size_t n,
+    double row_base, double cluster_base) {
   LaneAcc acc;
   SegPassDenseScalar<kSquared>(values, col_bases, n, row_base, cluster_base,
                                acc);
   return acc.Reduce();
 }
 
-/// Dense gathered row (matrix rows addressed through a column-id list):
-/// starts from fresh lanes and reduces immediately, with visit order
-/// equal to position order so lane idx mod 4 reproduces the pane
-/// passes' lane pattern exactly.
-template <bool kSquared>
-inline double RowPassDenseScalar(const double* values, const uint32_t* cols,
-                                 const double* col_bases, size_t n,
-                                 double row_base, double cluster_base) {
-  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-  size_t idx = 0;
-  for (; idx + 4 <= n; idx += 4) {
-    l0 += Contribution<kSquared>(values[cols[idx + 0]], row_base,
-                                 col_bases[idx + 0], cluster_base);
-    l1 += Contribution<kSquared>(values[cols[idx + 1]], row_base,
-                                 col_bases[idx + 1], cluster_base);
-    l2 += Contribution<kSquared>(values[cols[idx + 2]], row_base,
-                                 col_bases[idx + 2], cluster_base);
-    l3 += Contribution<kSquared>(values[cols[idx + 3]], row_base,
-                                 col_bases[idx + 3], cluster_base);
+/// Gathers a matrix row (`values`/`mask`, indexed by column id) over the
+/// column-id list cols[0..n) into a run: branch-free compaction, each
+/// entry and its pane-column slot stored at cursor q, which advances
+/// only on specified entries. dst_values/dst_slots must hold n entries.
+/// Returns the run length.
+inline size_t GatherRun(const double* values, const uint8_t* mask,
+                        const uint32_t* cols, size_t n, double* dst_values,
+                        uint16_t* dst_slots) {
+  size_t q = 0;
+  for (size_t idx = 0; idx < n; ++idx) {
+    uint32_t col = cols[idx];
+    dst_values[q] = values[col];
+    dst_slots[q] = static_cast<uint16_t>(idx);
+    q += mask[col] != 0;
   }
-  double lanes[4] = {l0, l1, l2, l3};
-  for (; idx < n; ++idx) {
-    lanes[idx & 3] += Contribution<kSquared>(values[cols[idx]], row_base,
-                                             col_bases[idx], cluster_base);
-  }
-  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+  return q;
 }
 
-/// Masked gathered row (a matrix row with gaps, addressed through a
-/// column-id list; `values`/`mask` are indexed by column id), from fresh
-/// lanes. Branch-free compaction, one chunk at a time: every position's
-/// contribution is stored at cursor q, which advances only on specified
-/// entries; the compacted run is then added in visit order.
-template <bool kSquared>
-inline double RowPassMaskedScalar(const double* values, const uint8_t* mask,
-                                  const uint32_t* cols,
-                                  const double* col_bases, size_t n,
-                                  double row_base, double cluster_base) {
-  LaneAcc acc;
-  double run[kMaskedChunk];
-  for (size_t start = 0; start < n; start += kMaskedChunk) {
-    size_t len = n - start < kMaskedChunk ? n - start : kMaskedChunk;
-    size_t q = 0;
-    for (size_t idx = start; idx < start + len; ++idx) {
-      uint32_t pos = cols[idx];
-      run[q] = Contribution<kSquared>(values[pos], row_base, col_bases[idx],
-                                      cluster_base);
-      q += mask[pos] != 0;
-    }
-    AddRunScalar(run, q, acc);
+/// One whole-pane scan as the pane-scan kernels read it: a plain view of
+/// a PackedPane's arrays (src/core/cluster_workspace.h), whose logical
+/// row r is physical row row_slots[r], holding run_len[phys] entries at
+/// values/slots + phys * stride with base row_base[phys]; plus the
+/// scan's column bases (pane-column order), the cluster base, one
+/// logical row to leave out, and an optional trailing row outside the
+/// pane. A row whose run spans all num_cols columns is dense.
+struct PaneScan {
+  const double* values = nullptr;
+  const uint16_t* slots = nullptr;
+  const uint32_t* run_len = nullptr;
+  const double* row_base = nullptr;
+  const uint32_t* row_slots = nullptr;
+  size_t rows = 0;
+  size_t num_cols = 0;
+  size_t stride = 0;
+  size_t skip = SIZE_MAX;  ///< logical row left out (none if >= rows)
+  const double* col_bases = nullptr;
+  double cluster_base = 0.0;
+  /// The trailing row (a row being added), scanned after every pane row:
+  /// a run of added_len entries, padded like a pane run. Null for none.
+  const double* added_values = nullptr;
+  const uint16_t* added_slots = nullptr;
+  size_t added_len = 0;
+  double added_row_base = 0.0;
+};
+
+/// What a pane scan returns: the rows' reduced contributions summed in
+/// row order, and how many of the entries were in dense rows.
+struct PaneSum {
+  double sum = 0.0;
+  size_t dense_entries = 0;
+};
+
+using DenseRowFn = double (*)(const double* values, const double* col_bases,
+                              size_t n, double row_base, double cluster_base);
+using RunRowFn = double (*)(const double* values, const uint16_t* slots,
+                            const double* col_bases, size_t n,
+                            double row_base, double cluster_base);
+
+/// One row of a pane scan: the dense body when the run spans every
+/// column, the run body otherwise, added to `out` from fresh lanes.
+template <DenseRowFn kDenseRow, RunRowFn kRunRow>
+[[gnu::always_inline]] inline void ScanRow(const PaneScan& s,
+                                           const double* values,
+                                           const uint16_t* slots, size_t len,
+                                           double row_base, PaneSum& out) {
+  if (len == s.num_cols) {
+    out.dense_entries += len;
+    out.sum += kDenseRow(values, s.col_bases, len, row_base, s.cluster_base);
+  } else {
+    out.sum +=
+        kRunRow(values, slots, s.col_bases, len, row_base, s.cluster_base);
   }
-  return acc.Reduce();
+}
+
+/// The pane-scan row loop, written once: every kernel table instantiates
+/// it with its own whole-row dense and run bodies, so a scan is one
+/// table call and the per-row bodies are direct calls the compiler
+/// inlines. Each row is reduced from fresh lanes and added to one scalar
+/// accumulator in logical row order, the trailing row last; nothing is
+/// vectorized across rows, so the sum is the same bits whichever table
+/// runs.
+template <DenseRowFn kDenseRow, RunRowFn kRunRow>
+PaneSum ScanPaneRows(const PaneScan& s) {
+  PaneSum out;
+  for (size_t pr = 0; pr < s.rows; ++pr) {
+    if (pr == s.skip) continue;
+    size_t phys = s.row_slots[pr];
+    ScanRow<kDenseRow, kRunRow>(s, s.values + phys * s.stride,
+                                s.slots + phys * s.stride, s.run_len[phys],
+                                s.row_base[phys], out);
+  }
+  if (s.added_values != nullptr) {
+    ScanRow<kDenseRow, kRunRow>(s, s.added_values, s.added_slots,
+                                s.added_len, s.added_row_base, out);
+  }
+  return out;
 }
 
 }  // namespace deltaclus

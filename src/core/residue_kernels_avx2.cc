@@ -21,8 +21,11 @@
 // again. The whole-run pass ends in a masked four-entry group rather
 // than a scalar tail; see SegPassRunFullAvx2 for why that is exact.
 //
-// Only the unit-stride pane passes are vectorized; the gathered row
-// passes stay scalar -- see simd_dispatch.h.
+// The pane-scan slots instantiate the shared row loop (ScanPaneRows,
+// residue_kernels.h) with this file's whole-row bodies. Those bodies
+// have internal linkage, and so has every instantiation that names
+// them, so nothing this -mavx2 TU emits can stand in for a symbol the
+// baseline-ISA TUs link against.
 #include "src/core/simd_dispatch.h"
 
 #if defined(__AVX2__)
@@ -80,12 +83,12 @@ void SegPassDenseAvx2(const double* values, const double* col_bases,
 }
 
 // Whole row from fresh lanes (phase 0): no peel, vector body, scalar
-// tail, then the standard (l0 + l1) + (l2 + l3) reduction. The lanes
-// never touch memory, which is the point -- this is the one-call-per-row
-// shape the hot scan loops use.
+// tail, then the standard (l0 + l1) + (l2 + l3) reduction. Inlined into
+// the pane scan's row loop, so the lanes stay in registers.
 template <bool kSquared>
-double SegPassDenseFullAvx2(const double* values, const double* col_bases,
-                            size_t n, double row_base, double cluster_base) {
+[[gnu::always_inline]] inline double SegPassDenseFullAvx2(
+    const double* values, const double* col_bases, size_t n, double row_base,
+    double cluster_base) {
   const __m256d rb = _mm256_set1_pd(row_base);
   const __m256d cb = _mm256_set1_pd(cluster_base);
   const __m256d sign = _mm256_set1_pd(-0.0);
@@ -159,9 +162,9 @@ constexpr int64_t kTailKeep[7] = {-1, -1, -1, 0, 0, 0, 0};
 // the add. Adding +0.0 leaves a lane's bits unchanged, because every
 // lane is a sum of |r| or r^2 terms from +0.0 and so is never -0.0.
 template <bool kSquared>
-double SegPassRunFullAvx2(const double* values, const uint16_t* slots,
-                          const double* col_bases, size_t n, double row_base,
-                          double cluster_base) {
+[[gnu::always_inline]] inline double SegPassRunFullAvx2(
+    const double* values, const uint16_t* slots, const double* col_bases,
+    size_t n, double row_base, double cluster_base) {
   const __m256d rb = _mm256_set1_pd(row_base);
   const __m256d cb = _mm256_set1_pd(cluster_base);
   const __m256d sign = _mm256_set1_pd(-0.0);
@@ -197,10 +200,12 @@ double SegPassRunFullAvx2(const double* values, const uint16_t* slots,
 
 const SimdKernels* Avx2KernelsOrNull() {
   static const SimdKernels table = {
-      SegPassDenseAvx2<false>,     SegPassDenseAvx2<true>,
-      SegPassDenseFullAvx2<false>, SegPassDenseFullAvx2<true>,
-      SegPassRunAvx2<false>,       SegPassRunAvx2<true>,
-      SegPassRunFullAvx2<false>,   SegPassRunFullAvx2<true>,
+      SegPassDenseAvx2<false>,
+      SegPassDenseAvx2<true>,
+      SegPassRunAvx2<false>,
+      SegPassRunAvx2<true>,
+      ScanPaneRows<SegPassDenseFullAvx2<false>, SegPassRunFullAvx2<false>>,
+      ScanPaneRows<SegPassDenseFullAvx2<true>, SegPassRunFullAvx2<true>>,
       "avx2"};
   return &table;
 }

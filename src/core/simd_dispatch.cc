@@ -15,10 +15,12 @@ bool CpuHasAvx2() { return false; }
 
 const SimdKernels& ScalarKernels() {
   static const SimdKernels table = {
-      SegPassDenseScalar<false>,     SegPassDenseScalar<true>,
-      SegPassDenseFullScalar<false>, SegPassDenseFullScalar<true>,
-      SegPassRunScalar<false>,       SegPassRunScalar<true>,
-      SegPassRunFullScalar<false>,   SegPassRunFullScalar<true>,
+      SegPassDenseScalar<false>,
+      SegPassDenseScalar<true>,
+      SegPassRunScalar<false>,
+      SegPassRunScalar<true>,
+      ScanPaneRows<SegPassDenseFullScalar<false>, SegPassRunFullScalar<false>>,
+      ScanPaneRows<SegPassDenseFullScalar<true>, SegPassRunFullScalar<true>>,
       "scalar"};
   return table;
 }

@@ -1,9 +1,11 @@
-// Runtime CPU-feature dispatch for the gain kernels (dense and run).
+// Runtime CPU-feature dispatch for the gain kernels (segment passes and
+// whole-pane scans).
 //
 // The CPU is probed once (first use); the best available kernel table --
 // AVX2 on x86-64 that reports it, the scalar bodies in
 // src/core/residue_kernels.h otherwise -- is selected behind a
-// function-pointer table that ResidueEngine's scan loops call through.
+// function-pointer table that ResidueEngine's scans call through: one
+// call per whole-pane scan, or per segment in the column-toggle kernel.
 // Every table implements the LaneAcc contract, so which one runs is
 // bit-invisible: SIMD and scalar outputs are identical to the last bit,
 // which is why the mode is NOT part of the result-affecting config
@@ -27,50 +29,38 @@ namespace deltaclus {
 /// reports; kOff pins the scalar reference table.
 enum class SimdMode { kAuto, kOff };
 
-/// A complete gain-kernel table for one ISA. seg_* stream a contiguous
-/// packed-pane slice into a caller-carried LaneAcc; seg_full_* scan a
-/// whole row from fresh lanes and return the reduction (the hot per-row
-/// call -- no LaneAcc spills around the call). The seg_run_* twins scan
-/// a holey row's specified-entry run (values plus uint16 pane-column
-/// slots; residue_kernels.h), reading each entry's base through its
-/// slot. _abs/_sq select the residue norm (|r| vs r^2).
+/// A complete gain-kernel table for one ISA. seg_dense_* stream a
+/// contiguous packed-pane slice into a caller-carried LaneAcc, and
+/// seg_run_* a holey row's specified-entry run (values plus uint16
+/// pane-column slots; residue_kernels.h), reading each entry's base
+/// through its slot: the column-toggle kernel's split segments.
+/// scan_pane_* scan a whole pane (PaneScan: every logical row but one
+/// left-out row, then an optional trailing row outside the pane) in one
+/// call, each row from fresh lanes, and return the rows' summed
+/// reductions and the dense-entry count. _abs/_sq select the residue
+/// norm (|r| vs r^2).
 ///
-/// Bounded tail: seg_run_full_* may read up to four run entries (values
-/// and slots) past the run's end, so the caller keeps that many readable
-/// past every run (PackedPane pads its arrays; kRunReadPad), and
-/// col_bases must be non-empty. Those entries never reach a result:
-/// their slots are masked to 0 before the base load and their
-/// contributions to +0.0 before the add.
-///
-/// Only the unit-stride pane passes are dispatched. The gathered
-/// matrix-row passes (RowPass*Scalar in residue_kernels.h) are NOT in
-/// the table: vgatherdpd costs more than four pipelined scalar loads on
-/// the server Xeons we target (measured 0.67x at n=200), so no ISA ever
-/// overrides them -- and keeping them out of the table lets the scalar
-/// templates inline into the added-row pass of the row-toggle kernel
-/// instead of paying an indirect call.
+/// Bounded tail: scan_pane_* may read up to four run entries (values
+/// and slots) past any run's end, so every holder of a run keeps that
+/// many readable past it (PackedPane and the engine's added-row scratch
+/// pad their arrays; kRunReadPad), and col_bases must be non-empty.
+/// Those entries never reach a result: their slots are masked to 0
+/// before the base load and their contributions to +0.0 before the add.
 struct SimdKernels {
   using SegDenseFn = void (*)(const double* values, const double* col_bases,
                               size_t n, double row_base, double cluster_base,
                               LaneAcc& acc);
-  using SegDenseFullFn = double (*)(const double* values,
-                                    const double* col_bases, size_t n,
-                                    double row_base, double cluster_base);
   using SegRunFn = void (*)(const double* values, const uint16_t* slots,
                             const double* col_bases, size_t n,
                             double row_base, double cluster_base,
                             LaneAcc& acc);
-  using SegRunFullFn = double (*)(const double* values, const uint16_t* slots,
-                                  const double* col_bases, size_t n,
-                                  double row_base, double cluster_base);
+  using ScanPaneFn = PaneSum (*)(const PaneScan& scan);
   SegDenseFn seg_dense_abs;
   SegDenseFn seg_dense_sq;
-  SegDenseFullFn seg_full_abs;
-  SegDenseFullFn seg_full_sq;
   SegRunFn seg_run_abs;
   SegRunFn seg_run_sq;
-  SegRunFullFn seg_run_full_abs;
-  SegRunFullFn seg_run_full_sq;
+  ScanPaneFn scan_pane_abs;
+  ScanPaneFn scan_pane_sq;
   const char* name;  ///< "scalar" | "avx2"
 };
 

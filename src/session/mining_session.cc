@@ -125,11 +125,8 @@ MiningSession::MiningSession(
       k_(seeds.size()),
       rng_(config.rng_seed ^ 0x5eedf10cULL),
       collector_(config.telemetry, config.telemetry_sink),
-      engine_(config.norm),
-      determiner_(config.norm, config.target_residue, pool,
-                  engine::kSerialCutoff, &gain_memo_,
-                  config.audit),
-      scheduler_(config.ordering),
+      determiner_(config.target_residue, pool, engine::kSerialCutoff,
+                  &gain_memo_, config.audit),
       tracker_(matrix, config.constraints),
       walls_{seeding_seconds} {
   // Samples the registry counters now (unless StartSession already did,
@@ -376,7 +373,11 @@ void MiningSession::StepMove() {
     std::vector<size_t> order;
     {
       DC_TRACE_SPAN("floc/order_actions");
-      order = scheduler_.Order(actions, rng_);
+      // The weighted ordering reads the determination gains, even when
+      // the applier re-decides each action freshly.
+      std::vector<double> gains(actions.size());
+      for (size_t t = 0; t < actions.size(); ++t) gains[t] = actions[t].gain;
+      order = MakeActionOrder(config_.ordering, gains, rng_);
     }
 
     // --- Perform actions sequentially, tracking the best intermediate

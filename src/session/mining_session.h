@@ -214,7 +214,6 @@ class MiningSession {
   ResidueEngine engine_;
   GainMemo gain_memo_;
   GainDeterminer determiner_;
-  ActionScheduler scheduler_;
 
   std::vector<ClusterWorkspace> views_;
   ConstraintTracker tracker_;

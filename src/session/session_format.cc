@@ -199,7 +199,8 @@ uint64_t FingerprintConfig(const FlocConfig& config, uint64_t rows,
   w.F64(config.constraints.min_row_coverage);
   w.F64(config.constraints.min_col_coverage);
   w.U32(static_cast<uint32_t>(config.ordering));
-  w.U32(static_cast<uint32_t>(config.norm));
+  // The former norm field, now always the mean absolute residue.
+  w.U32(static_cast<uint32_t>(ResidueNorm::kMeanAbsolute));
   w.F64(config.target_residue);
   w.U64(config.max_iterations);
   w.F64(kMinImprovement);

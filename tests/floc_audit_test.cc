@@ -122,7 +122,7 @@ struct CorruptPaneFixture {
     const_cast<PackedPane&>(pane)
         .values[pane.row_slots[0] * pane.phys_stride] += 100.0;
     tracker.Rebuild(views);
-    ResidueEngine engine(config.norm);
+    ResidueEngine engine;
     scores.push_back(ObjectiveScore(engine.Residue(views[0]),
                                     views[0].stats().Volume(),
                                     config.target_residue));

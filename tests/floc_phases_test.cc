@@ -1,4 +1,4 @@
-// Unit tests for the four FLOC phase components (src/core/floc_phases.h)
+// Unit tests for the FLOC phase components (src/core/floc_phases.h)
 // in isolation -- Floc::Run wires them together, floc_test.cc and
 // floc_determinism_test.cc cover the composition.
 //
@@ -12,11 +12,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "src/core/cluster.h"
@@ -97,8 +95,7 @@ TEST(GainDeterminerTest, SerialAndPooledAgreeAboveCutoff) {
   // 120 rows + 30 cols = 150 work items, above the default cutoff of 64:
   // the pooled run fans out while the null-pool run stays inline.
   Fixture fx(120, 30, 41);
-  GainDeterminer serial(ResidueNorm::kMeanAbsolute, Fixture::kTarget,
-                        /*pool=*/nullptr);
+  GainDeterminer serial(Fixture::kTarget, /*pool=*/nullptr);
   std::vector<Action> base = serial.Determine(fx.data.matrix, fx.views,
                                               fx.scores, *fx.tracker,
                                               /*blocked=*/nullptr);
@@ -106,8 +103,7 @@ TEST(GainDeterminerTest, SerialAndPooledAgreeAboveCutoff) {
 
   for (int threads : {2, 3, 8}) {
     engine::ThreadPool pool(threads);
-    GainDeterminer pooled(ResidueNorm::kMeanAbsolute, Fixture::kTarget,
-                          &pool);
+    GainDeterminer pooled(Fixture::kTarget, &pool);
     std::vector<Action> got = pooled.Determine(fx.data.matrix, fx.views,
                                                fx.scores, *fx.tracker,
                                                /*blocked=*/nullptr);
@@ -123,21 +119,18 @@ TEST(GainDeterminerTest, SerialAndPooledAgreeBelowCutoff) {
   ASSERT_LT(fx.data.matrix.rows() + fx.data.matrix.cols(),
             engine::kSerialCutoff);
 
-  GainDeterminer serial(ResidueNorm::kMeanAbsolute, Fixture::kTarget,
-                        /*pool=*/nullptr);
+  GainDeterminer serial(Fixture::kTarget, /*pool=*/nullptr);
   std::vector<Action> base = serial.Determine(fx.data.matrix, fx.views,
                                               fx.scores, *fx.tracker,
                                               nullptr);
 
   engine::ThreadPool pool(4);
-  GainDeterminer defaulted(ResidueNorm::kMeanAbsolute, Fixture::kTarget,
-                           &pool);
+  GainDeterminer defaulted(Fixture::kTarget, &pool);
   ExpectSameActions(base, defaulted.Determine(fx.data.matrix, fx.views,
                                               fx.scores, *fx.tracker,
                                               nullptr));
 
-  GainDeterminer forced(ResidueNorm::kMeanAbsolute, Fixture::kTarget, &pool,
-                        /*serial_cutoff=*/0);
+  GainDeterminer forced(Fixture::kTarget, &pool, /*serial_cutoff=*/0);
   ExpectSameActions(base, forced.Determine(fx.data.matrix, fx.views,
                                            fx.scores, *fx.tracker, nullptr));
 }
@@ -146,15 +139,14 @@ TEST(GainDeterminerTest, BlockCountsIdenticalSerialAndPooled) {
   // The per-shard blocked-toggle tallies are merged in shard order, so
   // the telemetry counts match the serial scan exactly.
   Fixture fx(120, 30, 47);
-  GainDeterminer serial(ResidueNorm::kMeanAbsolute, Fixture::kTarget,
-                        nullptr);
+  GainDeterminer serial(Fixture::kTarget, nullptr);
   obs::BlockCounts serial_blocked;
   serial.Determine(fx.data.matrix, fx.views, fx.scores, *fx.tracker,
                    &serial_blocked);
   EXPECT_GT(serial_blocked.Total(), 0u);  // alpha + overlap bite here
 
   engine::ThreadPool pool(8);
-  GainDeterminer pooled(ResidueNorm::kMeanAbsolute, Fixture::kTarget, &pool);
+  GainDeterminer pooled(Fixture::kTarget, &pool);
   obs::BlockCounts pooled_blocked;
   pooled.Determine(fx.data.matrix, fx.views, fx.scores, *fx.tracker,
                    &pooled_blocked);
@@ -227,7 +219,7 @@ std::vector<SweepOutcome> RunApplySweeps(const DataMatrix& matrix,
   }
   ConstraintTracker tracker(matrix, config.constraints);
   tracker.Rebuild(views);
-  ResidueEngine engine(config.norm);
+  ResidueEngine engine;
   std::vector<double> scores;
   double score_sum = 0.0;
   for (const ClusterWorkspace& ws : views) {
@@ -236,10 +228,8 @@ std::vector<SweepOutcome> RunApplySweeps(const DataMatrix& matrix,
     score_sum += scores.back();
   }
 
-  GainDeterminer determiner(config.norm, config.target_residue, pool,
-                            engine::kSerialCutoff, memo,
-                            config.audit);
-  ActionScheduler scheduler(config.ordering);
+  GainDeterminer determiner(config.target_residue, pool,
+                            engine::kSerialCutoff, memo, config.audit);
   ActionApplier applier(config, memo, pool);
   obs::Counter* served = obs::MetricsRegistry::Global().GetCounter(
       "floc.gain_evals_served_from_cache");
@@ -247,7 +237,9 @@ std::vector<SweepOutcome> RunApplySweeps(const DataMatrix& matrix,
   for (int sweep = 0; sweep < sweeps; ++sweep) {
     std::vector<Action> actions = determiner.Determine(
         matrix, views, scores, tracker, /*blocked=*/nullptr);
-    std::vector<size_t> order = scheduler.Order(actions, rng);
+    std::vector<double> gains;
+    for (const Action& a : actions) gains.push_back(a.gain);
+    std::vector<size_t> order = MakeActionOrder(config.ordering, gains, rng);
     BestPrefixSelector selector(score_sum / views.size());
     SweepOutcome out;
     uint64_t served_before = served->Value();
@@ -385,44 +377,6 @@ TEST(ActionApplierTest, WarmUpRunsOnlyWhenItsWindowFansOut) {
 
   EXPECT_EQ(k3_pooled, k3_serial);
   EXPECT_GT(k4_pooled, k4_serial);
-}
-
-TEST(ActionSchedulerTest, FixedOrderingIsIdentity) {
-  std::vector<Action> actions(10);
-  Rng rng(5);
-  std::vector<size_t> order = ActionScheduler(ActionOrdering::kFixed)
-                                  .Order(actions, rng);
-  std::vector<size_t> identity(10);
-  std::iota(identity.begin(), identity.end(), 0);
-  EXPECT_EQ(order, identity);
-}
-
-TEST(ActionSchedulerTest, RandomOrderingsArePermutations) {
-  std::vector<Action> actions(25);
-  for (size_t t = 0; t < actions.size(); ++t) {
-    actions[t].gain = static_cast<double>(t % 7) - 3.0;
-  }
-  for (ActionOrdering ordering :
-       {ActionOrdering::kRandom, ActionOrdering::kWeightedRandom}) {
-    Rng rng(9);
-    std::vector<size_t> order = ActionScheduler(ordering).Order(actions, rng);
-    std::vector<size_t> sorted = order;
-    std::sort(sorted.begin(), sorted.end());
-    std::vector<size_t> identity(actions.size());
-    std::iota(identity.begin(), identity.end(), 0);
-    EXPECT_EQ(sorted, identity);
-  }
-}
-
-TEST(ActionSchedulerTest, SameSeedSameOrder) {
-  std::vector<Action> actions(40);
-  for (size_t t = 0; t < actions.size(); ++t) {
-    actions[t].gain = static_cast<double>((t * 13) % 11);
-  }
-  ActionScheduler scheduler(ActionOrdering::kWeightedRandom);
-  Rng a(77);
-  Rng b(77);
-  EXPECT_EQ(scheduler.Order(actions, a), scheduler.Order(actions, b));
 }
 
 TEST(BestPrefixSelectorTest, TracksBestObservedPrefix) {

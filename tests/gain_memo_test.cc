@@ -78,9 +78,9 @@ std::vector<std::vector<Action>> DetermineSweeps(const DataMatrix& matrix,
     memo->Configure(matrix.rows(), matrix.cols(), views.size());
   }
   ConstraintTracker tracker(matrix, config.constraints);
-  GainDeterminer determiner(config.norm, config.target_residue, pool,
+  GainDeterminer determiner(config.target_residue, pool,
                             /*serial_cutoff=*/0, memo);
-  ResidueEngine engine(config.norm);
+  ResidueEngine engine;
 
   std::vector<std::vector<Action>> sweeps;
   for (int sweep = 0; sweep < 3; ++sweep) {

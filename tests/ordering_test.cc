@@ -61,6 +61,17 @@ TEST(OrderingTest, RandomIsSeedDeterministic) {
             MakeActionOrder(ActionOrdering::kRandom, gains, b));
 }
 
+TEST(OrderingTest, WeightedIsSeedDeterministic) {
+  std::vector<double> gains(40);
+  for (size_t t = 0; t < gains.size(); ++t) {
+    gains[t] = static_cast<double>((t * 13) % 11);
+  }
+  Rng a(77);
+  Rng b(77);
+  EXPECT_EQ(MakeActionOrder(ActionOrdering::kWeightedRandom, gains, a),
+            MakeActionOrder(ActionOrdering::kWeightedRandom, gains, b));
+}
+
 TEST(OrderingTest, WeightedFrontLoadsHighGains) {
   // With a few high-gain actions among many low ones, the high-gain
   // actions should on average land near the front.

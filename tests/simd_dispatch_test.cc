@@ -4,11 +4,12 @@
 // says dispatching can never change a mined result. Two layers pin it:
 //
 //   1. Kernel-level: every function in the best-available table is fed
-//      the same random segments/rows (across lane phases, lengths, and
-//      both norms) and must reproduce the scalar output bit for bit.
-//      The run slots (holey rows as specified-entry runs) and the
-//      gathered masked row pass are additionally held to the plain skip
-//      loop kept below as their reference.
+//      the same random segments/rows/panes (across lane phases, lengths,
+//      and both norms) and must reproduce the scalar output bit for bit.
+//      The run slots (holey rows as specified-entry runs), the pane-scan
+//      slot and the added-row path of the row-toggle kernel are
+//      additionally held to the plain skip loop kept below as their
+//      reference.
 //   2. End-to-end: full FLOC runs with --simd off vs auto must take
 //      identical actions and emit identical clusters, across thread
 //      counts {1, 8}, dense and sparse (missing-entry) data, both
@@ -32,7 +33,10 @@
 #include <string>
 #include <vector>
 
+#include "src/core/cluster.h"
+#include "src/core/cluster_workspace.h"
 #include "src/core/floc.h"
+#include "src/core/residue.h"
 #include "src/core/residue_kernels.h"
 #include "src/core/simd_dispatch.h"
 #include "src/data/matrix_io.h"
@@ -61,7 +65,7 @@ class ScopedSimdMode {
 
 // The reference masked pass: a skip loop over the full row. Visits only
 // specified entries; the phase advances only on them. `cols` (optional)
-// makes it the gathered row pass.
+// reads the row from the matrix through a column-id list.
 template <bool kSquared>
 void SkipLoopReference(const double* values, const uint8_t* mask,
                        const uint32_t* cols, const double* col_bases,
@@ -102,9 +106,9 @@ std::vector<uint8_t> MaskPattern(int pattern, size_t n, Rng& rng) {
 }
 constexpr int kMaskPatterns = 8;
 
-// Unspecified positions carry poison (nan, +-inf, denormals): the
-// gathered compaction pass computes on them and must throw the result
-// away, and a run must never contain them.
+// Unspecified positions carry poison (nan, +-inf, denormals): a
+// gathered run may hold them past its end, where no lane may take them,
+// and a run must never contain them.
 std::vector<double> PoisonedValues(const std::vector<uint8_t>& mask,
                                    Rng& rng) {
   static const double kPoison[] = {
@@ -151,18 +155,157 @@ PaneRun MakeRun(const std::vector<double>& values,
   return run;
 }
 
-// Both run slots of `table` against the skip loop over the full row:
-// the carried pass from every lane phase (with distinct lane contents),
-// and the whole-run pass from fresh lanes.
+// A row as a test pane holds it: the full row, its mask and its base.
+struct TestRow {
+  std::vector<double> values;
+  std::vector<uint8_t> mask;
+  double row_base = 0.0;
+};
+
+TestRow RandomRow(size_t n, double density, Rng& rng) {
+  TestRow row;
+  row.mask.resize(n);
+  for (uint8_t& m : row.mask) m = rng.Bernoulli(density) ? 1 : 0;
+  row.values = PoisonedValues(row.mask, rng);
+  row.row_base = rng.Uniform(-2.0, 2.0);
+  return row;
+}
+
+// A pane laid out as PackedPane lays it out (src/core/cluster_workspace.h):
+// each row's run in its own physical row, physical rows in reverse
+// logical order behind row_slots, poison values and out-of-range slots
+// between a run's end and the stride, and kRunReadPad more past the last
+// physical row. A scan that read a dense row past its end, or let padding
+// reach a lane or a base load, fails the bit comparison or the sanitizer.
+struct TestPane {
+  std::vector<double> values;
+  std::vector<uint16_t> slots;
+  std::vector<uint32_t> run_len;
+  std::vector<double> row_base;
+  std::vector<uint32_t> row_slots;
+  size_t num_cols = 0;
+  size_t stride = 0;
+
+  PaneScan Scan(const std::vector<double>& col_bases, double cluster_base,
+                size_t skip) const {
+    PaneScan scan;
+    scan.values = values.data();
+    scan.slots = slots.data();
+    scan.run_len = run_len.data();
+    scan.row_base = row_base.data();
+    scan.row_slots = row_slots.data();
+    scan.rows = row_slots.size();
+    scan.num_cols = num_cols;
+    scan.stride = stride;
+    scan.skip = skip;
+    scan.col_bases = col_bases.data();
+    scan.cluster_base = cluster_base;
+    return scan;
+  }
+};
+
+TestPane MakePane(const std::vector<TestRow>& rows, size_t n) {
+  TestPane pane;
+  pane.num_cols = n;
+  pane.stride = n + 3;
+  size_t phys_rows = rows.size();
+  pane.values.assign(phys_rows * pane.stride + kRunReadPad,
+                     std::numeric_limits<double>::quiet_NaN());
+  pane.slots.assign(pane.values.size(), static_cast<uint16_t>(n));
+  pane.run_len.resize(phys_rows);
+  pane.row_base.resize(phys_rows);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    size_t phys = phys_rows - 1 - r;
+    pane.row_slots.push_back(static_cast<uint32_t>(phys));
+    PaneRun run = MakeRun(rows[r].values, rows[r].mask);
+    std::copy(run.values.begin(), run.values.begin() + run.len,
+              pane.values.begin() + phys * pane.stride);
+    std::copy(run.slots.begin(), run.slots.begin() + run.len,
+              pane.slots.begin() + phys * pane.stride);
+    pane.run_len[phys] = static_cast<uint32_t>(run.len);
+    pane.row_base[phys] = rows[r].row_base;
+  }
+  return pane;
+}
+
+// The skip loop's pane scan: every row but `skip`, then `added` (if
+// any), each reduced from fresh lanes and summed in that order.
 template <bool kSquared>
-void CheckRunSlots(const SimdKernels& table, const std::vector<double>& values,
-                   const std::vector<uint8_t>& mask,
-                   const std::vector<double>& col_bases, double row_base,
-                   double cluster_base, const std::string& label) {
-  size_t n = values.size();
-  PaneRun run = MakeRun(values, mask);
+PaneSum SkipLoopPaneSum(const std::vector<TestRow>& rows, size_t skip,
+                        const TestRow* added,
+                        const std::vector<double>& col_bases,
+                        double cluster_base) {
+  size_t n = col_bases.size();
+  PaneSum out;
+  auto add_row = [&](const TestRow& row) {
+    LaneAcc acc;
+    SkipLoopReference<kSquared>(row.values.data(), row.mask.data(), nullptr,
+                                col_bases.data(), n, row.row_base,
+                                cluster_base, acc);
+    out.sum += acc.Reduce();
+    if (acc.p == n) out.dense_entries += n;
+  };
+  for (size_t r = 0; r < rows.size(); ++r) {
+    if (r != skip) add_row(rows[r]);
+  }
+  if (added != nullptr) add_row(*added);
+  return out;
+}
+
+// The pane-scan slot of `table` against the skip loop, over a pane of
+// `rows` with every skip position (and none) and with no trailing row or
+// each row gathered as the trailing row. The trailing row is gathered
+// from the full row by GatherRun into a scratch run padded like a pane
+// run, as the row-toggle kernel gathers an added row.
+template <bool kSquared>
+void CheckPaneScan(const SimdKernels& table, const std::vector<TestRow>& rows,
+                   const std::vector<double>& col_bases, double cluster_base,
+                   const std::string& label) {
+  size_t n = col_bases.size();
+  TestPane pane = MakePane(rows, n);
+  auto scan_pane = kSquared ? table.scan_pane_sq : table.scan_pane_abs;
+  std::vector<uint32_t> cols(n);
+  for (size_t idx = 0; idx < n; ++idx) cols[idx] = static_cast<uint32_t>(idx);
+  for (size_t skip = 0; skip <= rows.size(); ++skip) {
+    for (size_t a = 0; a <= rows.size(); ++a) {
+      const TestRow* added = a < rows.size() ? &rows[a] : nullptr;
+      PaneScan scan = pane.Scan(col_bases, cluster_base, skip);
+      std::vector<double> run_values(n + kRunReadPad,
+                                     -std::numeric_limits<double>::infinity());
+      std::vector<uint16_t> run_slots(n + kRunReadPad,
+                                      static_cast<uint16_t>(n));
+      if (added != nullptr) {
+        scan.added_values = run_values.data();
+        scan.added_slots = run_slots.data();
+        scan.added_len =
+            GatherRun(added->values.data(), added->mask.data(), cols.data(),
+                      n, run_values.data(), run_slots.data());
+        scan.added_row_base = added->row_base;
+      }
+      PaneSum want = SkipLoopPaneSum<kSquared>(rows, skip, added, col_bases,
+                                               cluster_base);
+      PaneSum got = scan_pane(scan);
+      ASSERT_TRUE(SameBits(want.sum, got.sum))
+          << label << " " << table.name << " skip=" << skip
+          << " added=" << a;
+      ASSERT_EQ(want.dense_entries, got.dense_entries)
+          << label << " " << table.name << " skip=" << skip
+          << " added=" << a;
+    }
+  }
+}
+
+// Both slots of `table` that read `row`'s run against the skip loop over
+// the full row: the carried run pass from every lane phase (with
+// distinct lane contents), and the pane scan over a pane that holds the
+// row between a dense row and another holey one.
+template <bool kSquared>
+void CheckRunSlots(const SimdKernels& table, const TestRow& row,
+                   const std::vector<double>& col_bases, double cluster_base,
+                   Rng& rng, const std::string& label) {
+  size_t n = row.values.size();
+  PaneRun run = MakeRun(row.values, row.mask);
   auto seg = kSquared ? table.seg_run_sq : table.seg_run_abs;
-  auto seg_full = kSquared ? table.seg_run_full_sq : table.seg_run_full_abs;
   for (size_t phase = 0; phase < 4; ++phase) {
     LaneAcc ref, scalar, dispatched;
     for (size_t l = 0; l < 4; ++l) {
@@ -170,33 +313,21 @@ void CheckRunSlots(const SimdKernels& table, const std::vector<double>& values,
           static_cast<double>(l + 1) * 0.375;
     }
     ref.p = scalar.p = dispatched.p = phase;
-    SkipLoopReference<kSquared>(values.data(), mask.data(), nullptr,
-                                col_bases.data(), n, row_base, cluster_base,
-                                ref);
+    SkipLoopReference<kSquared>(row.values.data(), row.mask.data(), nullptr,
+                                col_bases.data(), n, row.row_base,
+                                cluster_base, ref);
     SegPassRunScalar<kSquared>(run.values.data(), run.slots.data(),
-                               col_bases.data(), run.len, row_base,
+                               col_bases.data(), run.len, row.row_base,
                                cluster_base, scalar);
     seg(run.values.data(), run.slots.data(), col_bases.data(), run.len,
-        row_base, cluster_base, dispatched);
+        row.row_base, cluster_base, dispatched);
     ASSERT_TRUE(SameBits(ref, scalar)) << label << " scalar phase=" << phase;
     ASSERT_TRUE(SameBits(ref, dispatched))
         << label << " " << table.name << " phase=" << phase;
   }
-  LaneAcc fresh;
-  SkipLoopReference<kSquared>(values.data(), mask.data(), nullptr,
-                              col_bases.data(), n, row_base, cluster_base,
-                              fresh);
-  double ref_full = fresh.Reduce();
-  ASSERT_TRUE(SameBits(ref_full, SegPassRunFullScalar<kSquared>(
-                                     run.values.data(), run.slots.data(),
-                                     col_bases.data(), run.len, row_base,
-                                     cluster_base)))
-      << label << " scalar full";
-  ASSERT_TRUE(SameBits(ref_full,
-                       seg_full(run.values.data(), run.slots.data(),
-                                col_bases.data(), run.len, row_base,
-                                cluster_base)))
-      << label << " " << table.name << " full";
+  std::vector<TestRow> rows = {RandomRow(n, 1.0, rng), row,
+                               RandomRow(n, 0.5, rng)};
+  CheckPaneScan<kSquared>(table, rows, col_bases, cluster_base, label);
 }
 
 // The scalar and best tables each as the other sees them: the kernel
@@ -212,11 +343,13 @@ std::vector<const SimdKernels*> ScalarAndBestTables() {
   return tables;
 }
 
-// The run slots of both the scalar and the best table reproduce the
-// skip loop over the full row bit for bit, for every run length 0-9 and
-// 63-65 (the vector body's group boundaries and the branch-free tail's
-// 0-3 live lanes), with 0, 1 and many holes between the entries, every
-// starting lane phase, and both norms.
+// The run slots and the pane-scan slot of both the scalar and the best
+// table reproduce the skip loop over the full row bit for bit, for every
+// run length 0-9 and 63-65 (the vector body's group boundaries and the
+// branch-free tail's 0-3 live lanes), with 0, 1 and many holes between
+// the entries, every starting lane phase, and both norms. The pane scan
+// sees the row in a three-row pane beside a dense and a holey row, with
+// every skip position, and as a gathered trailing row.
 TEST(SimdDispatchTest, RunSlotsBitIdenticalToSkipLoop) {
   std::vector<const SimdKernels*> tables = ScalarAndBestTables();
   Rng rng(47);
@@ -225,20 +358,23 @@ TEST(SimdDispatchTest, RunSlotsBitIdenticalToSkipLoop) {
     for (size_t holes : {size_t{0}, size_t{1}, size_t{2}, len / 2 + 3}) {
       size_t n = len + holes;
       if (n == 0) continue;  // a scan never runs without pane columns
-      std::vector<uint8_t> mask(n, 1);
-      for (size_t pos : rng.SampleWithoutReplacement(n, holes)) mask[pos] = 0;
-      std::vector<double> values = PoisonedValues(mask, rng);
+      TestRow row;
+      row.mask.assign(n, 1);
+      for (size_t pos : rng.SampleWithoutReplacement(n, holes)) {
+        row.mask[pos] = 0;
+      }
+      row.values = PoisonedValues(row.mask, rng);
       std::vector<double> col_bases(n);
       for (double& b : col_bases) b = rng.Uniform(-2.0, 2.0);
-      double row_base = rng.Uniform(-2.0, 2.0);
+      row.row_base = rng.Uniform(-2.0, 2.0);
       double cluster_base = rng.Uniform(-1.0, 1.0);
       std::string label =
           "len=" + std::to_string(len) + " holes=" + std::to_string(holes);
       for (const SimdKernels* table : tables) {
-        CheckRunSlots<false>(*table, values, mask, col_bases, row_base,
-                             cluster_base, label + " abs");
-        CheckRunSlots<true>(*table, values, mask, col_bases, row_base,
-                            cluster_base, label + " sq");
+        CheckRunSlots<false>(*table, row, col_bases, cluster_base, rng,
+                             label + " abs");
+        CheckRunSlots<true>(*table, row, col_bases, cluster_base, rng,
+                            label + " sq");
       }
     }
   }
@@ -246,25 +382,26 @@ TEST(SimdDispatchTest, RunSlotsBitIdenticalToSkipLoop) {
 
 // The same contract over the mask shapes mining meets: row widths 1-200
 // at densities 0-100% and long hole runs, so runs of every length up to
-// 200 and every tail phase occur.
+// 200 and every tail phase occur, in panes and as trailing rows.
 TEST(SimdDispatchTest, RunSlotsBitIdenticalAcrossDensities) {
   std::vector<const SimdKernels*> tables = ScalarAndBestTables();
   Rng rng(61);
   for (size_t n = 1; n <= 200; ++n) {
     std::vector<double> col_bases(n);
     for (double& b : col_bases) b = rng.Uniform(-2.0, 2.0);
-    double row_base = rng.Uniform(-2.0, 2.0);
     double cluster_base = rng.Uniform(-1.0, 1.0);
     for (int pattern = 0; pattern < kMaskPatterns; ++pattern) {
-      std::vector<uint8_t> mask = MaskPattern(pattern, n, rng);
-      std::vector<double> values = PoisonedValues(mask, rng);
+      TestRow row;
+      row.mask = MaskPattern(pattern, n, rng);
+      row.values = PoisonedValues(row.mask, rng);
+      row.row_base = rng.Uniform(-2.0, 2.0);
       std::string label =
           "n=" + std::to_string(n) + " pattern=" + std::to_string(pattern);
       for (const SimdKernels* table : tables) {
-        CheckRunSlots<false>(*table, values, mask, col_bases, row_base,
-                             cluster_base, label + " abs");
-        CheckRunSlots<true>(*table, values, mask, col_bases, row_base,
-                            cluster_base, label + " sq");
+        CheckRunSlots<false>(*table, row, col_bases, cluster_base, rng,
+                             label + " abs");
+        CheckRunSlots<true>(*table, row, col_bases, cluster_base, rng,
+                            label + " sq");
       }
     }
   }
@@ -353,40 +490,135 @@ TEST(SimdDispatchTest, SplitRunSegmentsBitIdenticalToOnePass) {
   }
 }
 
-// The gathered masked row pass (an added row, outside the pane) against
-// the skip loop over the same column-id list.
-TEST(SimdDispatchTest, GatheredMaskedRowPassBitIdenticalToSkipLoop) {
-  Rng rng(59);
-  constexpr size_t kMatrixCols = 512;
-  for (int pattern = 0; pattern < kMaskPatterns; ++pattern) {
-    std::vector<uint8_t> mask = MaskPattern(pattern, kMatrixCols, rng);
-    std::vector<double> row = PoisonedValues(mask, rng);
-    for (size_t n : {0u, 1u, 3u, 63u, 64u, 65u, 129u, 200u}) {
-      std::vector<uint32_t> cols;
-      for (size_t id : rng.SampleWithoutReplacement(kMatrixCols, n)) {
-        cols.push_back(static_cast<uint32_t>(id));
+// Writes `m` to `path` as a .dcm and rewrites its unspecified cells, in
+// both value planes, with nan, +-inf and denormals; the payload checksum
+// is left stale (only DcmVerify::kFull reads it, and the default open
+// maps the file without). Returns the poisoned file opened on the mmap
+// backend.
+DataMatrix PoisonedDcm(const DataMatrix& m, const std::string& path) {
+  WriteDcmFile(m, path);
+  std::vector<char> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  storage::DcmHeader h =
+      storage::ParseDcmHeader(bytes.data(), bytes.size(), path);
+  auto* buf = reinterpret_cast<uint8_t*>(bytes.data());
+  const double kPoison[] = {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::denorm_min(),
+                            -std::numeric_limits<double>::denorm_min() * 7};
+  size_t poisoned = 0;
+  for (uint64_t i = 0; i < h.rows; ++i) {
+    for (uint64_t j = 0; j < h.cols; ++j) {
+      uint64_t rm = i * h.cols + j;
+      uint64_t cm = j * h.rows + i;
+      EXPECT_EQ(buf[h.off_mask_rm + rm] != 0, buf[h.off_mask_cm + cm] != 0);
+      if (buf[h.off_mask_rm + rm] != 0) continue;
+      const double& v = kPoison[poisoned++ % 5];
+      std::memcpy(buf + h.off_values_rm + rm * sizeof(double), &v,
+                  sizeof(double));
+      std::memcpy(buf + h.off_values_cm + cm * sizeof(double), &v,
+                  sizeof(double));
+    }
+  }
+  EXPECT_GT(poisoned, 0u);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  return ReadDcmFile(path, MatrixBackend::kMmap);
+}
+
+// A 48 x 70 matrix whose rows cycle through the mask patterns (empty,
+// holey, full and long hole runs), with poison in every unspecified
+// cell.
+DataMatrix AddedRowMatrix(const std::string& path) {
+  constexpr size_t kRows = 48;
+  constexpr size_t kCols = 70;
+  Rng rng(67);
+  DataMatrix m(kRows, kCols);
+  for (size_t i = 0; i < kRows; ++i) {
+    std::vector<uint8_t> mask =
+        MaskPattern(static_cast<int>(i % kMaskPatterns), kCols, rng);
+    for (size_t j = 0; j < kCols; ++j) {
+      if (mask[j]) {
+        m.Set(i, j, rng.Uniform(-10.0, 10.0));
+      } else {
+        m.SetMissing(i, j);
       }
-      std::vector<double> col_bases(n);
-      for (double& b : col_bases) b = rng.Uniform(-2.0, 2.0);
-      double row_base = rng.Uniform(-2.0, 2.0);
-      double cluster_base = rng.Uniform(-1.0, 1.0);
-      LaneAcc ref_abs, ref_sq;
-      SkipLoopReference<false>(row.data(), mask.data(), cols.data(),
-                               col_bases.data(), n, row_base, cluster_base,
-                               ref_abs);
-      SkipLoopReference<true>(row.data(), mask.data(), cols.data(),
-                              col_bases.data(), n, row_base, cluster_base,
-                              ref_sq);
-      ASSERT_TRUE(SameBits(ref_abs.Reduce(),
-                           RowPassMaskedScalar<false>(
-                               row.data(), mask.data(), cols.data(),
-                               col_bases.data(), n, row_base, cluster_base)))
-          << "n=" << n << " pattern=" << pattern;
-      ASSERT_TRUE(SameBits(ref_sq.Reduce(),
-                           RowPassMaskedScalar<true>(
-                               row.data(), mask.data(), cols.data(),
-                               col_bases.data(), n, row_base, cluster_base)))
-          << "n=" << n << " pattern=" << pattern;
+    }
+  }
+  return PoisonedDcm(m, path);
+}
+
+// Column sets the added-row kernel meets: a single column, a few, and
+// widths around the vector group and a chunk of 64.
+std::vector<std::vector<size_t>> AddedRowColumnSets(size_t cols, Rng& rng) {
+  std::vector<std::vector<size_t>> sets;
+  for (size_t n : {1u, 3u, 7u, 63u, 64u, 65u, 70u}) {
+    sets.push_back(rng.SampleWithoutReplacement(cols, n));
+  }
+  return sets;
+}
+
+// The skip loop's after-toggle residue of adding row i to `ws`'s
+// cluster: member rows in order, then row i, each reduced from fresh
+// lanes with the bases of the toggled cluster, over its volume.
+template <bool kSquared>
+double SkipLoopResidueAfterAdding(const ClusterWorkspace& ws, size_t i) {
+  ClusterWorkspace toggled = ws;
+  toggled.ToggleRow(i);
+  const ClusterStats& stats = toggled.stats();
+  if (stats.Volume() == 0) return 0.0;
+  const DataMatrix& m = ws.matrix();
+  const auto& cols = ws.cluster().col_ids();
+  std::vector<double> col_bases;
+  for (uint32_t j : cols) col_bases.push_back(stats.ColBase(j));
+  std::vector<uint32_t> rows = ws.cluster().row_ids();
+  rows.push_back(static_cast<uint32_t>(i));
+  double sum = 0.0;
+  for (uint32_t r : rows) {
+    LaneAcc acc;
+    SkipLoopReference<kSquared>(m.RowValues(r).data(), m.RowMask(r).data(),
+                                cols.data(), col_bases.data(), cols.size(),
+                                stats.RowBase(r), stats.ClusterBase(), acc);
+    sum += acc.Reduce();
+  }
+  return sum / stats.Volume();
+}
+
+// An added row (outside the pane, gathered from poisoned matrix cells
+// into a scratch run and scanned as the pane scan's trailing row): the
+// after-toggle residue of every non-member row, over clusters of every
+// column width, is the skip loop's to the bit, at both norms and both
+// SIMD modes.
+TEST(SimdDispatchTest, GatheredMaskedRowPassBitIdenticalToSkipLoop) {
+  DataMatrix m = AddedRowMatrix(testing::TempDir() + "/simd_added_row.dcm");
+  Rng rng(59);
+  for (const std::vector<size_t>& cols : AddedRowColumnSets(m.cols(), rng)) {
+    std::vector<size_t> members = {2, 9, 10, 21, 30, 41};
+    ClusterWorkspace ws(m, Cluster::FromMembers(m.rows(), m.cols(), members,
+                                                cols));
+    for (SimdMode mode : {SimdMode::kOff, SimdMode::kAuto}) {
+      ScopedSimdMode scoped(mode);
+      ResidueEngine abs_engine(ResidueNorm::kMeanAbsolute);
+      ResidueEngine sq_engine(ResidueNorm::kMeanSquared);
+      for (size_t i = 0; i < m.rows(); ++i) {
+        if (ws.cluster().HasRow(i)) continue;
+        std::string label = std::string(ActiveSimdPath()) + " n=" +
+                            std::to_string(cols.size()) + " row " +
+                            std::to_string(i);
+        ASSERT_TRUE(SameBits(SkipLoopResidueAfterAdding<false>(ws, i),
+                             abs_engine.ResidueAfterToggleRow(ws, i)))
+            << label << " abs";
+        ASSERT_TRUE(SameBits(SkipLoopResidueAfterAdding<true>(ws, i),
+                             sq_engine.ResidueAfterToggleRow(ws, i)))
+            << label << " sq";
+      }
     }
   }
 }
@@ -460,46 +692,34 @@ TEST(SimdDispatchTest, SegKernelsBitIdenticalToScalarAcrossPhases) {
   }
 }
 
-// The gathered matrix-row pass is not dispatched (no ISA beats scalar
-// on a gather), but it must still follow the LaneAcc contract: the
-// row-toggle kernel scans an added row (outside the pane) through it,
-// and that row's contribution must be the bits the dispatched pane pass
-// gives the same entries once the row is a member.
+// An added row's contribution is the bits the pane pass gives the same
+// entries once the row is a member: with the row joining last in row
+// order, the after-toggle residue of adding it equals a real toggle
+// plus a rescan of the patched pane, to the bit, dense and holey rows,
+// at both norms and both SIMD modes.
 TEST(SimdDispatchTest, GatheredRowPassBitIdenticalToPanePass) {
-  ScopedSimdMode on(SimdMode::kAuto);
-  const SimdKernels& simd = ActiveSimdKernels();
+  DataMatrix m = AddedRowMatrix(testing::TempDir() + "/simd_added_pane.dcm");
   Rng rng(43);
-  constexpr size_t kMatrixCols = 512;
-  std::vector<double> row(kMatrixCols);
-  for (double& v : row) v = rng.Uniform(-10.0, 10.0);
-  for (size_t n : {0u, 1u, 3u, 4u, 7u, 33u, 200u}) {
-    // Sorted distinct column ids, like a cluster's col_ids.
-    std::vector<uint32_t> cols;
-    for (size_t id : rng.SampleWithoutReplacement(kMatrixCols, n)) {
-      cols.push_back(static_cast<uint32_t>(id));
+  for (const std::vector<size_t>& cols : AddedRowColumnSets(m.cols(), rng)) {
+    // Members from the first half, so every candidate row joins last.
+    std::vector<size_t> members = {0, 3, 5, 11, 16, 17, 22};
+    ClusterWorkspace ws(m, Cluster::FromMembers(m.rows(), m.cols(), members,
+                                                cols));
+    for (SimdMode mode : {SimdMode::kOff, SimdMode::kAuto}) {
+      ScopedSimdMode scoped(mode);
+      for (ResidueNorm norm :
+           {ResidueNorm::kMeanAbsolute, ResidueNorm::kMeanSquared}) {
+        ResidueEngine engine(norm);
+        for (size_t i = members.back() + 1; i < m.rows(); ++i) {
+          double predicted = engine.ResidueAfterToggleRow(ws, i);
+          ClusterWorkspace toggled = ws;
+          toggled.ToggleRow(i);
+          ASSERT_TRUE(SameBits(predicted, engine.Residue(toggled)))
+              << ActiveSimdPath() << " n=" << cols.size() << " row " << i
+              << (norm == ResidueNorm::kMeanSquared ? " sq" : " abs");
+        }
+      }
     }
-    std::vector<double> col_bases(n);
-    for (double& b : col_bases) b = rng.Uniform(-2.0, 2.0);
-    double row_base = rng.Uniform(-2.0, 2.0);
-    double cluster_base = rng.Uniform(-1.0, 1.0);
-
-    // The pane view of the same row: entries gathered into a packed
-    // contiguous run, exactly what RebuildPane produces.
-    std::vector<double> packed(n);
-    for (size_t idx = 0; idx < n; ++idx) packed[idx] = row[cols[idx]];
-
-    double gather_abs = RowPassDenseScalar<false>(
-        row.data(), cols.data(), col_bases.data(), n, row_base, cluster_base);
-    double pane_abs = simd.seg_full_abs(packed.data(), col_bases.data(), n,
-                                        row_base, cluster_base);
-    double gather_sq = RowPassDenseScalar<true>(
-        row.data(), cols.data(), col_bases.data(), n, row_base, cluster_base);
-    double pane_sq = simd.seg_full_sq(packed.data(), col_bases.data(), n,
-                                      row_base, cluster_base);
-    ASSERT_EQ(0, std::memcmp(&gather_abs, &pane_abs, sizeof(double)))
-        << "n=" << n;
-    ASSERT_EQ(0, std::memcmp(&gather_sq, &pane_sq, sizeof(double)))
-        << "n=" << n;
   }
 }
 
@@ -582,55 +802,21 @@ TEST(SimdDispatchTest, FlocBitIdenticalSimdOffVsAuto) {
 }
 
 // An unspecified cell's payload must never reach a result: pane runs
-// hold only specified entries, and the gathered added-row pass computes
-// on unspecified cells before discarding them. A
-// .dcm whose unspecified cells hold nan, +-inf and denormals (payload
-// checksum left stale: only DcmVerify::kFull reads it, and the default
-// open maps the file without) must mine exactly what the zero-filled
-// file mines, at either SIMD mode and thread count.
+// hold only specified entries, and an added row's gather copies
+// unspecified cells into its scratch run past the run's end. A .dcm
+// whose unspecified cells hold nan, +-inf and denormals (PoisonedDcm)
+// must mine exactly what the zero-filled file mines, at either SIMD
+// mode and thread count.
 TEST(SimdDispatchTest, UnspecifiedPayloadNeverReachesAResult) {
   SyntheticDataset data = CmpData(0.3);
   std::string clean_path = testing::TempDir() + "/simd_payload_clean.dcm";
   std::string poisoned_path =
       testing::TempDir() + "/simd_payload_poisoned.dcm";
   WriteDcmFile(data.matrix, clean_path);
-
-  std::vector<char> bytes;
-  {
-    std::ifstream in(clean_path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
-  storage::DcmHeader h =
-      storage::ParseDcmHeader(bytes.data(), bytes.size(), clean_path);
-  auto* buf = reinterpret_cast<uint8_t*>(bytes.data());
-  const double kPoison[] = {std::numeric_limits<double>::quiet_NaN(),
-                            std::numeric_limits<double>::infinity(),
-                            -std::numeric_limits<double>::infinity(),
-                            std::numeric_limits<double>::denorm_min(),
-                            -std::numeric_limits<double>::denorm_min() * 7};
-  size_t poisoned = 0;
-  for (uint64_t i = 0; i < h.rows; ++i) {
-    for (uint64_t j = 0; j < h.cols; ++j) {
-      uint64_t rm = i * h.cols + j;
-      uint64_t cm = j * h.rows + i;
-      ASSERT_EQ(buf[h.off_mask_rm + rm] != 0, buf[h.off_mask_cm + cm] != 0);
-      if (buf[h.off_mask_rm + rm] != 0) continue;
-      const double& v = kPoison[poisoned++ % 5];
-      std::memcpy(buf + h.off_values_rm + rm * sizeof(double), &v,
-                  sizeof(double));
-      std::memcpy(buf + h.off_values_cm + cm * sizeof(double), &v,
-                  sizeof(double));
-    }
-  }
-  ASSERT_GT(poisoned, 0u);
-  {
-    std::ofstream out(poisoned_path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+  DataMatrix dirty = PoisonedDcm(data.matrix, poisoned_path);
+  ASSERT_FALSE(HasFailure());
 
   DataMatrix clean = ReadDcmFile(clean_path, MatrixBackend::kMmap);
-  DataMatrix dirty = ReadDcmFile(poisoned_path, MatrixBackend::kMmap);
   for (SimdMode mode : {SimdMode::kAuto, SimdMode::kOff}) {
     ScopedSimdMode scoped(mode);
     for (int threads : {1, 4}) {
