@@ -140,8 +140,8 @@ int main(int argc, char** argv) {
   seconds.Print(std::cout);
   std::printf(
       "\nGain determination dominates at these sizes, so time should\n"
-      "shrink with threads; the apply sweep commits sequentially (only\n"
-      "its memo warm-up runs on the pool), so Amdahl bounds the speedup\n"
-      "below linear.\n");
+      "shrink with threads; the apply sweep commits sequentially (pool\n"
+      "helpers only refresh its gain memo ahead of it), so Amdahl bounds\n"
+      "the speedup below linear.\n");
   return 0;
 }

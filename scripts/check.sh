@@ -11,6 +11,10 @@
 #           ctest -- some GCC warnings only fire at full optimization
 #   asan    ASan+UBSan preset: configure, build, ctest
 #   tsan    TSan preset: configure, build, ctest
+#   tsan-stress
+#           TSan preset: the apply, determinism and session suites
+#           repeated (--gtest_repeat) in 4 concurrent processes, so every
+#           core is busy while their thread pools race
 #   ubsan   standalone strict-UBSan preset: configure, build, ctest
 #   audit   FLOC invariant-audit mode: floc/property test binaries rerun
 #           with DELTACLUS_AUDIT=1 (see docs/DEVELOPMENT.md)
@@ -125,6 +129,49 @@ stage_asan()  { run_preset asan; }
 stage_tsan()  { run_preset tsan; }
 stage_ubsan() { run_preset ubsan; }
 
+stage_tsan_stress() {
+  note "tsan-stress (apply/determinism/session suites, 4 concurrent TSan processes)"
+  # Determinism under real concurrency: each suite runs its own thread
+  # pools, and four processes at once keep every core of a 4-core host
+  # busy, so pool workers, pipelined apply helpers and the coordinator
+  # really run at the same time instead of taking turns on one core.
+  # Each process starts at a different suite so the suites overlap.
+  local suites=(floc_phases_test floc_determinism_test session_test)
+  local repeat=2
+  if ! { cmake --preset tsan >/dev/null \
+         && cmake --build --preset tsan -j "$JOBS" --target "${suites[@]}"; }; then
+    fail "tsan-stress build (tsan preset)"
+    return
+  fi
+  local logs
+  logs="$(mktemp -d)"
+  local pids=()
+  local p
+  for p in 0 1 2 3; do
+    (
+      for i in 0 1 2; do
+        suite="${suites[$(( (p + i) % 3 ))]}"
+        "build-tsan/tests/$suite" --gtest_repeat="$repeat" --gtest_brief=1 \
+          || { echo "tsan-stress: $suite failed"; exit 1; }
+      done
+    ) >"$logs/process$p.log" 2>&1 &
+    pids+=("$!")
+  done
+  local bad=0
+  for p in 0 1 2 3; do
+    if ! wait "${pids[$p]}"; then
+      bad=1
+      tail -n 60 "$logs/process$p.log"
+    fi
+  done
+  rm -rf "$logs"
+  if [ "$bad" -eq 0 ]; then
+    echo "tsan-stress: green (4 processes x ${#suites[@]} suites x $repeat repeats)"
+  else
+    fail "tsan-stress (a suite failed or TSan reported a race; log tails above)"
+  fi
+}
+
 stage_audit() {
   note "audit (floc suites with DELTACLUS_AUDIT=1)"
   # Prefer the sanitizer tree (Debug => DC_DCHECK live); fall back to the
@@ -157,6 +204,19 @@ stage_trajectory() {
     echo "bench: telemetry overhead within envelope"
   else
     fail "telemetry overhead gate (tools/dcstat.py overhead)"
+  fi
+  # The same envelope at 4 threads, where the determination shards and
+  # the pipelined apply sweep's pool helpers run beside the coordinator.
+  # Gated on the committed telemetry record (medians of 24 runs of the
+  # four BM_FlocTelemetry* benchmarks on a shared 4-vCPU host); refresh
+  # it when the telemetry hot path or the apply pipeline changes.
+  if python3 tools/dcstat.py overhead \
+        bench/trajectory/BENCH_micro_kernels_telemetry.json \
+        --off BM_FlocTelemetryOff_4Threads --full BM_FlocTelemetryFull_4Threads \
+        --max-ratio 1.10; then
+    echo "bench: 4-thread telemetry overhead within envelope"
+  else
+    fail "4-thread telemetry overhead gate (tools/dcstat.py overhead)"
   fi
   # Pin the recorded kernel-speedup trajectory (bench/trajectory/): the
   # gain kernels and memoized determination must stay >= 2x their
@@ -375,12 +435,13 @@ stage_bench() {
 }
 
 STAGES=("$@")
-[ ${#STAGES[@]} -eq 0 ] && STAGES=(lint format tidy build release asan tsan ubsan audit bench)
+[ ${#STAGES[@]} -eq 0 ] && STAGES=(lint format tidy build release asan tsan tsan-stress ubsan audit bench)
 
 for stage in "${STAGES[@]}"; do
   case "$stage" in
     lint|format|tidy|build|release|asan|tsan|ubsan|audit|trajectory|bench) "stage_$stage" ;;
-    *) echo "unknown stage: $stage (expected: lint format tidy build release asan tsan ubsan audit trajectory bench)"; exit 2 ;;
+    tsan-stress) stage_tsan_stress ;;
+    *) echo "unknown stage: $stage (expected: lint format tidy build release asan tsan tsan-stress ubsan audit trajectory bench)"; exit 2 ;;
   esac
 done
 

@@ -76,7 +76,9 @@
 // determination sweep reads the pane concurrently, so GainDeterminer
 // pre-builds every cluster's pane (EnsurePane) before fanning out; once
 // the pane's epoch stamp matches, EnsurePane is a read-only no-op and
-// concurrent calls are safe. (The epoch counter itself is atomic only so
+// concurrent calls are safe. The pipelined apply sweep (ActionApplier)
+// likewise builds every pane first, and afterwards mutates a workspace,
+// and refills its caches, only under that cluster's exclusive guard. (The epoch counter itself is atomic only so
 // that unrelated workspaces on different threads can be constructed
 // safely.)
 #ifndef DELTACLUS_CORE_CLUSTER_WORKSPACE_H_

@@ -24,13 +24,12 @@
 // virtual toggles concurrently and write disjoint slots of the action
 // vector. Apply commits sequentially (each toggle changes what the next
 // action sees), exactly as the paper specifies. Its fresh re-decisions
-// still use the pool: every ActionApplier::kApplyWindow entities, the
-// workers refresh the gain memo for the next window's (entity, cluster)
-// pairs against the live clustering (WarmGainMemo), and the serial
-// commit loop then rescans only the clusters toggled earlier in that
-// window.
-// Commit order and every decision are unchanged, so results are
-// bit-identical with or without the warm-up.
+// still use the pool: once per sweep the workers start beside the
+// serial commit loop and keep the gain memo fresh for the next few
+// entities ahead of it (see ActionApplier), so the loop mostly finds its
+// after-toggle residues already scanned. Commit order and every
+// decision are unchanged, so results are bit-identical however far
+// ahead the helpers get.
 //
 // Audit mode (FlocConfig::audit): every phase that toggles a membership
 // checks the toggled workspace with AuditClusterWorkspace right after,
@@ -134,21 +133,15 @@ std::optional<double> ToggleGain(bool is_row, size_t index, size_t c,
 Action BestActionFor(bool is_row, size_t index, const GainContext& ctx,
                      ResidueEngine& engine);
 
-/// The apply sweep's memo warm-up: for the `count` entities targeted by
-/// actions[window[0..count)], brings every (entity, cluster) memo slot
-/// up to the cluster's live epoch, rescanning the stale pairs on `pool`
-/// (flattened entity-major over the default shard grain). Fresh slots
-/// are left alone and constraints are not consulted: a warmed slot is
-/// exactly what BestActionFor would have stamped on a miss, so the
-/// re-decisions that follow are bit-identical, only cheaper. The window's
-/// entities must be distinct, which makes the shards' slot writes
-/// disjoint; `views` must not change until this returns. Builds every
-/// cluster's pane on the calling thread first. Rescans count toward
-/// floc.gain_evals_recomputed (and their entries toward the scan
-/// counters), tallied per shard and merged once per call.
-void WarmGainMemo(const std::vector<Action>& actions, const size_t* window,
-                  size_t count, const std::vector<ClusterWorkspace>& views,
-                  GainMemo& memo, engine::ThreadPool* pool);
+/// Brings one memo slot -- toggling row (is_row) or column `index` in
+/// `ws` -- up to the cluster's live epoch: rescans and re-stamps it when
+/// stale, leaves it alone when fresh. Constraints are not consulted, so
+/// a refreshed slot is exactly what ToggleGain would have stamped on a
+/// miss. Returns whether it rescanned (counting is the caller's). The
+/// apply sweep's pool helpers refresh slots ahead of its coordinator
+/// with it (ActionApplier).
+bool RefreshGainSlot(bool is_row, size_t index, const ClusterWorkspace& ws,
+                     GainMemo::Entry* slot, ResidueEngine& engine);
 
 /// Phase-2 step 1: determines the best action for every row and column
 /// against the current clustering, sharded over the thread pool.
@@ -249,24 +242,40 @@ struct AppliedAction {
 /// views, scores, score_sum, and the constraint tracker in place and
 /// feeds every intermediate average to the BestPrefixSelector.
 ///
-/// With fresh gains, a memo, a pool of more than one thread and a window
-/// of kApplyWindow x k pairs large enough for ParallelApply to fan out
-/// (at least engine::kSerialCutoff, i.e. k >= 4), the sweep
-/// runs WarmGainMemo over the next kApplyWindow entities of `order`
-/// before committing them, so each re-decision rescans only the
-/// clusters toggled earlier in its window. Every other configuration
-/// runs the plain serial loop; all give identical results.
+/// With fresh gains, a memo and a pool of more than one thread the sweep
+/// is *pipelined*, with one pool fan-out (engine::ThreadPool::RunBeside)
+/// for the whole sweep. The calling thread is the coordinator and runs
+/// the serial loop unchanged: the same re-decisions, constraint checks,
+/// rng draws and commit order. Beside it, each pool helper keeps
+/// refreshing the memo slots of the next few entities of `order` from
+/// the coordinator's published position on, rescanning every slot whose
+/// stamp differs from its cluster's live epoch (RefreshGainSlot). The
+/// coordinator's re-decisions then mostly hit. Three rules keep it
+/// race-free and the results bit-identical to the serial loop:
+///   * A helper scans cluster c only under c's reader/writer guard taken
+///     shared with a try-lock (a held guard is skipped), and stamps the
+///     epoch it read under the guard. The coordinator takes the guard
+///     exclusively for each toggle, and refreshes c's pane and residue
+///     cache before releasing it, so helpers only ever read a workspace.
+///   * Memo slots are read and written atomically, the stamp publishing
+///     the payload (GainMemo::Entry), so a lookup racing a helper's store
+///     sees either the old stamp or the new evaluation whole.
+///   * A stamp equal to the live epoch guarantees the same bits whoever
+///     scanned (DESIGN.md "The gain kernel"), so a hit is exactly the
+///     rescan the coordinator would have made, and two threads storing
+///     one slot at once store the same bits.
+/// Nothing the coordinator does waits for a helper, except a toggle of a
+/// cluster a helper is scanning at that moment (one scan at most).
+/// How far the helpers get depends on the schedule, so the memo counters
+/// (floc.gain_evals_*) of such a sweep are schedule counters; its
+/// results are not. Stale apply, no memo, or one thread run the plain
+/// serial loop.
 class ActionApplier {
  public:
-  /// Entities per memo warm-up. Larger windows leave more of each
-  /// window's re-decisions stale (toggles inside the window invalidate
-  /// the warmed slots); smaller ones pay the pool's wake-up more often.
-  static constexpr size_t kApplyWindow = 16;
-
   /// `memo` (optional, non-owning) is the gain memo shared with the
   /// determiner: the sweep's fresh re-decisions hit the entries the
-  /// determination phase (or the warm-up) wrote for every cluster not
-  /// mutated since. `pool` (optional, non-owning) runs the warm-up.
+  /// determination phase (or a pool helper) wrote for every cluster not
+  /// mutated since. `pool` (optional, non-owning) runs the helpers.
   /// With FlocConfig::audit every performed toggle is audited under the
   /// context "move_phase", alpha-occupancy included when
   /// `audit_occupancy` (see the file comment).

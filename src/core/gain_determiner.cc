@@ -35,22 +35,16 @@ bool LookupOrRescan(bool is_row, size_t index, const ClusterWorkspace& ws,
                     GainMemo::Entry* slot, ResidueEngine& engine,
                     double* after_residue, size_t* new_volume) {
   uint64_t epoch = ws.epoch();
-  if (slot != nullptr && slot->epoch == epoch) {
-    // Hit: the cluster's membership (hence its stats, hence the whole
-    // after-toggle scan) is unchanged since the entry was stamped, so the
-    // stored residue/volume are bit-identical to what a rescan would
-    // produce.
-    *after_residue = slot->after_residue;
-    *new_volume = slot->new_volume;
+  // Hit: the cluster's membership (hence its stats, hence the whole
+  // after-toggle scan) is unchanged since the entry was stamped, so the
+  // stored residue/volume are bit-identical to what a rescan would
+  // produce.
+  if (slot != nullptr && slot->Lookup(epoch, after_residue, new_volume)) {
     return false;
   }
   *after_residue = is_row ? engine.ResidueAfterToggleRow(ws, index, new_volume)
                           : engine.ResidueAfterToggleCol(ws, index, new_volume);
-  if (slot != nullptr) {
-    slot->epoch = epoch;
-    slot->after_residue = *after_residue;
-    slot->new_volume = *new_volume;
-  }
+  if (slot != nullptr) slot->Store(epoch, *after_residue, *new_volume);
   return true;
 }
 
@@ -184,40 +178,12 @@ std::vector<Action> GainDeterminer::Determine(
   return actions;
 }
 
-void WarmGainMemo(const std::vector<Action>& actions, const size_t* window,
-                  size_t count, const std::vector<ClusterWorkspace>& views,
-                  GainMemo& memo, engine::ThreadPool* pool) {
-  // Pane fills are not thread-safe; once fresh, the workers' EnsurePane
-  // calls only read (as in GainDeterminer::Determine).
-  for (const ClusterWorkspace& ws : views) ws.EnsurePane();
-
-  // Flattened (entity x cluster) pairs, entity-major like the memo's
-  // stripes. Rescans are tallied per shard and merged once, in shard
-  // order, instead of one shared counter increment per evaluation.
-  size_t k = views.size();
-  size_t total = count * k;
-  size_t shards = engine::ShardCount(total, engine::ShardGrain(total));
-  std::vector<SweepTally> shard_tallies(shards);
-  engine::ParallelApply(pool, total, [&](size_t begin, size_t end,
-                                         size_t shard) {
-    SweepTally tally;  // stored once, as in Determine
-    // Per-shard scratch, as in Determine.
-    ResidueEngine engine(ResidueNorm::kMeanAbsolute, &tally.scan);
-    for (size_t p = begin; p < end; ++p) {
-      const Action& action = actions[window[p / k]];
-      bool is_row = action.target == ActionTarget::kRow;
-      size_t c = p % k;
-      double after_residue = 0.0;
-      size_t new_volume = 0;
-      if (LookupOrRescan(is_row, action.index, views[c],
-                         memo.Slot(is_row, action.index, c), engine,
-                         &after_residue, &new_volume)) {
-        ++tally.recomputed;
-      }
-    }
-    shard_tallies[shard] = tally;
-  });
-  FlushShardTallies(shard_tallies);
+bool RefreshGainSlot(bool is_row, size_t index, const ClusterWorkspace& ws,
+                     GainMemo::Entry* slot, ResidueEngine& engine) {
+  double after_residue = 0.0;
+  size_t new_volume = 0;
+  return LookupOrRescan(is_row, index, ws, slot, engine, &after_residue,
+                        &new_volume);
 }
 
 }  // namespace deltaclus

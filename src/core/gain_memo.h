@@ -11,10 +11,10 @@
 // evaluation was first made: the apply sweep mutates one cluster per
 // performed action, leaving the other k-1 exactly as the determination
 // sweep saw them. Once a few dozen toggles have landed, though, nearly
-// every cluster is stale for the entities still ahead, so the apply
-// sweep refreshes the memo on the pool one window of entities at a
-// time (WarmGainMemo); the memo is then the validity table telling each
-// serial re-decision which clusters moved since the warm-up.
+// every cluster is stale for the entities still ahead, so pool helpers
+// keep refreshing the memo for the next few entities ahead of the
+// serial apply loop (ActionApplier); the memo is then the validity
+// table telling each serial re-decision which clusters moved since.
 //
 // The memo exploits that. It holds one Entry per (entity, cluster) pair
 // storing the after-toggle residue and post-toggle volume, stamped with
@@ -34,30 +34,39 @@
 //
 // The table is (rows + cols) x clusters entries, sized once per run.
 //
-// Thread-safety -- DC_LOCK_FREE: no atomics and no locks, by
-// construction. Two writers, each a disjoint-slots protocol:
+// Thread-safety -- DC_LOCK_FREE: every field of an Entry is accessed
+// atomically, through std::atomic_ref in the Entry methods: the payload
+// (after-toggle residue, post-toggle volume) relaxed, the epoch stamp
+// with a release store after the payload and an acquire load before it.
+// So a reader that sees a stamp also sees the payload stored with it.
+// Two writers may store one slot at once, and that is safe too, because
+// they always store the same bits:
 //
 //   * The determination sweep's shards write disjoint entity ranges
 //     (entries are laid out entity-major, matching the engine's
-//     shard-stable partitioning of the entity axis -- engine::ShardGrain),
-//     so parallel shards never touch the same Entry.
-//   * The apply sweep's warm-up (WarmGainMemo, floc_phases.h) fans one
-//     window of distinct entities x all clusters out as flattened
-//     (entity, cluster) pairs; every pair is one Entry, each pair
-//     belongs to exactly one shard, so shards again write disjoint
-//     entries. The views they read are not mutated until the window's
-//     ParallelFor has joined, and the coordinator's serial commit loop
-//     only reads/writes the memo between warm-ups.
+//     shard-stable partitioning of the entity axis --
+//     engine::ShardGrain), so there, no two threads touch one Entry.
+//   * In the pipelined apply sweep (ActionApplier,
+//     src/core/action_applier.cc) pool helpers refresh slots ahead of
+//     the serial coordinator, and the coordinator may look up or rescan
+//     a slot a helper is storing. A helper scans cluster c, and stores
+//     the stamp it read, only while holding c's reader/writer guard
+//     shared; the coordinator, the only thread that mutates a cluster,
+//     does so only with that guard held exclusively. So every store that
+//     can overlap a lookup or another store is made at c's live epoch,
+//     and a stamp equal to the live epoch means the same bits whoever
+//     scanned (DESIGN.md "The gain kernel"): the overlapping stores carry
+//     identical payloads, and a lookup cannot mix two evaluations.
 //
-// In both, the coordinator's join-side mutex acquire in
-// ThreadPool::ParallelFor publishes every shard's writes before anyone
-// reads them, and no Entry is read concurrently with its write. Results
-// stay bit-identical at any thread count. Clang TSA cannot express a
-// disjoint-slots protocol, hence this comment carries the argument
-// (tools/lint/dclint.py rule `lock-free-comment` keeps it present).
+// Results therefore stay bit-identical at any thread count and schedule.
+// On x86 these atomic accesses compile to ordinary moves, with no
+// locked instruction or fence. Clang TSA cannot express the protocol, hence this
+// comment carries the argument (tools/lint/dclint.py rule
+// `lock-free-comment` keeps it present).
 #ifndef DELTACLUS_CORE_GAIN_MEMO_H_
 #define DELTACLUS_CORE_GAIN_MEMO_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -66,14 +75,48 @@ namespace deltaclus {
 
 class GainMemo {
  public:
-  struct Entry {
-    /// Membership epoch of the cluster at evaluation time; 0 = never
-    /// filled (ClusterWorkspace epochs start at 1).
-    uint64_t epoch = 0;
+  /// One (entity, cluster) slot. Read and written only through these
+  /// methods, which access every field atomically (see the file
+  /// comment): the stamp with release/acquire, the payload relaxed.
+  class Entry {
+   public:
+    /// The stamp: the membership epoch the payload was evaluated at; 0 =
+    /// never filled (ClusterWorkspace epochs start at 1). Relaxed: a
+    /// staleness hint only, not a licence to read the payload.
+    uint64_t Stamp() {
+      return std::atomic_ref<uint64_t>(epoch_).load(std::memory_order_relaxed);
+    }
+
+    /// When the slot is stamped `epoch`, yields its after-toggle residue
+    /// and post-toggle volume and returns true.
+    bool Lookup(uint64_t epoch, double* after_residue, size_t* new_volume) {
+      if (std::atomic_ref<uint64_t>(epoch_).load(std::memory_order_acquire) !=
+          epoch) {
+        return false;
+      }
+      *after_residue = std::atomic_ref<double>(after_residue_).load(
+          std::memory_order_relaxed);
+      *new_volume =
+          std::atomic_ref<size_t>(new_volume_).load(std::memory_order_relaxed);
+      return true;
+    }
+
+    /// Stores an evaluation made at `epoch`: the payload, then the stamp
+    /// (release) that publishes it.
+    void Store(uint64_t epoch, double after_residue, size_t new_volume) {
+      std::atomic_ref<double>(after_residue_).store(after_residue,
+                                                    std::memory_order_relaxed);
+      std::atomic_ref<size_t>(new_volume_).store(new_volume,
+                                                 std::memory_order_relaxed);
+      std::atomic_ref<uint64_t>(epoch_).store(epoch, std::memory_order_release);
+    }
+
+   private:
+    uint64_t epoch_ = 0;
     /// Residue the cluster would have after toggling this entity.
-    double after_residue = 0.0;
+    double after_residue_ = 0.0;
     /// Post-toggle volume (feeds the objective's volume term).
-    size_t new_volume = 0;
+    size_t new_volume_ = 0;
   };
 
   GainMemo() = default;

@@ -10,9 +10,9 @@
 // iteration; vaddpd does the same for all four lanes at once, with
 // vsubpd/vaddpd/vmulpd performing the exact IEEE-754 operations the
 // scalar subsd/addsd/mulsd perform and vandnpd clearing the sign bit
-// exactly like std::fabs. Peel and tail reuse the scalar Contribution
-// body. Nothing reassociates, nothing fuses, so every double produced
-// here equals the scalar kernel's bit for bit.
+// exactly like std::fabs. Peel and tail use a private copy of the
+// scalar Contribution body. Nothing reassociates, nothing fuses, so
+// every double produced here equals the scalar kernel's bit for bit.
 //
 // The run passes (holey pane rows, stored as their specified entries
 // plus uint16 pane-column slots) are the dense passes with each group's
@@ -24,20 +24,37 @@
 // The pane-scan slots instantiate the shared row loop (ScanPaneRows,
 // residue_kernels.h) with this file's whole-row bodies. Those bodies
 // have internal linkage, and so has every instantiation that names
-// them, so nothing this -mavx2 TU emits can stand in for a symbol the
-// baseline-ISA TUs link against.
+// them; the scalar peels and tails call a private copy of Contribution.
+// So nothing this -mavx2 TU emits can stand in for a symbol the
+// baseline-ISA TUs link against: the only symbol it exports is
+// Avx2KernelsOrNull.
 #include "src/core/simd_dispatch.h"
 
 #if defined(__AVX2__)
 
 #include <immintrin.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 
 namespace deltaclus {
 
 namespace {
+
+// The peels' and tails' scalar body: Contribution (residue_kernels.h)
+// operation for operation, so it yields the same bits. It is a private
+// copy because Contribution is an external-linkage inline template: an
+// unoptimized build of this TU would emit its own, VEX-encoded copy of
+// it under the very name the baseline-ISA TUs link against, and the
+// linker keeps whichever copy it sees first.
+template <bool kSquared>
+inline double ContributionScalar(double value, double row_base,
+                                 double col_base, double cluster_base) {
+  double r = value - row_base - col_base + cluster_base;
+  if (kSquared) return r * r;
+  return std::fabs(r);
+}
 
 // value - row_base - col_base + cluster_base per lane, in the scalar
 // evaluation order, then |r| (sign-bit clear) or r*r.
@@ -59,7 +76,7 @@ void SegPassDenseAvx2(const double* values, const double* col_bases,
   size_t k = 0;
   // Scalar peel to a lane-0 boundary, identical to the scalar kernel.
   for (; (acc.p & 3) != 0 && k < n; ++k, ++acc.p) {
-    acc.l[acc.p & 3] += Contribution<kSquared>(values[k], row_base,
+    acc.l[acc.p & 3] += ContributionScalar<kSquared>(values[k], row_base,
                                                col_bases[k], cluster_base);
   }
   const __m256d rb = _mm256_set1_pd(row_base);
@@ -77,7 +94,7 @@ void SegPassDenseAvx2(const double* values, const double* col_bases,
   acc.p += k - unrolled_start;
   // Scalar tail, identical to the scalar kernel.
   for (; k < n; ++k, ++acc.p) {
-    acc.l[acc.p & 3] += Contribution<kSquared>(values[k], row_base,
+    acc.l[acc.p & 3] += ContributionScalar<kSquared>(values[k], row_base,
                                                col_bases[k], cluster_base);
   }
 }
@@ -103,7 +120,7 @@ template <bool kSquared>
   double lanes[4];
   _mm256_storeu_pd(lanes, lanes_v);
   for (; k < n; ++k) {
-    lanes[k & 3] += Contribution<kSquared>(values[k], row_base, col_bases[k],
+    lanes[k & 3] += ContributionScalar<kSquared>(values[k], row_base, col_bases[k],
                                            cluster_base);
   }
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
@@ -126,7 +143,7 @@ void SegPassRunAvx2(const double* values, const uint16_t* slots,
                     double cluster_base, LaneAcc& acc) {
   size_t k = 0;
   for (; (acc.p & 3) != 0 && k < n; ++k, ++acc.p) {
-    acc.l[acc.p & 3] += Contribution<kSquared>(
+    acc.l[acc.p & 3] += ContributionScalar<kSquared>(
         values[k], row_base, col_bases[slots[k]], cluster_base);
   }
   const __m256d rb = _mm256_set1_pd(row_base);
@@ -143,7 +160,7 @@ void SegPassRunAvx2(const double* values, const uint16_t* slots,
   _mm256_storeu_pd(acc.l, lanes);
   acc.p += k - unrolled_start;
   for (; k < n; ++k, ++acc.p) {
-    acc.l[acc.p & 3] += Contribution<kSquared>(
+    acc.l[acc.p & 3] += ContributionScalar<kSquared>(
         values[k], row_base, col_bases[slots[k]], cluster_base);
   }
 }

@@ -156,28 +156,14 @@ void ThreadPool::ParallelFor(size_t total, size_t grain, const ShardFn& fn,
     job.fn = &timed_fn;
   }
 
-  if (!workers_.empty()) {
-    {
-      dc::MutexLock lock(mutex_);
-      job_ = &job;
-      ++generation_;
-    }
-    wake_cv_.NotifyAll();
-  }
-
+  Post(job);
   // The coordinating thread always participates; with no workers this is
   // the entire (serial) execution, over identical shard boundaries.
   RunShards(job);
-
-  if (!workers_.empty()) {
-    // All shards are claimed once our own RunShards returns, but a worker
-    // may still be inside its final shard (or about to discover the
-    // cursor is exhausted). Retract the job and wait for every
-    // participant to leave before `job` goes out of scope.
-    dc::MutexLock lock(mutex_);
-    job_ = nullptr;
-    while (participants_ != 0) done_cv_.Wait(lock);
-  }
+  // All shards are claimed once our own RunShards returns, but a worker
+  // may still be inside its final shard (or about to discover the
+  // cursor is exhausted).
+  Retract();
 
   if (timed) {
     const PoolMetrics& metrics = PoolMetrics::Get();
@@ -195,14 +181,62 @@ void ThreadPool::ParallelFor(size_t total, size_t grain, const ShardFn& fn,
         mean_ns > 0.0 ? static_cast<double>(max_ns) / mean_ns : 1.0);
   }
 
+  std::exception_ptr error = TakeError(job);
+  if (error) std::rethrow_exception(error);
+}
+
+void ThreadPool::RunBeside(const HelperFn& helper,
+                           const std::function<void()>& coordinator) {
+  StopToken done;
+  ShardFn shard_fn = [&helper, &done](size_t, size_t, size_t shard) {
+    helper(shard, done);
+  };
+  // One shard per worker; the token also stops a late worker from
+  // claiming a helper index at all.
+  Job job;
+  job.fn = &shard_fn;
+  job.total = workers_.size();
+  job.grain = 1;
+  job.shards = workers_.size();
+  job.stop = &done;
+  Post(job);
+  std::exception_ptr coordinator_error;
+  try {
+    coordinator();
+  } catch (...) {
+    coordinator_error = std::current_exception();
+  }
+  done.RequestStop();
+  Retract();
+  std::exception_ptr error =
+      coordinator_error ? coordinator_error : TakeError(job);
+  if (error) std::rethrow_exception(error);
+}
+
+void ThreadPool::Post(Job& job) {
+  if (workers_.empty()) return;
+  {
+    dc::MutexLock lock(mutex_);
+    job_ = &job;
+    ++generation_;
+  }
+  wake_cv_.NotifyAll();
+}
+
+void ThreadPool::Retract() {
+  if (workers_.empty()) return;
+  // Wait for every participant to leave before the caller's `job` goes
+  // out of scope.
+  dc::MutexLock lock(mutex_);
+  job_ = nullptr;
+  while (participants_ != 0) done_cv_.Wait(lock);
+}
+
+std::exception_ptr ThreadPool::TakeError(Job& job) {
   // Every participant has left, but the analysis (rightly) insists the
   // error slot is read under its lock.
-  std::exception_ptr error;
-  {
-    dc::MutexLock lock(job.error_mutex);
-    error = job.error;
-  }
-  if (error) std::rethrow_exception(error);
+  dc::MutexLock lock(job.error_mutex);
+  return job.error;
 }
 
 void ParallelApply(ThreadPool* pool, size_t total, const ThreadPool::ShardFn& fn,

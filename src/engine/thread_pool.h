@@ -23,10 +23,17 @@
 // pay. One pool instance may be shared across Floc runs, the baselines,
 // and the bench drivers (see FlocConfig::pool).
 //
-// Thread contract: ParallelFor must be called from one coordinating
-// thread at a time and must not be re-entered from inside a shard body.
-// Shard bodies run concurrently and must only touch shared state
-// read-only (or write to disjoint slots).
+// The pool has one more primitive, RunBeside: the calling thread runs a
+// serial coordinator body while every worker runs a helper body beside
+// it, joined once at the end. It serves a sweep that must stay serial
+// (the FLOC apply sweep) but whose upcoming work can be prepared ahead;
+// what the helpers get done is schedule-dependent, so it must never be
+// what a result depends on.
+//
+// Thread contract: ParallelFor and RunBeside must be called from one
+// coordinating thread at a time and must not be re-entered from inside
+// a shard or helper body. Shard bodies run concurrently and must only
+// touch shared state read-only (or write to disjoint slots).
 #ifndef DELTACLUS_ENGINE_THREAD_POOL_H_
 #define DELTACLUS_ENGINE_THREAD_POOL_H_
 
@@ -115,6 +122,25 @@ class ThreadPool {
     ParallelFor(total, 0, fn, stop);
   }
 
+  /// Body of one helper beside a coordinator (RunBeside): the helper's
+  /// index in [0, threads() - 1) and the token RunBeside fires once the
+  /// coordinator's body has returned.
+  using HelperFn = std::function<void(size_t helper, const StopToken& done)>;
+
+  /// Runs `coordinator` on the calling thread while each worker runs one
+  /// `helper` body beside it, then joins once. Helper bodies must poll
+  /// `done` and return soon after it fires. Unlike ParallelFor, this
+  /// promises nothing about how much of the helpers' work happens (a
+  /// worker that wakes after the coordinator finished runs no helper at
+  /// all), so helpers may only do work the coordinator would otherwise
+  /// do itself (the pipelined apply sweep's memo refreshes), never work
+  /// a result depends on. If the coordinator throws, its exception is
+  /// rethrown after the join; otherwise the lowest-indexed throwing
+  /// helper's is. The same one-coordinator, no-re-entry contract as
+  /// ParallelFor.
+  void RunBeside(const HelperFn& helper,
+                 const std::function<void()>& coordinator) DC_EXCLUDES(mutex_);
+
  private:
   struct Job {
     // fn/total/grain/shards are written once by the coordinator before
@@ -138,6 +164,13 @@ class ThreadPool {
     size_t error_shard DC_GUARDED_BY(error_mutex) = 0;
     std::exception_ptr error DC_GUARDED_BY(error_mutex);
   };
+
+  // Posts `job` to the workers (no-op without workers).
+  void Post(Job& job) DC_EXCLUDES(mutex_);
+  // Retracts the posted job and waits until no worker is inside it.
+  void Retract() DC_EXCLUDES(mutex_);
+  // The lowest-indexed throwing shard's exception, or null.
+  static std::exception_ptr TakeError(Job& job);
 
   void WorkerLoop() DC_EXCLUDES(mutex_);
   // Claims and runs shards until the job's cursor is exhausted.

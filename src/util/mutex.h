@@ -19,8 +19,11 @@
 #ifndef DELTACLUS_UTIL_MUTEX_H_
 #define DELTACLUS_UTIL_MUTEX_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <shared_mutex>
+#include <thread>
 
 #include "src/util/thread_annotations.h"
 
@@ -41,6 +44,40 @@ class DC_CAPABILITY("mutex") Mutex {
   friend class CondVar;
   friend class MutexLock;
   std::mutex mu_;
+};
+
+/// A std::shared_mutex that is a Clang TSA capability: any number of
+/// shared (reader) holders, or one exclusive (writer) holder. Readers
+/// only try-lock. The writer's Lock() spins instead of parking, and
+/// sleeps between tries only once that runs long (a reader was
+/// preempted, say); it never yields, because on a loaded virtual machine
+/// a sched_yield can give the core away for hundreds of microseconds. It
+/// suits the one protocol that needs it (the pipelined apply sweep,
+/// src/core/action_applier.cc): readers hold it for one short scan and
+/// skip it when it is held, so a writer waits a scan at most, and a
+/// park/wake would cost more than that.
+class DC_CAPABILITY("shared_mutex") SharedMutex {
+ public:
+  SharedMutex() = default;
+  SharedMutex(const SharedMutex&) = delete;
+  SharedMutex& operator=(const SharedMutex&) = delete;
+
+  void Lock() DC_ACQUIRE() {
+    constexpr int kSpins = 4096;
+    for (int spins = 0; !mu_.try_lock();) {
+      if (++spins > kSpins) {
+        std::this_thread::sleep_for(std::chrono::microseconds(1));
+      }
+    }
+  }
+  void Unlock() DC_RELEASE() { mu_.unlock(); }
+  bool TryLockShared() DC_TRY_ACQUIRE_SHARED(true) {
+    return mu_.try_lock_shared();
+  }
+  void UnlockShared() DC_RELEASE_SHARED() { mu_.unlock_shared(); }
+
+ private:
+  std::shared_mutex mu_;
 };
 
 /// Scoped lock over a dc::Mutex (the std::lock_guard / std::unique_lock

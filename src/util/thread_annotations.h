@@ -63,6 +63,14 @@
 #define DC_RELEASE(...) \
   DC_THREAD_ANNOTATION_ATTRIBUTE(release_capability(__VA_ARGS__))
 
+/// Shared (reader) holds of a reader/writer capability: the annotated
+/// function tries to acquire one and returns `success` exactly when it
+/// did, or releases one.
+#define DC_TRY_ACQUIRE_SHARED(...) \
+  DC_THREAD_ANNOTATION_ATTRIBUTE(try_acquire_shared_capability(__VA_ARGS__))
+#define DC_RELEASE_SHARED(...) \
+  DC_THREAD_ANNOTATION_ATTRIBUTE(release_shared_capability(__VA_ARGS__))
+
 /// The annotated function must be called *without* the capabilities
 /// held (deadlock prevention for self-locking public APIs).
 #define DC_EXCLUDES(...) \

@@ -6,8 +6,9 @@
 // inline path below the serial cutoff and its pooled path above it
 // iterate the same shard boundaries, so the determined actions and the
 // blocked-toggle tallies must be bit-identical either way; and
-// ActionApplier's windowed memo warm-up must leave every sweep exactly as
-// the memo-less serial reference performs it.
+// ActionApplier's pipelined sweep, whose pool helpers refresh the gain
+// memo ahead of the serial commit loop, must leave every sweep exactly
+// as the memo-less serial reference performs it, whatever the schedule.
 #include "src/core/floc_phases.h"
 
 #include <gtest/gtest.h>
@@ -167,9 +168,7 @@ struct SweepOutcome {
   uint64_t memo_hits = 0;
 };
 
-// 120 x 24 planted matrix, k = 10 random seeds: a window of
-// ActionApplier::kApplyWindow entities is 160 (entity, cluster) pairs,
-// above the serial cutoff, so a pooled warm-up really fans out.
+// 120 x 24 planted matrix, mined with k = 10 random seeds.
 SyntheticDataset ApplyData() {
   SyntheticConfig config;
   config.rows = 120;
@@ -287,7 +286,12 @@ void ExpectSameOutcomes(const std::vector<SweepOutcome>& a,
   }
 }
 
-TEST(ActionApplierTest, MemoWarmUpMatchesMemoLessReferenceAtAnyPoolSize) {
+TEST(ActionApplierTest, PipelinedApplyMatchesMemoLessReferenceAtAnyPoolSize) {
+  // How far the helpers get ahead of the coordinator depends on the
+  // schedule, so each pool size runs the sweeps several times over: each
+  // repetition is another interleaving that must land on the reference.
+  constexpr int kSweeps = 8;
+  constexpr int kRepeats = 3;
   SyntheticDataset data = ApplyData();
   for (bool negatives : {true, false}) {
     for (bool audit : {false, true}) {
@@ -295,88 +299,56 @@ TEST(ActionApplierTest, MemoWarmUpMatchesMemoLessReferenceAtAnyPoolSize) {
                                       << " audit=" << audit);
       FlocConfig config = ApplyConfig(negatives, audit);
       std::vector<SweepOutcome> reference = RunApplySweeps(
-          data.matrix, config, /*memo=*/nullptr, /*pool=*/nullptr, 4);
+          data.matrix, config, /*memo=*/nullptr, /*pool=*/nullptr, kSweeps);
       ASSERT_FALSE(reference.front().journal.empty());
-      for (int threads : {1, 2, 4}) {
+      ASSERT_FALSE(reference.back().journal.empty());
+      for (int threads : {1, 2, 3, 4, 8}) {
         SCOPED_TRACE(testing::Message() << "threads=" << threads);
         engine::ThreadPool pool(threads);
-        GainMemo memo;
-        ExpectSameOutcomes(reference, RunApplySweeps(data.matrix, config,
-                                                     &memo, &pool, 4));
+        for (int repeat = 0; repeat < kRepeats; ++repeat) {
+          SCOPED_TRACE(testing::Message() << "repeat=" << repeat);
+          GainMemo memo;
+          ExpectSameOutcomes(reference, RunApplySweeps(data.matrix, config,
+                                                       &memo, &pool, kSweeps));
+        }
       }
     }
   }
 }
 
-TEST(ActionApplierTest, WarmUpLeavesFewRescansOnTheCoordinator) {
-  // With the warm-up, a re-decision rescans only the clusters toggled
-  // earlier in its window; without it (1-thread pool) nearly every
-  // cluster is stale after the first few toggles. No constraints, so
-  // every re-decision looks up all k clusters and the coordinator's
-  // rescans are lookups minus hits.
+TEST(ActionApplierTest, PipelinedHelpersTakeRescansOffTheCoordinator) {
+  // Every after-toggle evaluation the sweep needs is either a memo hit
+  // on the coordinator or a rescan, on the coordinator or on a helper.
+  // Serially the coordinator rescans nearly every cluster of every
+  // entity; pipelined, the helpers have made some of those scans ahead
+  // of it, so it hits more -- how many more is up to the schedule, so
+  // only "more" is asserted. No constraints, so every re-decision looks
+  // up all k clusters.
   SyntheticDataset data = ApplyData();
   FlocConfig config = ApplyConfig(/*perform_negative_actions=*/false,
                                   /*audit=*/false);
   config.constraints = Constraints{};
   config.annealing_temperature = 0.0;  // greedy: positive gains only
-  double k = static_cast<double>(config.num_clusters);
-  double entities =
-      static_cast<double>(data.matrix.rows() + data.matrix.cols());
 
   bool was_enabled = obs::MetricsRegistry::Enabled();
   obs::MetricsRegistry::SetEnabled(true);
-  // Coordinator rescans per re-decided entity in the second sweep (the
-  // first sweep's determination starts from a cold memo).
-  auto coordinator_rescans_per_entity = [&](int threads) {
+  auto second_sweep_hits = [&](int threads) {
     engine::ThreadPool pool(threads);
     GainMemo memo;
     std::vector<SweepOutcome> sweeps =
         RunApplySweeps(data.matrix, config, &memo, &pool, 2);
     EXPECT_FALSE(sweeps[1].journal.empty());
-    return (entities * k - static_cast<double>(sweeps[1].memo_hits)) /
-           entities;
-  };
-  double serial = coordinator_rescans_per_entity(1);
-  double warmed = coordinator_rescans_per_entity(4);
-  obs::MetricsRegistry::SetEnabled(was_enabled);
-
-  // Measured on this fixture: about 9.0 of 10 serially, 3.7 warmed.
-  EXPECT_GT(serial, 0.8 * k);
-  EXPECT_LT(warmed, 0.5 * k);
-  EXPECT_LT(warmed, 0.5 * serial);
-}
-
-TEST(ActionApplierTest, WarmUpRunsOnlyWhenItsWindowFansOut) {
-  // A window is kApplyWindow x k pairs; below the serial cutoff
-  // (k <= 3) ParallelApply would run it inline, so the applier keeps the
-  // plain loop and a 4-thread pool sees exactly the 1-thread pool's memo
-  // hits. From k = 4 the window fans out and the warm-up serves more.
-  ASSERT_LT(ActionApplier::kApplyWindow * 3,
-            engine::kSerialCutoff);
-  ASSERT_GE(ActionApplier::kApplyWindow * 4,
-            engine::kSerialCutoff);
-  SyntheticDataset data = ApplyData();
-  bool was_enabled = obs::MetricsRegistry::Enabled();
-  obs::MetricsRegistry::SetEnabled(true);
-  auto sweep_hits = [&](size_t k, int threads) {
-    FlocConfig config = ApplyConfig(/*perform_negative_actions=*/false,
-                                    /*audit=*/false);
-    config.num_clusters = k;
-    engine::ThreadPool pool(threads);
-    GainMemo memo;
-    std::vector<SweepOutcome> sweeps =
-        RunApplySweeps(data.matrix, config, &memo, &pool, 2);
-    EXPECT_FALSE(sweeps[1].journal.empty()) << "k=" << k;
     return sweeps[1].memo_hits;
   };
-  uint64_t k3_serial = sweep_hits(3, 1);
-  uint64_t k3_pooled = sweep_hits(3, 4);
-  uint64_t k4_serial = sweep_hits(4, 1);
-  uint64_t k4_pooled = sweep_hits(4, 4);
+  uint64_t serial = second_sweep_hits(1);
+  uint64_t pipelined = 0;
+  // One try can in principle find the helpers never scheduled while the
+  // coordinator ran; several cannot, on any host that runs them at all.
+  for (int attempt = 0; attempt < 5 && pipelined <= serial; ++attempt) {
+    pipelined = second_sweep_hits(4);
+  }
   obs::MetricsRegistry::SetEnabled(was_enabled);
-
-  EXPECT_EQ(k3_pooled, k3_serial);
-  EXPECT_GT(k4_pooled, k4_serial);
+  EXPECT_GT(pipelined, serial);
 }
 
 TEST(BestPrefixSelectorTest, TracksBestObservedPrefix) {

@@ -117,21 +117,29 @@ TEST(GainMemoTest, SlotsAreEntityMajorAndZeroInitialized) {
   EXPECT_EQ(memo.bytes(), 5 * 4 * sizeof(GainMemo::Entry));
   // Every slot starts at epoch 0, which can never match a live workspace
   // epoch (NextMembershipEpoch starts at 1).
-  EXPECT_EQ(memo.Slot(true, 0, 0)->epoch, 0u);
-  EXPECT_EQ(memo.Slot(false, 1, 3)->epoch, 0u);
+  EXPECT_EQ(memo.Slot(true, 0, 0)->Stamp(), 0u);
+  EXPECT_EQ(memo.Slot(false, 1, 3)->Stamp(), 0u);
 
   // Distinct (entity, cluster) pairs get distinct slots: stamping one
   // leaves the others untouched.
-  memo.Slot(true, 2, 1)->epoch = 42;
-  memo.Slot(false, 0, 1)->epoch = 43;  // col 0 = entity rows + 0
-  EXPECT_EQ(memo.Slot(true, 2, 1)->epoch, 42u);
-  EXPECT_EQ(memo.Slot(false, 0, 1)->epoch, 43u);
-  EXPECT_EQ(memo.Slot(true, 2, 0)->epoch, 0u);
-  EXPECT_EQ(memo.Slot(true, 0, 1)->epoch, 0u);
+  memo.Slot(true, 2, 1)->Store(42, 1.5, 7);
+  memo.Slot(false, 0, 1)->Store(43, 2.5, 8);  // col 0 = entity rows + 0
+  EXPECT_EQ(memo.Slot(true, 2, 1)->Stamp(), 42u);
+  EXPECT_EQ(memo.Slot(false, 0, 1)->Stamp(), 43u);
+  EXPECT_EQ(memo.Slot(true, 2, 0)->Stamp(), 0u);
+  EXPECT_EQ(memo.Slot(true, 0, 1)->Stamp(), 0u);
+
+  // A lookup serves the payload only at the stamped epoch.
+  double residue = 0.0;
+  size_t volume = 0;
+  EXPECT_FALSE(memo.Slot(true, 2, 1)->Lookup(41, &residue, &volume));
+  ASSERT_TRUE(memo.Slot(true, 2, 1)->Lookup(42, &residue, &volume));
+  EXPECT_EQ(residue, 1.5);
+  EXPECT_EQ(volume, 7u);
 
   // Re-configuring clears every entry.
   memo.Configure(/*rows=*/3, /*cols=*/2, /*clusters=*/4);
-  EXPECT_EQ(memo.Slot(true, 2, 1)->epoch, 0u);
+  EXPECT_EQ(memo.Slot(true, 2, 1)->Stamp(), 0u);
 }
 
 TEST(GainMemoTest, WorkspaceEpochAdvancesOnEveryMutation) {

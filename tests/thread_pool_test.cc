@@ -170,6 +170,78 @@ TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
   });
 }
 
+TEST(ThreadPoolTest, RunBesideJoinsEveryHelperAfterTheCoordinator) {
+  // The coordinator body runs once, on the calling thread; helper bodies
+  // run beside it on workers until the token fires, and all of them have
+  // left before RunBeside returns.
+  ThreadPool pool(4);
+  std::thread::id coordinator = std::this_thread::get_id();
+  for (int repeat = 0; repeat < 20; ++repeat) {
+    std::atomic<int> inside{0};
+    std::atomic<int> entered{0};
+    int coordinator_runs = 0;
+    pool.RunBeside(
+        [&](size_t helper, const StopToken& done) {
+          EXPECT_LT(helper, 3u);
+          EXPECT_NE(std::this_thread::get_id(), coordinator);
+          inside.fetch_add(1);
+          entered.fetch_add(1);
+          while (!done.stop_requested()) std::this_thread::yield();
+          inside.fetch_sub(1);
+        },
+        [&] {
+          EXPECT_EQ(std::this_thread::get_id(), coordinator);
+          ++coordinator_runs;
+          // Give the workers a chance to start; nothing waits for them.
+          for (int i = 0; i < 100 && entered.load() == 0; ++i) {
+            std::this_thread::yield();
+          }
+        });
+    EXPECT_EQ(coordinator_runs, 1);
+    EXPECT_EQ(inside.load(), 0) << "a helper outlived RunBeside";
+    EXPECT_LE(entered.load(), 3);
+  }
+}
+
+TEST(ThreadPoolTest, RunBesideRethrowsAndStaysUsable) {
+  ThreadPool pool(4);
+  auto wait_for_done = [](size_t, const StopToken& done) {
+    while (!done.stop_requested()) std::this_thread::yield();
+  };
+  // The coordinator's exception still fires the token and joins the
+  // helpers before it propagates.
+  EXPECT_THROW(pool.RunBeside(wait_for_done,
+                              [] { throw std::runtime_error("coordinator"); }),
+               std::runtime_error);
+  // A helper's exception propagates once the coordinator has returned
+  // (which here waits until a helper has run).
+  std::atomic<bool> thrown{false};
+  EXPECT_THROW(pool.RunBeside(
+                   [&](size_t, const StopToken&) {
+                     thrown.store(true);
+                     throw std::logic_error("helper");
+                   },
+                   [&] {
+                     while (!thrown.load()) std::this_thread::yield();
+                   }),
+               std::logic_error);
+  std::atomic<size_t> count{0};
+  pool.ParallelFor(1000, [&](size_t begin, size_t end, size_t) {
+    count.fetch_add(end - begin, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(count.load(), 1000u);
+}
+
+TEST(ThreadPoolTest, RunBesideOnOneThreadRunsOnlyTheCoordinator) {
+  ThreadPool pool(1);
+  bool helper_ran = false;
+  bool coordinator_ran = false;
+  pool.RunBeside([&](size_t, const StopToken&) { helper_ran = true; },
+                 [&] { coordinator_ran = true; });
+  EXPECT_TRUE(coordinator_ran);
+  EXPECT_FALSE(helper_ran);
+}
+
 TEST(ParallelApplyTest, SerialBelowCutoffPooledAbove) {
   // ParallelApply with a null pool, or total below the cutoff, iterates
   // the identical shard boundaries inline on the calling thread.
