@@ -331,9 +331,13 @@ BENCHMARK(BM_SeedGeneration)->Arg(10)->Arg(100);
 // first sweep every evaluation is an epoch-valid cache hit -- the
 // steady-state cost of re-sweeping unchanged clusters. The NoMemo
 // variant below isolates the raw kernel cost.
-void BM_GainDetermination(benchmark::State& state) {
+// One determination sweep per iteration over ten 120x20 clusters of a
+// 2000x100 matrix with `missing_fraction` of its entries missing, on
+// state.range(0) threads, with or without the gain memo.
+void RunGainDetermination(benchmark::State& state, double missing_fraction,
+                          bool with_memo) {
   int threads = static_cast<int>(state.range(0));
-  SyntheticDataset data = MakeData(2000, 100);
+  SyntheticDataset data = MakeData(2000, 100, missing_fraction);
   std::vector<ClusterWorkspace> views;
   std::vector<double> scores;
   ResidueEngine residue_engine;
@@ -348,13 +352,18 @@ void BM_GainDetermination(benchmark::State& state) {
   if (threads > 1) pool = std::make_unique<engine::ThreadPool>(threads);
   GainMemo memo;
   memo.Configure(data.matrix.rows(), data.matrix.cols(), views.size());
-  GainDeterminer determiner(0.0, pool.get(), engine::kSerialCutoff, &memo);
+  GainDeterminer determiner(0.0, pool.get(), engine::kSerialCutoff,
+                            with_memo ? &memo : nullptr);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         determiner.Determine(data.matrix, views, scores, tracker, nullptr));
   }
   state.SetItemsProcessed(state.iterations() *
                           (data.matrix.rows() + data.matrix.cols()));
+}
+
+void BM_GainDetermination(benchmark::State& state) {
+  RunGainDetermination(state, 0.0, /*with_memo=*/true);
 }
 BENCHMARK(BM_GainDetermination)
     ->Arg(1)
@@ -368,29 +377,20 @@ BENCHMARK(BM_GainDetermination)
 // the kernel-bound cost (what a first iteration or a fully-churned
 // clustering pays).
 void BM_GainDeterminationNoMemo(benchmark::State& state) {
-  int threads = static_cast<int>(state.range(0));
-  SyntheticDataset data = MakeData(2000, 100);
-  std::vector<ClusterWorkspace> views;
-  std::vector<double> scores;
-  ResidueEngine residue_engine;
-  for (size_t c = 0; c < 10; ++c) {
-    views.emplace_back(data.matrix, MakeCluster(2000, 100, 120, 20));
-    scores.push_back(ObjectiveScore(residue_engine.Residue(views.back()),
-                                    views.back().stats().Volume(), 0.0));
-  }
-  ConstraintTracker tracker(data.matrix, Constraints{});
-  tracker.Rebuild(views);
-  std::unique_ptr<engine::ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<engine::ThreadPool>(threads);
-  GainDeterminer determiner(0.0, pool.get());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        determiner.Determine(data.matrix, views, scores, tracker, nullptr));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          (data.matrix.rows() + data.matrix.cols()));
+  RunGainDetermination(state, 0.0, /*with_memo=*/false);
 }
 BENCHMARK(BM_GainDeterminationNoMemo)
+    ->Arg(1)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// Its sparse twin (30% missing): the row rescans run on the pane's
+// holey-row runs, as on the paper-literal sparse workload.
+void BM_GainDeterminationNoMemoSparse(benchmark::State& state) {
+  RunGainDetermination(state, 0.3, /*with_memo=*/false);
+}
+BENCHMARK(BM_GainDeterminationNoMemoSparse)
     ->Arg(1)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)

@@ -12,7 +12,7 @@
 #   asan    ASan+UBSan preset: configure, build, ctest
 #   tsan    TSan preset: configure, build, ctest
 #   tsan-stress
-#           TSan preset: the apply, determinism and session suites
+#           TSan preset: the apply, determinism, session and SIMD suites
 #           repeated (--gtest_repeat) in 4 concurrent processes, so every
 #           core is busy while their thread pools race
 #   ubsan   standalone strict-UBSan preset: configure, build, ctest
@@ -130,13 +130,14 @@ stage_tsan()  { run_preset tsan; }
 stage_ubsan() { run_preset ubsan; }
 
 stage_tsan_stress() {
-  note "tsan-stress (apply/determinism/session suites, 4 concurrent TSan processes)"
+  note "tsan-stress (apply/determinism/session/SIMD suites, 4 concurrent TSan processes)"
   # Determinism under real concurrency: each suite runs its own thread
   # pools, and four processes at once keep every core of a 4-core host
   # busy, so pool workers, pipelined apply helpers and the coordinator
   # really run at the same time instead of taking turns on one core.
   # Each process starts at a different suite so the suites overlap.
-  local suites=(floc_phases_test floc_determinism_test session_test)
+  local suites=(floc_phases_test floc_determinism_test session_test
+                simd_dispatch_test)
   local repeat=2
   if ! { cmake --preset tsan >/dev/null \
          && cmake --build --preset tsan -j "$JOBS" --target "${suites[@]}"; }; then
@@ -149,8 +150,8 @@ stage_tsan_stress() {
   local p
   for p in 0 1 2 3; do
     (
-      for i in 0 1 2; do
-        suite="${suites[$(( (p + i) % 3 ))]}"
+      for i in "${!suites[@]}"; do
+        suite="${suites[$(( (p + i) % ${#suites[@]} ))]}"
         "build-tsan/tests/$suite" --gtest_repeat="$repeat" --gtest_brief=1 \
           || { echo "tsan-stress: $suite failed"; exit 1; }
       done
@@ -338,6 +339,29 @@ stage_trajectory() {
     echo "bench: pane-scan kernel floor holds"
   else
     fail "pane-scan bench gate (pre_pr22 vs pr22 micro-kernel records)"
+  fi
+  # Batched row-toggle gate: the determination sweep scans four row
+  # candidates of a cluster in one pane pass. pre_pr24 is the parent tip
+  # recorded on the same host as pr24, each record the per-benchmark
+  # median of 12 runs of the gated families (bench/trajectory/README.md).
+  # Each floor is set from the parent's own spread over its 12 runs
+  # (interquartile range / median, rounded up to 0.05), so host noise
+  # alone cannot pass or fail it: the memoless sweeps, where the gain is
+  # claimed, hold >= 1 + spread (0.25/0.32 at 1 thread, 0.11/0.11 at 8),
+  # and the single-candidate row evals, which the change only
+  # refactored, hold >= 1 - spread (0.29 tall, 0.20 tall sparse, 0.29
+  # skinny). Deterministic: compares two checked-in records.
+  if python3 tools/dcstat.py diff \
+        bench/trajectory/BENCH_micro_kernels_pre_pr24.json \
+        bench/trajectory/BENCH_micro_kernels_pr24.json \
+        --min-ratio 'BM_GainDeterminationNoMemo/1/=1.30' \
+        --min-ratio 'BM_GainDeterminationNoMemoSparse/1/=1.35' \
+        --min-ratio 'BM_GainDeterminationNoMemo(Sparse)?/8/=1.15' \
+        --min-ratio 'BM_GainEvalRowToggle(Tall|SkinnySparse)$=0.70' \
+        --min-ratio 'BM_GainEvalRowToggleTallSparse=0.80'; then
+    echo "bench: batched row-toggle speedups hold"
+  else
+    fail "batched row-toggle bench gate (pre_pr24 vs pr24 micro-kernel records)"
   fi
   # End-to-end iteration-time gate (PR 10): the Table-2/3 whole-run
   # records, recorded back-to-back pre/post on one machine, must show

@@ -16,9 +16,12 @@
 //   ReanchorCluster    cluster-centric toggles and wholesale re-picks.
 //
 // Every toggle gain -- determination, the apply sweep's re-decisions and
-// refinement's ranking and re-validation -- comes from one evaluation,
-// ToggleGain: the constraint check, the gain-memo lookup (or rescan) of
-// the after-toggle residue, and the objective gain.
+// refinement's ranking and re-validation -- is one evaluation: the
+// constraint check, the gain-memo lookup (or rescan) of the after-toggle
+// residue, and the objective gain. ToggleGain makes it for one (entity,
+// cluster) pair; ClusterToggleGains makes it for a range of entities
+// against one cluster, rescanning the row misses four to a pane pass
+// (determination and refinement's ranking), with the same results.
 //
 // Determination is read-only over the clustering, so shards evaluate
 // virtual toggles concurrently and write disjoint slots of the action
@@ -107,8 +110,9 @@ struct GainContext {
   // src/core/gain_memo.h). Blocked pairs bypass the memo entirely;
   // gains are always re-derived from `scores`, never cached.
   GainMemo* memo = nullptr;
-  // Audit mode: every memo hit is recomputed and DC_CHECKed bit-equal
-  // to the cached value before being used.
+  // Audit mode: every memo hit, and every batched row rescan, is
+  // recomputed by a single-candidate rescan and DC_CHECKed bit-equal
+  // before being used.
   bool audit_memo = false;
   // Required: recomputed/served evaluations are tallied here for the
   // caller to publish (SweepTally::Flush).
@@ -127,6 +131,19 @@ std::optional<double> ToggleGain(bool is_row, size_t index, size_t c,
                                  const GainContext& ctx,
                                  ResidueEngine& engine);
 
+/// ToggleGain of every entity t in [begin, end) -- rows first, then
+/// columns, as GainDeterminer numbers them (t < num_rows is row t, else
+/// column t - num_rows) -- in cluster c, into gains[(t - begin) *
+/// stride]. Row rescans are batched kRowBatch at a time into one pane
+/// pass (ResidueEngine::ResidueAfterToggleRows); constraint checks, memo
+/// lookups and stores, tallies and block counts are ToggleGain's, entity
+/// by entity, so every entry equals ToggleGain's, bit for bit. Audit
+/// (ctx.audit_memo) also checks each batched result against a single
+/// rescan. Concurrent calls are safe, as for ToggleGain.
+void ClusterToggleGains(size_t c, size_t num_rows, size_t begin, size_t end,
+                        const GainContext& ctx, ResidueEngine& engine,
+                        std::optional<double>* gains, size_t stride);
+
 /// The best of the k candidate actions for one row (is_row) or column:
 /// the ToggleGain-highest toggle among those not blocked by constraints.
 /// Concurrent calls are safe, as for ToggleGain.
@@ -144,7 +161,12 @@ bool RefreshGainSlot(bool is_row, size_t index, const ClusterWorkspace& ws,
                      GainMemo::Entry* slot, ResidueEngine& engine);
 
 /// Phase-2 step 1: determines the best action for every row and column
-/// against the current clustering, sharded over the thread pool.
+/// against the current clustering, sharded over the thread pool. Each
+/// shard works cluster-major: for each cluster in turn, every entity of
+/// the shard (ClusterToggleGains, row rescans batched four to a pane
+/// pass while the cluster's pane is hot), into a per-shard gain table;
+/// then each entity's best action over its k gains in cluster order,
+/// with BestActionFor's strict `>` tie-break (the lowest cluster wins).
 ///
 /// Determinism contract: shard boundaries depend only on the row+column
 /// count (engine::ShardGrain); every shard writes disjoint elements of

@@ -1,3 +1,6 @@
+#include <bit>
+#include <cstdint>
+
 #include "src/core/floc_phases.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -56,6 +59,72 @@ void FlushShardTallies(const std::vector<SweepTally>& tallies) {
   total.Flush();
 }
 
+// Whether the constraints admit toggling row|col `index` in cluster c,
+// tallying a block by reason when ctx.blocked is set. Always checked
+// fresh: whether a toggle is blocked depends on *other* clusters
+// (overlap, coverage), which the target cluster's epoch does not cover.
+bool ToggleAllowed(bool is_row, size_t index, size_t c,
+                   const GainContext& ctx) {
+  const std::vector<ClusterWorkspace>& views = *ctx.views;
+  if (ctx.blocked == nullptr) {
+    return is_row ? ctx.tracker->RowToggleAllowed(views, c, index)
+                  : ctx.tracker->ColToggleAllowed(views, c, index);
+  }
+  BlockReason reason = is_row
+                           ? ctx.tracker->RowToggleBlockReason(views, c, index)
+                           : ctx.tracker->ColToggleBlockReason(views, c, index);
+  if (reason == BlockReason::kNone) return true;
+  ctx.blocked->Add(reason);
+  return false;
+}
+
+// Audit: an after-toggle residue and volume that did not come from a
+// single-candidate rescan (a memo hit, or a batched scan) must equal one
+// bit for bit.
+void AuditAfterToggle(bool is_row, size_t index, size_t c,
+                      const ClusterWorkspace& ws, ResidueEngine& engine,
+                      double after_residue, size_t new_volume,
+                      const char* source) {
+  size_t check_volume = 0;
+  double check_residue =
+      is_row ? engine.ResidueAfterToggleRow(ws, index, &check_volume)
+             : engine.ResidueAfterToggleCol(ws, index, &check_volume);
+  DC_CHECK(std::bit_cast<uint64_t>(check_residue) ==
+               std::bit_cast<uint64_t>(after_residue) &&
+           check_volume == new_volume)
+      << source << " drift at (" << (is_row ? "row " : "col ") << index
+      << ", cluster " << c << "): residue=" << after_residue
+      << " volume=" << new_volume << " vs recomputed " << check_residue
+      << " / " << check_volume;
+}
+
+// The gain from an after-toggle evaluation. It is re-derived from the
+// *current* score vector even on memo hits: scores move whenever any
+// cluster's residue moves, and the epoch only vouches for this cluster's
+// membership.
+double GainFrom(size_t c, const GainContext& ctx, double after_residue,
+                size_t new_volume) {
+  return (*ctx.scores)[c] -
+         ObjectiveScore(after_residue, new_volume, ctx.target_residue);
+}
+
+// Folds cluster c's candidate gain (nullopt = blocked) into `best`,
+// visited in c order: the highest gain wins, the lowest cluster on ties.
+void Consider(size_t c, const std::optional<double>& gain, Action& best) {
+  if (!gain) return;
+  if (best.blocked() || *gain > best.gain) {
+    best.gain = *gain;
+    best.cluster = c;
+  }
+}
+
+Action Unassigned(bool is_row, size_t index) {
+  Action best;
+  best.target = is_row ? ActionTarget::kRow : ActionTarget::kCol;
+  best.index = index;
+  return best;
+}
+
 }  // namespace
 
 void SweepTally::Flush() const {
@@ -67,63 +136,90 @@ void SweepTally::Flush() const {
 std::optional<double> ToggleGain(bool is_row, size_t index, size_t c,
                                  const GainContext& ctx,
                                  ResidueEngine& engine) {
-  const std::vector<ClusterWorkspace>& views = *ctx.views;
-  // Constraint checks always run fresh: whether a toggle is blocked
-  // depends on *other* clusters (overlap, coverage), which the target
-  // cluster's epoch does not cover.
-  if (ctx.blocked != nullptr) {
-    BlockReason reason =
-        is_row ? ctx.tracker->RowToggleBlockReason(views, c, index)
-               : ctx.tracker->ColToggleBlockReason(views, c, index);
-    if (reason != BlockReason::kNone) {
-      ctx.blocked->Add(reason);
-      return std::nullopt;
-    }
-  } else {
-    bool allowed = is_row ? ctx.tracker->RowToggleAllowed(views, c, index)
-                          : ctx.tracker->ColToggleAllowed(views, c, index);
-    if (!allowed) return std::nullopt;
-  }
+  if (!ToggleAllowed(is_row, index, c, ctx)) return std::nullopt;
+  const ClusterWorkspace& ws = (*ctx.views)[c];
   size_t new_volume = 0;
   double after_residue = 0.0;
   GainMemo::Entry* slot =
       ctx.memo != nullptr ? ctx.memo->Slot(is_row, index, c) : nullptr;
-  if (LookupOrRescan(is_row, index, views[c], slot, engine, &after_residue,
+  if (LookupOrRescan(is_row, index, ws, slot, engine, &after_residue,
                      &new_volume)) {
     ++ctx.tally->recomputed;
   } else {
     ++ctx.tally->served;
     if (ctx.audit_memo) {
-      size_t check_volume = 0;
-      double check_residue =
-          is_row ? engine.ResidueAfterToggleRow(views[c], index, &check_volume)
-                 : engine.ResidueAfterToggleCol(views[c], index, &check_volume);
-      DC_CHECK(check_residue == after_residue && check_volume == new_volume)
-          << "gain memo drift at (" << (is_row ? "row " : "col ") << index
-          << ", cluster " << c << "): cached residue=" << after_residue
-          << " volume=" << new_volume << " vs recomputed " << check_residue
-          << " / " << check_volume;
+      AuditAfterToggle(is_row, index, c, ws, engine, after_residue,
+                       new_volume, "gain memo");
     }
   }
-  // The gain is re-derived from the *current* score vector even on hits:
-  // scores move whenever any cluster's residue moves, and the epoch only
-  // vouches for this cluster's membership.
-  return (*ctx.scores)[c] -
-         ObjectiveScore(after_residue, new_volume, ctx.target_residue);
+  return GainFrom(c, ctx, after_residue, new_volume);
+}
+
+void ClusterToggleGains(size_t c, size_t num_rows, size_t begin, size_t end,
+                        const GainContext& ctx, ResidueEngine& engine,
+                        std::optional<double>* gains, size_t stride) {
+  const ClusterWorkspace& ws = (*ctx.views)[c];
+  uint64_t epoch = ws.epoch();
+  // Row rescans waiting for a batch: the row (entity t is row t) and its
+  // memo slot.
+  size_t batch_t[kRowBatch];
+  GainMemo::Entry* batch_slots[kRowBatch];
+  size_t pending = 0;
+  auto flush = [&] {
+    double after_residue[kRowBatch];
+    size_t new_volume[kRowBatch];
+    engine.ResidueAfterToggleRows(ws, batch_t, pending, after_residue,
+                                  new_volume);
+    for (size_t q = 0; q < pending; ++q) {
+      if (ctx.audit_memo) {
+        AuditAfterToggle(/*is_row=*/true, batch_t[q], c, ws, engine,
+                         after_residue[q], new_volume[q], "batched scan");
+      }
+      if (batch_slots[q] != nullptr) {
+        batch_slots[q]->Store(epoch, after_residue[q], new_volume[q]);
+      }
+      ++ctx.tally->recomputed;
+      gains[(batch_t[q] - begin) * stride] =
+          GainFrom(c, ctx, after_residue[q], new_volume[q]);
+    }
+    pending = 0;
+  };
+  for (size_t t = begin; t < end; ++t) {
+    std::optional<double>& gain = gains[(t - begin) * stride];
+    if (t >= num_rows) {
+      // Columns are not batched.
+      gain = ToggleGain(/*is_row=*/false, t - num_rows, c, ctx, engine);
+      continue;
+    }
+    if (!ToggleAllowed(/*is_row=*/true, t, c, ctx)) {
+      gain = std::nullopt;
+      continue;
+    }
+    GainMemo::Entry* slot =
+        ctx.memo != nullptr ? ctx.memo->Slot(/*is_row=*/true, t, c) : nullptr;
+    double after_residue = 0.0;
+    size_t new_volume = 0;
+    if (slot != nullptr && slot->Lookup(epoch, &after_residue, &new_volume)) {
+      ++ctx.tally->served;
+      if (ctx.audit_memo) {
+        AuditAfterToggle(/*is_row=*/true, t, c, ws, engine, after_residue,
+                         new_volume, "gain memo");
+      }
+      gain = GainFrom(c, ctx, after_residue, new_volume);
+      continue;
+    }
+    batch_t[pending] = t;
+    batch_slots[pending] = slot;
+    if (++pending == kRowBatch) flush();
+  }
+  if (pending > 0) flush();
 }
 
 Action BestActionFor(bool is_row, size_t index, const GainContext& ctx,
                      ResidueEngine& engine) {
-  Action best;
-  best.target = is_row ? ActionTarget::kRow : ActionTarget::kCol;
-  best.index = index;
+  Action best = Unassigned(is_row, index);
   for (size_t c = 0; c < ctx.views->size(); ++c) {
-    std::optional<double> gain = ToggleGain(is_row, index, c, ctx, engine);
-    if (!gain) continue;
-    if (best.blocked() || *gain > best.gain) {
-      best.gain = *gain;
-      best.cluster = c;
-    }
+    Consider(c, ToggleGain(is_row, index, c, ctx, engine), best);
   }
   return best;
 }
@@ -162,10 +258,21 @@ std::vector<Action> GainDeterminer::Determine(
         // Per-shard scratch: ResidueEngine's buffers must not be shared
         // across threads, and construction is trivial next to the scan.
         ResidueEngine engine(ResidueNorm::kMeanAbsolute, &tally.scan);
+        // Cluster-major: every entity of the shard against cluster c
+        // while c's pane is hot, row rescans batched, into an
+        // entity-major gain table; then each entity's best in c order.
+        size_t k = views.size();
+        std::vector<std::optional<double>> gains((end - begin) * k);
+        for (size_t c = 0; c < k; ++c) {
+          ClusterToggleGains(c, num_rows, begin, end, ctx, engine,
+                             gains.data() + c, k);
+        }
         for (size_t t = begin; t < end; ++t) {
           bool is_row = t < num_rows;
-          size_t index = is_row ? t : t - num_rows;
-          actions[t] = BestActionFor(is_row, index, ctx, engine);
+          Action best = Unassigned(is_row, is_row ? t : t - num_rows);
+          const std::optional<double>* entity = &gains[(t - begin) * k];
+          for (size_t c = 0; c < k; ++c) Consider(c, entity[c], best);
+          actions[t] = best;
         }
         shard_tallies[shard] = tally;
       },

@@ -37,16 +37,17 @@ size_t RefineSweep(const FlocConfig& config, const DataMatrix& matrix,
   };
   std::vector<Candidate> candidates;
   candidates.reserve(total);
+  std::vector<std::optional<double>> gains(total);
 
   for (size_t c = 0; c < views.size(); ++c) {
     // Rank every candidate toggle for this cluster by its score gain...
     candidates.clear();
+    ClusterToggleGains(c, num_rows, 0, total, ctx, engine, gains.data(),
+                       /*stride=*/1);
     for (size_t t = 0; t < total; ++t) {
-      bool is_row = t < num_rows;
-      size_t index = is_row ? t : t - num_rows;
-      std::optional<double> gain = ToggleGain(is_row, index, c, ctx, engine);
-      if (gain && *gain > kMinImprovement) {
-        candidates.push_back({*gain, is_row, index});
+      if (gains[t] && *gains[t] > kMinImprovement) {
+        bool is_row = t < num_rows;
+        candidates.push_back({*gains[t], is_row, is_row ? t : t - num_rows});
       }
     }
     std::sort(candidates.begin(), candidates.end(),

@@ -53,29 +53,24 @@ obs::Counter* GainEvalEntriesDenseCounter() {
 // bit-invisible by the same lane contract. A row and a column scan make
 // one table call per scan and per pane row respectively.
 
-// The pane-scan view of the workspace's pane: every logical row but
-// `skip`, with the given column bases and cluster base, and no trailing
-// row. A row's run length is its specified count over the columns.
-PaneScan ScanOf(const ClusterWorkspace& ws, const double* col_bases,
-                double cluster_base, size_t skip) {
+// Points `scan` at the workspace's pane: its arrays, height, width and
+// stride. The scan's column bases, cluster base, left-out row and
+// trailing row are the caller's. A row's run length is its specified
+// count over the columns.
+void AttachPane(const ClusterWorkspace& ws, PaneScan* scan) {
   const PackedPane& pane = ws.EnsurePane();
   const auto& row_ids = ws.cluster().row_ids();
   for (size_t pr = 0; pr < row_ids.size(); ++pr) {
     DC_DCHECK_EQ(pane.RunLength(pr), ws.stats().RowCount(row_ids[pr]));
   }
-  PaneScan scan;
-  scan.values = pane.values.data();
-  scan.slots = pane.slots.data();
-  scan.run_len = pane.run_len.data();
-  scan.row_base = pane.row_base.data();
-  scan.row_slots = pane.row_slots.data();
-  scan.rows = pane.row_slots.size();
-  scan.num_cols = pane.num_cols;
-  scan.stride = pane.phys_stride;
-  scan.skip = skip;
-  scan.col_bases = col_bases;
-  scan.cluster_base = cluster_base;
-  return scan;
+  scan->values = pane.values.data();
+  scan->slots = pane.slots.data();
+  scan->run_len = pane.run_len.data();
+  scan->row_base = pane.row_base.data();
+  scan->row_slots = pane.row_slots.data();
+  scan->rows = pane.row_slots.size();
+  scan->num_cols = pane.num_cols;
+  scan->stride = pane.phys_stride;
 }
 
 template <bool kSquared>
@@ -235,19 +230,23 @@ double ResidueEngine::NumeratorImpl(const ClusterWorkspace& ws) {
   for (size_t idx = 0; idx < n; ++idx) {
     scratch_col_base_[idx] = stats.ColBase(col_ids[idx]);
   }
-  double cluster_base = stats.ClusterBase();
-  const double* col_bases = scratch_col_base_.data();
-
-  PaneSum scanned = ScanPane<kSquared>(
-      ScanOf(ws, col_bases, cluster_base, /*skip=*/SIZE_MAX));
+  PaneScan scan;
+  scan.col_bases = scratch_col_base_.data();
+  scan.cluster_base = stats.ClusterBase();
+  AttachPane(ws, &scan);
+  PaneSum scanned = ScanPane<kSquared>(scan);
   dense_entries_last_scan_ = scanned.dense_entries;
   return scanned.sum;
 }
 
-template <bool kSquared>
-double ResidueEngine::AfterToggleRowImpl(const ClusterWorkspace& ws,
-                                             size_t i,
-                                             size_t* new_volume_out) {
+// Prepares the scan of toggling row i in ws: returns the post-toggle
+// volume and, when it is not 0, fills the candidate's fields of `scan`
+// (whose pane fields the caller sets, AttachPane) -- the adjusted column
+// bases and a gathered added row, written into `scratch`, the cluster
+// base and the left-out row.
+size_t ResidueEngine::PrepareRowToggle(const ClusterWorkspace& ws, size_t i,
+                                       RowToggleScratch& scratch,
+                                       PaneScan* scan) {
   const DataMatrix& m = ws.matrix();
   const Cluster& c = ws.cluster();
   const ClusterStats& stats = ws.stats();
@@ -255,7 +254,6 @@ double ResidueEngine::AfterToggleRowImpl(const ClusterWorkspace& ws,
   const auto& row_ids = c.row_ids();
   const double* row_values_i = m.RowValues(i).data();
   const uint8_t* row_mask_i = m.RowMask(i).data();
-  dense_entries_last_scan_ = 0;
 
   bool removing = c.HasRow(i);
 
@@ -272,16 +270,15 @@ double ResidueEngine::AfterToggleRowImpl(const ClusterWorkspace& ws,
       removing ? stats.Total() - toggled_sum : stats.Total() + toggled_sum;
   size_t new_volume =
       removing ? stats.Volume() - toggled_cnt : stats.Volume() + toggled_cnt;
-  if (new_volume_out != nullptr) *new_volume_out = new_volume;
-  if (new_volume == 0) return 0.0;
-  double cluster_base = new_total / new_volume;
+  if (new_volume == 0) return 0;
+  scan->cluster_base = new_total / new_volume;
 
   size_t n = col_ids.size();
   // Adjusted column bases: only the columns where row i is specified
   // move. Branch-free: the adjusted sum is always formed and selected
   // on the mask (a select on the result, not an added 0.0, keeps the
   // unadjusted sum's bits -- and an unspecified payload -- out of it).
-  scratch_col_base_.resize(n);
+  scratch.col_base.resize(n);
   bool row_i_dense = toggled_cnt == n;
   for (size_t idx = 0; idx < n; ++idx) {
     uint32_t jcol = col_ids[idx];
@@ -293,34 +290,85 @@ double ResidueEngine::AfterToggleRowImpl(const ClusterWorkspace& ws,
     size_t moved_cnt = removing ? cnt - 1 : cnt + 1;
     sum = moves ? moved_sum : sum;
     cnt = moves ? moved_cnt : cnt;
-    scratch_col_base_[idx] = cnt == 0 ? 0.0 : sum / cnt;
+    scratch.col_base[idx] = cnt == 0 ? 0.0 : sum / cnt;
   }
-  const double* col_bases = scratch_col_base_.data();
+  scan->col_bases = scratch.col_base.data();
 
   // Member rows stream from the pane (their row bases are unchanged by a
   // row toggle); on removal, row i's pane row is left out. An added row
   // lies outside the pane: it is gathered into the scratch run (padded
   // like a pane run) and scanned last, in the same kernel call.
-  size_t skip = removing ? static_cast<size_t>(
-                               std::lower_bound(row_ids.begin(),
-                                                row_ids.end(),
-                                                static_cast<uint32_t>(i)) -
-                               row_ids.begin())
-                         : SIZE_MAX;
-  PaneScan scan = ScanOf(ws, col_bases, cluster_base, skip);
+  scan->skip = removing ? static_cast<size_t>(
+                              std::lower_bound(row_ids.begin(), row_ids.end(),
+                                               static_cast<uint32_t>(i)) -
+                              row_ids.begin())
+                        : SIZE_MAX;
+  scan->added_values = nullptr;
   if (!removing && toggled_cnt > 0) {
-    scratch_run_values_.resize(n + kRunReadPad);
-    scratch_run_slots_.resize(n + kRunReadPad);
-    scan.added_values = scratch_run_values_.data();
-    scan.added_slots = scratch_run_slots_.data();
-    scan.added_len = GatherRun(row_values_i, row_mask_i, col_ids.data(), n,
-                               scratch_run_values_.data(),
-                               scratch_run_slots_.data());
-    scan.added_row_base = toggled_sum / toggled_cnt;
+    scratch.run_values.resize(n + kRunReadPad);
+    scratch.run_slots.resize(n + kRunReadPad);
+    scan->added_values = scratch.run_values.data();
+    scan->added_slots = scratch.run_slots.data();
+    scan->added_len =
+        GatherRun(row_values_i, row_mask_i, col_ids.data(), n,
+                  scratch.run_values.data(), scratch.run_slots.data());
+    scan->added_row_base = toggled_sum / toggled_cnt;
   }
+  return new_volume;
+}
+
+template <bool kSquared>
+double ResidueEngine::AfterToggleRowImpl(const ClusterWorkspace& ws,
+                                         size_t i, size_t* new_volume_out) {
+  dense_entries_last_scan_ = 0;
+  PaneScan scan;
+  size_t new_volume = PrepareRowToggle(ws, i, row_scratch_[0], &scan);
+  *new_volume_out = new_volume;
+  if (new_volume == 0) return 0.0;
+  AttachPane(ws, &scan);
   PaneSum scanned = ScanPane<kSquared>(scan);
   dense_entries_last_scan_ = scanned.dense_entries;
   return scanned.sum / new_volume;
+}
+
+void ResidueEngine::ResidueAfterToggleRows(const ClusterWorkspace& ws,
+                                           const size_t* rows, size_t count,
+                                           double* residues,
+                                           size_t* new_volumes) {
+  DC_CHECK(norm_ == ResidueNorm::kMeanAbsolute)
+      << "batched row toggles scan the mean absolute residue only";
+  DC_DCHECK(count >= 1 && count <= kRowBatch);
+  // Each candidate is prepared into its own scratch; a candidate whose
+  // toggle empties the cluster needs no scan. The live ones take the
+  // batch's lanes in order.
+  PaneScanBatch batch;
+  size_t lane_of[kRowBatch];
+  for (size_t q = 0; q < count; ++q) {
+    PaneScan& scan = batch.scans[batch.live];
+    new_volumes[q] = PrepareRowToggle(ws, rows[q], row_scratch_[batch.live],
+                                      &scan);
+    lane_of[q] = new_volumes[q] == 0 ? kRowBatch : batch.live++;
+  }
+  PaneSum sums[kRowBatch];
+  if (batch.live > 0) {
+    size_t n = ws.cluster().NumCols();
+    scratch_bases4_.resize(n * kRowBatch);
+    for (size_t lane = 0; lane < batch.live; ++lane) {
+      PaneScan& scan = batch.scans[lane];
+      AttachPane(ws, &scan);
+      for (size_t idx = 0; idx < n; ++idx) {
+        scratch_bases4_[idx * kRowBatch + lane] = scan.col_bases[idx];
+      }
+    }
+    batch.bases4 = scratch_bases4_.data();
+    ActiveSimdKernels().scan_pane_rows4_abs(batch, sums);
+  }
+  for (size_t q = 0; q < count; ++q) {
+    size_t lane = lane_of[q];
+    dense_entries_last_scan_ = lane < kRowBatch ? sums[lane].dense_entries : 0;
+    residues[q] = lane < kRowBatch ? sums[lane].sum / new_volumes[q] : 0.0;
+    CountScan(new_volumes[q]);
+  }
 }
 
 template <bool kSquared>

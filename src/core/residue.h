@@ -28,7 +28,9 @@
 // never depends on which pass ran. A cluster scan and a row-toggle scan
 // are each one call of the runtime-dispatched SIMD table's pane-scan
 // slot, which walks the rows and picks the pass per row; a row being
-// added is gathered into a run and scanned last in that same call. See
+// added is gathered into a run and scanned last in that same call. Up
+// to four row toggles of one cluster are scanned in one pane pass
+// (ResidueAfterToggleRows), each to the bits its own scan gives. See
 // DESIGN.md "The gain kernel".
 #ifndef DELTACLUS_CORE_RESIDUE_H_
 #define DELTACLUS_CORE_RESIDUE_H_
@@ -40,6 +42,7 @@
 #include "src/core/cluster.h"
 #include "src/core/cluster_workspace.h"
 #include "src/core/data_matrix.h"
+#include "src/core/residue_kernels.h"
 
 namespace deltaclus {
 
@@ -134,6 +137,17 @@ class ResidueEngine {
   double ResidueAfterToggleRow(const ClusterWorkspace& ws, size_t i,
                                size_t* new_volume = nullptr);
 
+  /// ResidueAfterToggleRow for `count` (1..kRowBatch) rows of one
+  /// cluster at once: residues[q] and new_volumes[q] are the after-toggle
+  /// residue and volume of toggling rows[q], bit-identical to one
+  /// ResidueAfterToggleRow call each, and counted the same. Each
+  /// candidate is prepared as ResidueAfterToggleRow prepares it, then
+  /// all are scanned in one pane pass (the scan_pane_rows4_abs slot).
+  /// Mean absolute residue only (the norm FLOC mines under).
+  void ResidueAfterToggleRows(const ClusterWorkspace& ws, const size_t* rows,
+                              size_t count, double* residues,
+                              size_t* new_volumes);
+
   /// Residue the cluster would have after toggling column j's membership.
   /// Does not modify the cluster. One pass over the post-toggle
   /// submatrix plus an O(|I|) pass down column j on the column-major
@@ -170,15 +184,28 @@ class ResidueEngine {
   // recorded) into tally_, or into the global counters without one.
   void CountScan(size_t entries);
 
+  /// One row-toggle candidate's scratch: its column bases in pane-column
+  /// order, and the run of a row being added (GatherRun), with
+  /// kRunReadPad readable entries past it like a pane run.
+  struct RowToggleScratch {
+    std::vector<double> col_base;
+    std::vector<double> run_values;
+    std::vector<uint16_t> run_slots;
+  };
+  // Prepares toggling row i in ws (see residue.cc); returns the
+  // post-toggle volume.
+  static size_t PrepareRowToggle(const ClusterWorkspace& ws, size_t i,
+                                 RowToggleScratch& scratch, PaneScan* scan);
+
   ResidueNorm norm_;
   ScanTally* tally_;
   // Scratch: column bases aligned with the visited-column list of the
-  // current scan.
+  // current scan (full and column-toggle scans).
   std::vector<double> scratch_col_base_;
-  // Scratch: the run of a row being added (GatherRun), with
-  // kRunReadPad readable entries past it like a pane run.
-  std::vector<double> scratch_run_values_;
-  std::vector<uint16_t> scratch_run_slots_;
+  // Scratch of each row-toggle candidate of a batch (the first serves
+  // single row toggles), and the batch's interleaved column bases.
+  RowToggleScratch row_scratch_[kRowBatch];
+  std::vector<double> scratch_bases4_;
   // Entries the most recent scan accumulated through the dense kernel,
   // counted into floc.gain_eval_entries_dense.
   size_t dense_entries_last_scan_ = 0;

@@ -28,6 +28,13 @@
 // kernel table instantiates it with its own whole-row bodies, so a
 // whole scan is one table call whatever the pane's height.
 //
+// Row-toggle candidates of one cluster share the pane and differ only
+// in their column bases, cluster base, left-out row and trailing row, so
+// up to kRowBatch of them are scanned in one pane pass (PaneScanBatch).
+// Its specification is one ScanPaneRows per candidate (ScanPaneRowsBatch,
+// the scalar table's slot); a vector table computes the same per-lane
+// addition chains for each candidate, vectorized across candidates.
+//
 // Everything here must stay valid under the baseline ISA: no intrinsics
 // in this header (dclint rule simd-confined keeps them in the kernel
 // TUs), and the kernel TUs are the only ones compiled with -mavx2 --
@@ -258,6 +265,33 @@ PaneSum ScanPaneRows(const PaneScan& s) {
                                 s.added_len, s.added_row_base, out);
   }
   return out;
+}
+
+/// Row-toggle candidates one batched pane scan evaluates: the vector
+/// width, not a setting.
+constexpr size_t kRowBatch = 4;
+
+/// Up to kRowBatch row-toggle scans of one pane, evaluated in one pass
+/// (the scan_pane_rows4 slot, simd_dispatch.h). Candidate c < live is
+/// scans[c]: a whole PaneScan over the same pane arrays (values, slots,
+/// run_len, row_base, row_slots, rows, num_cols, stride) with its own
+/// column bases, cluster base, left-out row and trailing row. bases4
+/// holds the candidates' column bases interleaved, bases4[slot * 4 + c]
+/// == scans[c].col_bases[slot] for every slot < num_cols; its lanes
+/// c >= live must be readable, and their sums are never reported.
+struct PaneScanBatch {
+  PaneScan scans[kRowBatch];
+  const double* bases4 = nullptr;
+  size_t live = 0;
+};
+
+/// The batched scan's specification, and the scalar table's slot: one
+/// ScanPaneRows per live candidate, into out[0..live).
+template <DenseRowFn kDenseRow, RunRowFn kRunRow>
+void ScanPaneRowsBatch(const PaneScanBatch& b, PaneSum* out) {
+  for (size_t c = 0; c < b.live; ++c) {
+    out[c] = ScanPaneRows<kDenseRow, kRunRow>(b.scans[c]);
+  }
 }
 
 }  // namespace deltaclus

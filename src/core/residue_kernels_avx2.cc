@@ -213,6 +213,162 @@ template <bool kSquared>
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
+// --- Batched row-toggle scans: four candidates of one pane per pass. ---
+//
+// Vector element c carries candidate c. A pane row's entries and row
+// base are the same for every candidate, so each entry's value is
+// broadcast and its four column bases are one contiguous load from the
+// interleaved bases4 row (PaneScanBatch). Entry k of a row goes into
+// accumulator k mod 4, so element c of accumulator l is candidate c's
+// scalar lane l, with the same addition chain, and the row reduces as
+// (a0 + a1) + (a2 + a3) element-wise. The per-entry operations are
+// ContributionVec's, so every candidate gets ScanPaneRows' bits.
+
+// Contribution of one entry to all four candidates: the value
+// broadcast, its four column bases at base4.
+[[gnu::always_inline]] inline __m256d ContributionAcross(
+    const double* value, const double* base4, __m256d row_base,
+    __m256d cluster_base4, __m256d sign) {
+  return ContributionVec<false>(_mm256_broadcast_sd(value), row_base,
+                                _mm256_loadu_pd(base4), cluster_base4, sign);
+}
+
+// A dense pane row for four candidates, reduced per candidate. Entry k's
+// bases are bases4[4k..4k+3]. The 0-3 tail entries are the same count on
+// every dense row of a pane, so their branches predict.
+[[gnu::always_inline]] inline __m256d DenseRowAcross(const double* values,
+                                                     const double* bases4,
+                                                     size_t n, __m256d rb,
+                                                     __m256d cb4,
+                                                     __m256d sign) {
+  __m256d a0 = _mm256_setzero_pd(), a1 = a0, a2 = a0, a3 = a0;
+  size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const double* b = bases4 + 4 * k;
+    a0 = _mm256_add_pd(a0, ContributionAcross(values + k, b, rb, cb4, sign));
+    a1 = _mm256_add_pd(
+        a1, ContributionAcross(values + k + 1, b + 4, rb, cb4, sign));
+    a2 = _mm256_add_pd(
+        a2, ContributionAcross(values + k + 2, b + 8, rb, cb4, sign));
+    a3 = _mm256_add_pd(
+        a3, ContributionAcross(values + k + 3, b + 12, rb, cb4, sign));
+  }
+  const double* b = bases4 + 4 * k;
+  if (k < n) {
+    a0 = _mm256_add_pd(a0, ContributionAcross(values + k, b, rb, cb4, sign));
+  }
+  if (k + 1 < n) {
+    a1 = _mm256_add_pd(
+        a1, ContributionAcross(values + k + 1, b + 4, rb, cb4, sign));
+  }
+  if (k + 2 < n) {
+    a2 = _mm256_add_pd(
+        a2, ContributionAcross(values + k + 2, b + 8, rb, cb4, sign));
+  }
+  return _mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3));
+}
+
+// A holey pane row's run for four candidates, reduced per candidate:
+// entry k's bases are bases4[4 * slots[k] ...]. The run's last 0-3
+// entries go through one branch-free three-entry group, as in
+// SegPassRunFullAvx2: dead entries get slot 0 before the base load and a
+// contribution AND-masked to +0.0 before the add, which leaves the
+// accumulator's bits unchanged (it is never -0.0).
+[[gnu::always_inline]] inline __m256d RunRowAcross(const double* values,
+                                                   const uint16_t* slots,
+                                                   const double* bases4,
+                                                   size_t n, __m256d rb,
+                                                   __m256d cb4,
+                                                   __m256d sign) {
+  __m256d a0 = _mm256_setzero_pd(), a1 = a0, a2 = a0, a3 = a0;
+  size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    a0 = _mm256_add_pd(a0, ContributionAcross(values + k,
+                                              bases4 + 4 * slots[k], rb, cb4,
+                                              sign));
+    a1 = _mm256_add_pd(a1, ContributionAcross(values + k + 1,
+                                              bases4 + 4 * slots[k + 1], rb,
+                                              cb4, sign));
+    a2 = _mm256_add_pd(a2, ContributionAcross(values + k + 2,
+                                              bases4 + 4 * slots[k + 2], rb,
+                                              cb4, sign));
+    a3 = _mm256_add_pd(a3, ContributionAcross(values + k + 3,
+                                              bases4 + 4 * slots[k + 3], rb,
+                                              cb4, sign));
+  }
+  size_t live = n - k;
+  uint64_t s4;
+  std::memcpy(&s4, slots + k, sizeof(s4));
+  s4 &= (uint64_t{1} << (16 * live)) - 1;
+  // kTailKeep[3 - live + j] is all-ones exactly when entry j is live.
+  const int64_t* keep = kTailKeep + 3 - live;
+  auto tail = [&](size_t j, uint64_t slot) {
+    __m256d c = ContributionAcross(values + k + j, bases4 + 4 * slot, rb,
+                                   cb4, sign);
+    return _mm256_and_pd(
+        c, _mm256_broadcast_sd(reinterpret_cast<const double*>(keep + j)));
+  };
+  a0 = _mm256_add_pd(a0, tail(0, s4 & 0xFFFF));
+  a1 = _mm256_add_pd(a1, tail(1, (s4 >> 16) & 0xFFFF));
+  a2 = _mm256_add_pd(a2, tail(2, (s4 >> 32) & 0xFFFF));
+  return _mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3));
+}
+
+// The batched row-toggle scan (scan_pane_rows4_abs). Every pane row is
+// scanned once for all four candidates; a candidate's left-out row has
+// its reduced sum AND-masked to +0.0 before the add, which leaves that
+// candidate's row-order sum unchanged, so each candidate sums exactly
+// the rows ScanPaneRows sums, in the same order. Each candidate's
+// trailing row (a row being added) is then scanned by the single-
+// candidate row bodies, last, as in ScanPaneRows.
+void ScanPaneRows4Avx2(const PaneScanBatch& b, PaneSum* out) {
+  const PaneScan& s = b.scans[0];
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d cb4 =
+      _mm256_setr_pd(b.scans[0].cluster_base, b.scans[1].cluster_base,
+                     b.scans[2].cluster_base, b.scans[3].cluster_base);
+  const __m256i skip4 = _mm256_setr_epi64x(
+      static_cast<int64_t>(b.scans[0].skip),
+      static_cast<int64_t>(b.scans[1].skip),
+      static_cast<int64_t>(b.scans[2].skip),
+      static_cast<int64_t>(b.scans[3].skip));
+  __m256d sum4 = _mm256_setzero_pd();
+  size_t dense_entries = 0;
+  for (size_t pr = 0; pr < s.rows; ++pr) {
+    size_t phys = s.row_slots[pr];
+    const double* values = s.values + phys * s.stride;
+    size_t len = s.run_len[phys];
+    __m256d rb = _mm256_broadcast_sd(s.row_base + phys);
+    __m256d row;
+    if (len == s.num_cols) {
+      dense_entries += len;
+      row = DenseRowAcross(values, b.bases4, len, rb, cb4, sign);
+    } else {
+      row = RunRowAcross(values, s.slots + phys * s.stride, b.bases4, len,
+                         rb, cb4, sign);
+    }
+    __m256d skipped = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+        _mm256_set1_epi64x(static_cast<int64_t>(pr)), skip4));
+    sum4 = _mm256_add_pd(sum4, _mm256_andnot_pd(skipped, row));
+  }
+  double sums[4];
+  _mm256_storeu_pd(sums, sum4);
+  for (size_t c = 0; c < b.live; ++c) {
+    const PaneScan& sc = b.scans[c];
+    out[c].sum = sums[c];
+    out[c].dense_entries = dense_entries;
+    if (sc.skip < s.rows &&
+        s.run_len[s.row_slots[sc.skip]] == s.num_cols) {
+      out[c].dense_entries -= s.num_cols;
+    }
+    if (sc.added_values != nullptr) {
+      ScanRow<SegPassDenseFullAvx2<false>, SegPassRunFullAvx2<false>>(
+          sc, sc.added_values, sc.added_slots, sc.added_len,
+          sc.added_row_base, out[c]);
+    }
+  }
+}
+
 }  // namespace
 
 const SimdKernels* Avx2KernelsOrNull() {
@@ -223,6 +379,7 @@ const SimdKernels* Avx2KernelsOrNull() {
       SegPassRunAvx2<true>,
       ScanPaneRows<SegPassDenseFullAvx2<false>, SegPassRunFullAvx2<false>>,
       ScanPaneRows<SegPassDenseFullAvx2<true>, SegPassRunFullAvx2<true>>,
+      ScanPaneRows4Avx2,
       "avx2"};
   return &table;
 }

@@ -21,6 +21,8 @@ const SimdKernels& ScalarKernels() {
       SegPassRunScalar<true>,
       ScanPaneRows<SegPassDenseFullScalar<false>, SegPassRunFullScalar<false>>,
       ScanPaneRows<SegPassDenseFullScalar<true>, SegPassRunFullScalar<true>>,
+      ScanPaneRowsBatch<SegPassDenseFullScalar<false>,
+                        SegPassRunFullScalar<false>>,
       "scalar"};
   return table;
 }

@@ -1,11 +1,13 @@
-// Runtime CPU-feature dispatch for the gain kernels (segment passes and
-// whole-pane scans).
+// Runtime CPU-feature dispatch for the gain kernels (segment passes,
+// whole-pane scans and batched row-toggle pane scans).
 //
 // The CPU is probed once (first use); the best available kernel table --
 // AVX2 on x86-64 that reports it, the scalar bodies in
 // src/core/residue_kernels.h otherwise -- is selected behind a
 // function-pointer table that ResidueEngine's scans call through: one
-// call per whole-pane scan, or per segment in the column-toggle kernel.
+// call per whole-pane scan, per batch of up to four row-toggle
+// candidates of one cluster, or per segment in the column-toggle
+// kernel.
 // Every table implements the LaneAcc contract, so which one runs is
 // bit-invisible: SIMD and scalar outputs are identical to the last bit,
 // which is why the mode is NOT part of the result-affecting config
@@ -38,7 +40,14 @@ enum class SimdMode { kAuto, kOff };
 /// left-out row, then an optional trailing row outside the pane) in one
 /// call, each row from fresh lanes, and return the rows' summed
 /// reductions and the dense-entry count. _abs/_sq select the residue
-/// norm (|r| vs r^2).
+/// norm (|r| vs r^2). scan_pane_rows4_abs scans up to four row-toggle
+/// candidates of one pane in one pass (PaneScanBatch, residue_kernels.h:
+/// the shared PaneScan arrays, the candidates' column bases interleaved
+/// as bases4[slot * 4 + c], their cluster bases, left-out rows and
+/// trailing rows) and writes out[c] for each live candidate, equal bit
+/// for bit to scan_pane_abs(scans[c]); the scalar table's slot is
+/// exactly that loop. There is no squared batch: FLOC mines under the
+/// mean absolute residue.
 ///
 /// Bounded tail: scan_pane_* may read up to four run entries (values
 /// and slots) past any run's end, so every holder of a run keeps that
@@ -55,12 +64,14 @@ struct SimdKernels {
                             double row_base, double cluster_base,
                             LaneAcc& acc);
   using ScanPaneFn = PaneSum (*)(const PaneScan& scan);
+  using ScanPaneBatchFn = void (*)(const PaneScanBatch& batch, PaneSum* out);
   SegDenseFn seg_dense_abs;
   SegDenseFn seg_dense_sq;
   SegRunFn seg_run_abs;
   SegRunFn seg_run_sq;
   ScanPaneFn scan_pane_abs;
   ScanPaneFn scan_pane_sq;
+  ScanPaneBatchFn scan_pane_rows4_abs;
   const char* name;  ///< "scalar" | "avx2"
 };
 

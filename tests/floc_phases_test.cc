@@ -13,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/core/cluster.h"
@@ -36,7 +38,8 @@ namespace {
 // A planted matrix plus a clustering state (views / scores / tracker)
 // shaped like the middle of a FLOC run.
 struct Fixture {
-  explicit Fixture(size_t rows, size_t cols, uint64_t seed) {
+  Fixture(size_t rows, size_t cols, uint64_t seed,
+          double missing_fraction = 0.0) {
     SyntheticConfig config;
     config.rows = rows;
     config.cols = cols;
@@ -44,6 +47,7 @@ struct Fixture {
     config.volume_mean = rows;
     config.col_fraction = 0.3;
     config.noise_stddev = 0.5;
+    config.missing_fraction = missing_fraction;
     config.seed = seed;
     data = GenerateSynthetic(config);
 
@@ -152,6 +156,225 @@ TEST(GainDeterminerTest, BlockCountsIdenticalSerialAndPooled) {
   pooled.Determine(fx.data.matrix, fx.views, fx.scores, *fx.tracker,
                    &pooled_blocked);
   EXPECT_EQ(serial_blocked.counts, pooled_blocked.counts);
+}
+
+// The gain-evaluation counters, read from the global registry.
+struct GainCounters {
+  uint64_t scanned = 0;
+  uint64_t dense = 0;
+  uint64_t recomputed = 0;
+  uint64_t served = 0;
+
+  static GainCounters Read() {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    GainCounters out;
+    out.scanned =
+        registry.GetCounter("floc.gain_eval_entries_scanned")->Value();
+    out.dense = registry.GetCounter("floc.gain_eval_entries_dense")->Value();
+    out.recomputed =
+        registry.GetCounter("floc.gain_evals_recomputed")->Value();
+    out.served =
+        registry.GetCounter("floc.gain_evals_served_from_cache")->Value();
+    return out;
+  }
+  GainCounters Since(const GainCounters& before) const {
+    return {scanned - before.scanned, dense - before.dense,
+            recomputed - before.recomputed, served - before.served};
+  }
+};
+
+// A 120 x 30 Fixture whose overlap bound (0.8) sits just above its seeds'
+// overlaps: most toggles are admitted, those that raise an overlap past
+// it are blocked.
+Fixture LooseFixture(uint64_t seed, double missing_fraction) {
+  Fixture fx(120, 30, seed, missing_fraction);
+  Constraints constraints;
+  constraints.alpha = 0.5;
+  constraints.max_overlap = 0.8;
+  fx.tracker =
+      std::make_unique<ConstraintTracker>(fx.data.matrix, constraints);
+  fx.tracker->Rebuild(fx.views);
+  return fx;
+}
+
+// The determination sweep scans cluster-major within each shard and
+// batches row rescans four to a pane pass; the entity-major reference is
+// one BestActionFor per entity, every rescan a single-candidate one.
+// Both must give the same actions (gains bit for bit), block counts and
+// gain counters, at any pool size, with and without the memo (a second
+// sweep after toggling one cluster serves the other clusters from it),
+// on dense and holey data.
+TEST(GainDeterminerTest, BatchedSweepMatchesEntityMajorReference) {
+  bool was_enabled = obs::MetricsRegistry::Enabled();
+  obs::MetricsRegistry::SetEnabled(true);
+  for (double missing : {0.0, 0.3}) {
+    for (bool with_memo : {false, true}) {
+      for (int threads : {1, 2, 4}) {
+        Fixture fx = LooseFixture(53, missing);
+        engine::ThreadPool pool(threads);
+        GainMemo memo;
+        GainMemo reference_memo;
+        memo.Configure(fx.data.matrix.rows(), fx.data.matrix.cols(),
+                       fx.views.size());
+        reference_memo.Configure(fx.data.matrix.rows(),
+                                 fx.data.matrix.cols(), fx.views.size());
+        GainDeterminer determiner(Fixture::kTarget, &pool,
+                                  /*serial_cutoff=*/0,
+                                  with_memo ? &memo : nullptr);
+        for (int sweep = 0; sweep < 2; ++sweep) {
+          SCOPED_TRACE(testing::Message()
+                       << "missing=" << missing << " memo=" << with_memo
+                       << " threads=" << threads << " sweep=" << sweep);
+          if (sweep == 1) {
+            // Move cluster 0 so the second sweep mixes hits and misses.
+            fx.views[0].ToggleRow(100);
+            fx.tracker->OnRowToggled(fx.views, 0, 100);
+            ResidueEngine engine(ResidueNorm::kMeanAbsolute);
+            fx.scores[0] = ObjectiveScore(engine.Residue(fx.views[0]),
+                                          fx.views[0].stats().Volume(),
+                                          Fixture::kTarget);
+          }
+          SweepTally tally;
+          obs::BlockCounts reference_blocked;
+          GainContext ctx{&fx.views,
+                          &fx.scores,
+                          fx.tracker.get(),
+                          Fixture::kTarget,
+                          &reference_blocked,
+                          with_memo ? &reference_memo : nullptr,
+                          /*audit_memo=*/false,
+                          &tally};
+          ResidueEngine engine(ResidueNorm::kMeanAbsolute, &tally.scan);
+          std::vector<Action> reference;
+          for (size_t i = 0; i < fx.data.matrix.rows(); ++i) {
+            reference.push_back(BestActionFor(true, i, ctx, engine));
+          }
+          for (size_t j = 0; j < fx.data.matrix.cols(); ++j) {
+            reference.push_back(BestActionFor(false, j, ctx, engine));
+          }
+
+          obs::BlockCounts blocked;
+          GainCounters before = GainCounters::Read();
+          std::vector<Action> got = determiner.Determine(
+              fx.data.matrix, fx.views, fx.scores, *fx.tracker, &blocked);
+          GainCounters counted = GainCounters::Read().Since(before);
+          ExpectSameActions(reference, got);
+          EXPECT_EQ(reference_blocked.counts, blocked.counts);
+          EXPECT_GT(blocked.Total(), 0u);
+          EXPECT_GT(tally.recomputed + tally.served, blocked.Total());
+          EXPECT_EQ(tally.scan.entries, counted.scanned);
+          EXPECT_EQ(tally.scan.dense_entries, counted.dense);
+          EXPECT_EQ(tally.recomputed, counted.recomputed);
+          EXPECT_EQ(tally.served, counted.served);
+          if (with_memo && sweep == 1) {
+            EXPECT_GT(counted.served, 0u);
+          }
+        }
+      }
+    }
+  }
+  obs::MetricsRegistry::SetEnabled(was_enabled);
+}
+
+// RefineSweep's entity-by-entity reference: every candidate of a cluster
+// ranked by its own ToggleGain, then applied best-first, each
+// re-validated, as the sweep is specified (floc_phases.h).
+size_t ReferenceRefineSweep(const FlocConfig& config, size_t num_rows,
+                            size_t total,
+                            std::vector<ClusterWorkspace>& views,
+                            std::vector<double>& scores,
+                            ConstraintTracker& tracker, GainMemo* memo) {
+  SweepTally tally;
+  ResidueEngine engine(ResidueNorm::kMeanAbsolute, &tally.scan);
+  GainContext ctx{&views,   &scores,     &tracker,    config.target_residue,
+                  nullptr,  memo,        false,       &tally};
+  struct Candidate {
+    double gain;
+    bool is_row;
+    size_t index;
+  };
+  size_t applied = 0;
+  for (size_t c = 0; c < views.size(); ++c) {
+    std::vector<Candidate> candidates;
+    for (size_t t = 0; t < total; ++t) {
+      bool is_row = t < num_rows;
+      size_t index = is_row ? t : t - num_rows;
+      std::optional<double> gain = ToggleGain(is_row, index, c, ctx, engine);
+      if (gain && *gain > kMinImprovement) {
+        candidates.push_back({*gain, is_row, index});
+      }
+    }
+    std::sort(candidates.begin(), candidates.end(),
+              [](const Candidate& a, const Candidate& b) {
+                return a.gain > b.gain;
+              });
+    for (const Candidate& cand : candidates) {
+      std::optional<double> gain =
+          ToggleGain(cand.is_row, cand.index, c, ctx, engine);
+      if (!gain || *gain <= kMinImprovement) continue;
+      if (cand.is_row) {
+        views[c].ToggleRow(cand.index);
+        tracker.OnRowToggled(views, c, cand.index);
+      } else {
+        views[c].ToggleCol(cand.index);
+        tracker.OnColToggled(views, c, cand.index);
+      }
+      scores[c] = ObjectiveScore(engine.Residue(views[c]),
+                                 views[c].stats().Volume(),
+                                 config.target_residue);
+      ++applied;
+    }
+  }
+  return applied;
+}
+
+// RefineSweep ranks with batched row rescans; the toggles it applies,
+// and the clusters and scores it leaves, must be the reference's, with
+// and without the memo (and under audit, which checks every batched
+// scan), on dense and holey data.
+TEST(RefineSweepTest, BatchedRankingMatchesPerEntityReference) {
+  for (double missing : {0.0, 0.3}) {
+    for (bool with_memo : {false, true}) {
+      for (bool audit : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "missing=" << missing
+                                        << " memo=" << with_memo
+                                        << " audit=" << audit);
+        Fixture fx = LooseFixture(59, missing);
+        FlocConfig config;
+        config.target_residue = Fixture::kTarget;
+        config.constraints = fx.tracker->constraints();
+        config.audit = audit;
+        const DataMatrix& m = fx.data.matrix;
+        std::vector<ClusterWorkspace> views = fx.views;
+        std::vector<double> scores = fx.scores;
+        ConstraintTracker tracker(m, config.constraints);
+        tracker.Rebuild(views);
+        GainMemo memo;
+        GainMemo reference_memo;
+        memo.Configure(m.rows(), m.cols(), views.size());
+        reference_memo.Configure(m.rows(), m.cols(), views.size());
+        for (int sweep = 0; sweep < 2; ++sweep) {
+          size_t want = ReferenceRefineSweep(
+              config, m.rows(), m.rows() + m.cols(), fx.views, fx.scores,
+              *fx.tracker, with_memo ? &reference_memo : nullptr);
+          size_t got = RefineSweep(config, m, views, scores, tracker,
+                                   with_memo ? &memo : nullptr,
+                                   /*audit_occupancy=*/false);
+          EXPECT_EQ(want, got) << "sweep " << sweep;
+          if (sweep == 0) {
+            EXPECT_GT(got, 0u);
+          }
+          ASSERT_EQ(fx.views.size(), views.size());
+          for (size_t c = 0; c < views.size(); ++c) {
+            EXPECT_TRUE(fx.views[c].cluster() == views[c].cluster())
+                << "sweep " << sweep << " cluster " << c;
+            EXPECT_EQ(fx.scores[c], scores[c])
+                << "sweep " << sweep << " cluster " << c;
+          }
+        }
+      }
+    }
+  }
 }
 
 // Everything one apply sweep produces: the journal, the resulting

@@ -9,7 +9,8 @@
 //      The run slots (holey rows as specified-entry runs), the pane-scan
 //      slot and the added-row path of the row-toggle kernel are
 //      additionally held to the plain skip loop kept below as their
-//      reference.
+//      reference, and the batched row-toggle slot to one pane scan per
+//      candidate.
 //   2. End-to-end: full FLOC runs with --simd off vs auto must take
 //      identical actions and emit identical clusters, across thread
 //      counts {1, 8}, dense and sparse (missing-entry) data, both
@@ -402,6 +403,116 @@ TEST(SimdDispatchTest, RunSlotsBitIdenticalAcrossDensities) {
                              label + " abs");
         CheckRunSlots<true>(*table, row, col_bases, cluster_base, rng,
                             label + " sq");
+      }
+    }
+  }
+}
+
+// `table`'s batched row-toggle scan against per-candidate single scans:
+// each live candidate's sum and dense-entry count memcmp-equal to the
+// scalar table's scan_pane_abs of its own PaneScan, and to `table`'s.
+void CheckRowBatch(const SimdKernels& scalar, const SimdKernels& table,
+                   const PaneScanBatch& batch, const std::string& label) {
+  PaneSum got[kRowBatch];
+  for (PaneSum& g : got) g.sum = std::numeric_limits<double>::quiet_NaN();
+  table.scan_pane_rows4_abs(batch, got);
+  for (size_t c = 0; c < batch.live; ++c) {
+    for (const SimdKernels* single : {&scalar, &table}) {
+      PaneSum want = single->scan_pane_abs(batch.scans[c]);
+      ASSERT_TRUE(SameBits(want.sum, got[c].sum))
+          << label << " " << table.name << " vs " << single->name
+          << " candidate " << c << ": " << want.sum << " vs " << got[c].sum;
+      ASSERT_EQ(std::memcmp(&want.dense_entries, &got[c].dense_entries,
+                            sizeof(size_t)),
+                0)
+          << label << " " << table.name << " vs " << single->name
+          << " candidate " << c << ": dense " << want.dense_entries
+          << " vs " << got[c].dense_entries;
+    }
+  }
+}
+
+// The batched row-toggle slot of the scalar and best tables reproduces
+// one scan_pane_abs per candidate bit for bit: 1-4 live candidates,
+// removals (skips at the first, a middle and the last logical row) mixed
+// with additions (a gathered trailing row, empty ones included), on
+// dense, holey and near-empty panes of 1-70 columns whose padding and
+// stride slack hold poison, with the batch's dead base lanes poisoned.
+TEST(SimdDispatchTest, RowBatchBitIdenticalToSingleScans) {
+  std::vector<const SimdKernels*> tables = ScalarAndBestTables();
+  Rng rng(67);
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u, 64u, 70u}) {
+    for (double density : {1.0, 0.7, 0.3, 0.0}) {
+      for (size_t height : {1u, 2u, 5u, 9u}) {
+        std::vector<TestRow> rows;
+        for (size_t r = 0; r < height; ++r) {
+          // Mixed panes: mostly `density`, with a dense and an empty row.
+          double d = r == 1 ? 1.0 : (r == 3 ? 0.0 : density);
+          rows.push_back(RandomRow(n, d, rng));
+        }
+        TestPane pane = MakePane(rows, n);
+        std::vector<uint32_t> cols(n);
+        for (size_t idx = 0; idx < n; ++idx) {
+          cols[idx] = static_cast<uint32_t>(idx);
+        }
+        // Candidates: skips at the first and last logical row and in the
+        // middle, and additions of a dense, a holey and an empty row.
+        std::vector<TestRow> added = {RandomRow(n, 1.0, rng),
+                                      RandomRow(n, 0.5, rng),
+                                      RandomRow(n, 0.0, rng)};
+        struct Run {
+          std::vector<double> values;
+          std::vector<uint16_t> slots;
+          size_t len = 0;
+        };
+        std::vector<Run> runs(added.size());
+        for (size_t a = 0; a < added.size(); ++a) {
+          runs[a].values.assign(n + kRunReadPad, kNan);
+          runs[a].slots.assign(n + kRunReadPad, static_cast<uint16_t>(n));
+          runs[a].len = GatherRun(added[a].values.data(),
+                                  added[a].mask.data(), cols.data(), n,
+                                  runs[a].values.data(),
+                                  runs[a].slots.data());
+        }
+        std::vector<size_t> skips = {0, height - 1, height / 2};
+        for (size_t live = 1; live <= kRowBatch; ++live) {
+          for (size_t variant = 0; variant < 6; ++variant) {
+            PaneScanBatch batch;
+            batch.live = live;
+            std::vector<std::vector<double>> bases(kRowBatch,
+                                                   std::vector<double>(n));
+            std::vector<double> bases4(n * kRowBatch, kNan);
+            for (size_t c = 0; c < live; ++c) {
+              for (double& b : bases[c]) b = rng.Uniform(-2.0, 2.0);
+              for (size_t idx = 0; idx < n; ++idx) {
+                bases4[idx * kRowBatch + c] = bases[c][idx];
+              }
+              PaneScan& scan = batch.scans[c];
+              scan = pane.Scan(bases[c], rng.Uniform(-1.0, 1.0), SIZE_MAX);
+              // Alternate removals and additions, rotating by variant.
+              size_t pick = c + variant;
+              if (pick % 2 == 0) {
+                scan.skip = skips[(pick / 2) % skips.size()];
+              } else {
+                const Run& run = runs[(pick / 2) % runs.size()];
+                scan.added_values = run.values.data();
+                scan.added_slots = run.slots.data();
+                scan.added_len = run.len;
+                scan.added_row_base = rng.Uniform(-2.0, 2.0);
+              }
+            }
+            batch.bases4 = bases4.data();
+            std::string label = "n=" + std::to_string(n) +
+                                " density=" + std::to_string(density) +
+                                " height=" + std::to_string(height) +
+                                " live=" + std::to_string(live) +
+                                " variant=" + std::to_string(variant);
+            for (const SimdKernels* table : tables) {
+              CheckRowBatch(*tables.front(), *table, batch, label);
+            }
+          }
+        }
       }
     }
   }
