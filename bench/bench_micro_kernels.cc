@@ -186,6 +186,23 @@ void BM_GainEvalRowToggleSkinnySparse(benchmark::State& state) {
 }
 BENCHMARK(BM_GainEvalRowToggleSkinnySparse)->Unit(benchmark::kMicrosecond);
 
+// Its column twin: adding a column to the same 250x2 cluster rescans
+// every row with a moved row base and one appended entry, so the per-row
+// cost is again what this measures.
+void BM_GainEvalColToggleSkinnySparse(benchmark::State& state) {
+  SyntheticDataset data = MakeData(1500, 100, 0.3);
+  ClusterWorkspace ws(data.matrix, MakeCluster(1500, 100, 250, 2));
+  ResidueEngine engine;
+  size_t col = 0;
+  for (auto _ : state) {
+    while (ws.cluster().HasCol(col % 100)) ++col;  // additions only
+    benchmark::DoNotOptimize(engine.GainToggleCol(ws, col % 100));
+    ++col;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_GainEvalColToggleSkinnySparse)->Unit(benchmark::kMicrosecond);
+
 // Applied-toggle twins: each iteration actually commits a membership
 // toggle (and reverts it, so the cluster shape is steady-state) before
 // re-evaluating a gain. This is the FLOC inner-loop sequence -- apply,

@@ -62,6 +62,34 @@ stage_lint() {
   else
     fail "dclint (see diagnostics above; rules: tools/lint/dclint.py --list-rules)"
   fi
+  # The AVX2 kernel TU must export nothing but its table getter: any
+  # external-linkage inline function it instantiated (a template from a
+  # shared header) would be a VEX-encoded weak copy of a symbol the
+  # baseline-ISA TUs also define, and the linker keeps whichever copy it
+  # sees first. Checked in every build tree that has the object (the
+  # default and tsan presets included: an unoptimized build emits the
+  # copies an optimized one inlines away). DW.ref.__gxx_personality_v0
+  # is not a function: it is the exception-personality pointer GCC
+  # emits, the same weak datum in every TU, in some builds (tsan).
+  local avx2_objects
+  avx2_objects=$(find build* -path '*core/residue_kernels_avx2.cc.o' 2>/dev/null || true)
+  if [ -z "$avx2_objects" ]; then
+    warn "no residue_kernels_avx2.cc.o in any build tree; skipping its symbol check"
+  elif ! command -v nm >/dev/null 2>&1; then
+    warn "nm not installed; skipping the AVX2 TU symbol check"
+  else
+    local obj exported
+    for obj in $avx2_objects; do
+      exported=$(nm --defined-only --extern-only "$obj" | awk '{print $3}' \
+                 | grep -v -e '^_ZN9deltaclus17Avx2KernelsOrNullEv$' \
+                           -e '^DW\.ref\.__gxx_personality_v0$' || true)
+      if [ -n "$exported" ]; then
+        fail "$obj exports more than Avx2KernelsOrNull: $exported"
+      else
+        echo "lint: $obj exports only Avx2KernelsOrNull"
+      fi
+    done
+  fi
   # dcstat's test suite is equally build-free (it runs against the
   # checked-in trajectory records), so it rides in the same stage.
   if python3 tools/dcstat_test.py 2>/dev/null; then
@@ -362,6 +390,33 @@ stage_trajectory() {
     echo "bench: batched row-toggle speedups hold"
   else
     fail "batched row-toggle bench gate (pre_pr24 vs pr24 micro-kernel records)"
+  fi
+  # Column-toggle gate: each column-toggle evaluation is one kernel call,
+  # and four added-column candidates of a cluster share a pane pass.
+  # pre_pr25 is the parent tip recorded on the same host as pr25, each
+  # record the per-benchmark median of 12 runs of the gated families
+  # (bench/trajectory/README.md). Each floor is set from the parent's own
+  # spread over its 12 runs (interquartile range / median, rounded up to
+  # 0.05). The one gain that cleared its spread, the memoless sparse
+  # sweep at 8 threads (1.22x over 0.14), holds >= 1 + spread; every
+  # other gated benchmark holds >= 1 - spread (column evals 0.25,
+  # memoized sweeps 0.45/0.40/0.30/0.30 at 1/2/4/8 threads, memoless
+  # 0.20 and 0.15 dense, 0.55 sparse at 1 thread). Deterministic:
+  # compares two checked-in records.
+  if python3 tools/dcstat.py diff \
+        bench/trajectory/BENCH_micro_kernels_pre_pr25.json \
+        bench/trajectory/BENCH_micro_kernels_pr25.json \
+        --min-ratio 'BM_GainDeterminationNoMemoSparse/8/=1.15' \
+        --min-ratio 'BM_GainDeterminationNoMemoSparse/1/=0.45' \
+        --min-ratio 'BM_GainDeterminationNoMemo/1/=0.80' \
+        --min-ratio 'BM_GainDeterminationNoMemo/8/=0.85' \
+        --min-ratio 'BM_GainDetermination/1/=0.55' \
+        --min-ratio 'BM_GainDetermination/2/=0.60' \
+        --min-ratio 'BM_GainDetermination/(4|8)/=0.70' \
+        --min-ratio 'BM_GainEvalCol=0.75'; then
+    echo "bench: column-toggle floor holds"
+  else
+    fail "column-toggle bench gate (pre_pr25 vs pr25 micro-kernel records)"
   fi
   # End-to-end iteration-time gate (PR 10): the Table-2/3 whole-run
   # records, recorded back-to-back pre/post on one machine, must show

@@ -49,6 +49,8 @@ class ClusterStats {
   /// Sum / count of specified entries of member row i over cluster columns.
   double RowSum(size_t i) const { return row_sum_[i]; }
   size_t RowCount(size_t i) const { return row_cnt_[i]; }
+  /// Every row's RowSum, indexed by matrix row.
+  const double* RowSums() const { return row_sum_.data(); }
   /// Sum / count of specified entries of member column j over cluster rows.
   double ColSum(size_t j) const { return col_sum_[j]; }
   size_t ColCount(size_t j) const { return col_cnt_[j]; }

@@ -20,8 +20,9 @@
 // constraint check, the gain-memo lookup (or rescan) of the after-toggle
 // residue, and the objective gain. ToggleGain makes it for one (entity,
 // cluster) pair; ClusterToggleGains makes it for a range of entities
-// against one cluster, rescanning the row misses four to a pane pass
-// (determination and refinement's ranking), with the same results.
+// against one cluster, rescanning the row misses and the column misses
+// four to a pane pass (determination and refinement's ranking), with
+// the same results.
 //
 // Determination is read-only over the clustering, so shards evaluate
 // virtual toggles concurrently and write disjoint slots of the action
@@ -135,7 +136,8 @@ std::optional<double> ToggleGain(bool is_row, size_t index, size_t c,
 /// columns, as GainDeterminer numbers them (t < num_rows is row t, else
 /// column t - num_rows) -- in cluster c, into gains[(t - begin) *
 /// stride]. Row rescans are batched kRowBatch at a time into one pane
-/// pass (ResidueEngine::ResidueAfterToggleRows); constraint checks, memo
+/// pass (ResidueEngine::ResidueAfterToggleRows), and column rescans
+/// kColBatch at a time (ResidueAfterToggleCols); constraint checks, memo
 /// lookups and stores, tallies and block counts are ToggleGain's, entity
 /// by entity, so every entry equals ToggleGain's, bit for bit. Audit
 /// (ctx.audit_memo) also checks each batched result against a single
@@ -163,8 +165,9 @@ bool RefreshGainSlot(bool is_row, size_t index, const ClusterWorkspace& ws,
 /// Phase-2 step 1: determines the best action for every row and column
 /// against the current clustering, sharded over the thread pool. Each
 /// shard works cluster-major: for each cluster in turn, every entity of
-/// the shard (ClusterToggleGains, row rescans batched four to a pane
-/// pass while the cluster's pane is hot), into a per-shard gain table;
+/// the shard (ClusterToggleGains, row and column rescans batched four to
+/// a pane pass while the cluster's pane is hot), into a per-shard gain
+/// table;
 /// then each entity's best action over its k gains in cluster order,
 /// with BestActionFor's strict `>` tie-break (the lowest cluster wins).
 ///

@@ -158,61 +158,71 @@ std::optional<double> ToggleGain(bool is_row, size_t index, size_t c,
 void ClusterToggleGains(size_t c, size_t num_rows, size_t begin, size_t end,
                         const GainContext& ctx, ResidueEngine& engine,
                         std::optional<double>* gains, size_t stride) {
+  static_assert(kRowBatch == kColBatch, "one queue shape serves both");
   const ClusterWorkspace& ws = (*ctx.views)[c];
   uint64_t epoch = ws.epoch();
-  // Row rescans waiting for a batch: the row (entity t is row t) and its
-  // memo slot.
-  size_t batch_t[kRowBatch];
-  GainMemo::Entry* batch_slots[kRowBatch];
-  size_t pending = 0;
-  auto flush = [&] {
+  // Rescans waiting for a batch, rows and columns queued apart: the row
+  // or column index and its memo slot.
+  struct Queue {
+    size_t index[kRowBatch];
+    GainMemo::Entry* slots[kRowBatch];
+    size_t pending = 0;
+  };
+  Queue row_queue;
+  Queue col_queue;
+  auto flush = [&](bool is_row, Queue& q) {
     double after_residue[kRowBatch];
     size_t new_volume[kRowBatch];
-    engine.ResidueAfterToggleRows(ws, batch_t, pending, after_residue,
-                                  new_volume);
-    for (size_t q = 0; q < pending; ++q) {
+    if (is_row) {
+      engine.ResidueAfterToggleRows(ws, q.index, q.pending, after_residue,
+                                    new_volume);
+    } else {
+      engine.ResidueAfterToggleCols(ws, q.index, q.pending, after_residue,
+                                    new_volume);
+    }
+    for (size_t b = 0; b < q.pending; ++b) {
       if (ctx.audit_memo) {
-        AuditAfterToggle(/*is_row=*/true, batch_t[q], c, ws, engine,
-                         after_residue[q], new_volume[q], "batched scan");
+        AuditAfterToggle(is_row, q.index[b], c, ws, engine, after_residue[b],
+                         new_volume[b], "batched scan");
       }
-      if (batch_slots[q] != nullptr) {
-        batch_slots[q]->Store(epoch, after_residue[q], new_volume[q]);
+      if (q.slots[b] != nullptr) {
+        q.slots[b]->Store(epoch, after_residue[b], new_volume[b]);
       }
       ++ctx.tally->recomputed;
-      gains[(batch_t[q] - begin) * stride] =
-          GainFrom(c, ctx, after_residue[q], new_volume[q]);
+      size_t t = is_row ? q.index[b] : num_rows + q.index[b];
+      gains[(t - begin) * stride] =
+          GainFrom(c, ctx, after_residue[b], new_volume[b]);
     }
-    pending = 0;
+    q.pending = 0;
   };
   for (size_t t = begin; t < end; ++t) {
     std::optional<double>& gain = gains[(t - begin) * stride];
-    if (t >= num_rows) {
-      // Columns are not batched.
-      gain = ToggleGain(/*is_row=*/false, t - num_rows, c, ctx, engine);
-      continue;
-    }
-    if (!ToggleAllowed(/*is_row=*/true, t, c, ctx)) {
+    bool is_row = t < num_rows;
+    size_t index = is_row ? t : t - num_rows;
+    if (!ToggleAllowed(is_row, index, c, ctx)) {
       gain = std::nullopt;
       continue;
     }
     GainMemo::Entry* slot =
-        ctx.memo != nullptr ? ctx.memo->Slot(/*is_row=*/true, t, c) : nullptr;
+        ctx.memo != nullptr ? ctx.memo->Slot(is_row, index, c) : nullptr;
     double after_residue = 0.0;
     size_t new_volume = 0;
     if (slot != nullptr && slot->Lookup(epoch, &after_residue, &new_volume)) {
       ++ctx.tally->served;
       if (ctx.audit_memo) {
-        AuditAfterToggle(/*is_row=*/true, t, c, ws, engine, after_residue,
+        AuditAfterToggle(is_row, index, c, ws, engine, after_residue,
                          new_volume, "gain memo");
       }
       gain = GainFrom(c, ctx, after_residue, new_volume);
       continue;
     }
-    batch_t[pending] = t;
-    batch_slots[pending] = slot;
-    if (++pending == kRowBatch) flush();
+    Queue& q = is_row ? row_queue : col_queue;
+    q.index[q.pending] = index;
+    q.slots[q.pending] = slot;
+    if (++q.pending == kRowBatch) flush(is_row, q);
   }
-  if (pending > 0) flush();
+  if (row_queue.pending > 0) flush(/*is_row=*/true, row_queue);
+  if (col_queue.pending > 0) flush(/*is_row=*/false, col_queue);
 }
 
 Action BestActionFor(bool is_row, size_t index, const GainContext& ctx,

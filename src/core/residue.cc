@@ -50,8 +50,10 @@ obs::Counter* GainEvalEntriesDenseCounter() {
 // pane-scan row loop) live in src/core/residue_kernels.h, shared with
 // the AVX2 translation unit; the scans below call them through the
 // runtime-dispatched table (src/core/simd_dispatch.h), which is
-// bit-invisible by the same lane contract. A row and a column scan make
-// one table call per scan and per pane row respectively.
+// bit-invisible by the same lane contract. Every scan -- a cluster, a
+// row toggle, a column toggle, or a batch of up to four row or
+// added-column toggles of one cluster -- is one table call, whose row
+// loop calls nothing.
 
 // Points `scan` at the workspace's pane: its arrays, height, width and
 // stride. The scan's column bases, cluster base, left-out row and
@@ -71,6 +73,29 @@ void AttachPane(const ClusterWorkspace& ws, PaneScan* scan) {
   scan->rows = pane.row_slots.size();
   scan->num_cols = pane.num_cols;
   scan->stride = pane.phys_stride;
+}
+
+// Points a column-toggle `scan` at the workspace's pane -- its arrays,
+// height, width and stride, its rows' matrix ids and the cluster's row
+// sums -- and at the column bases `col_bases` (the current ones, which a
+// column toggle leaves unchanged).
+void AttachPaneCol(const ClusterWorkspace& ws, const double* col_bases,
+                   PaneColScan* scan) {
+  const PackedPane& pane = ws.EnsurePane();
+  scan->values = pane.values.data();
+  scan->slots = pane.slots.data();
+  scan->run_len = pane.run_len.data();
+  scan->row_slots = pane.row_slots.data();
+  scan->rows = pane.row_slots.size();
+  scan->num_cols = pane.num_cols;
+  scan->stride = pane.phys_stride;
+  scan->col_bases = col_bases;
+  scan->row_ids = ws.cluster().row_ids().data();
+  scan->row_sums = ws.stats().RowSums();
+  // The scan takes each row's count in the cluster from its run length.
+  for (size_t pr = 0; pr < scan->rows; ++pr) {
+    DC_DCHECK_EQ(pane.RunLength(pr), ws.stats().RowCount(scan->row_ids[pr]));
+  }
 }
 
 template <bool kSquared>
@@ -219,19 +244,12 @@ double ResidueEngine::ResidueAfterToggleCol(const ClusterWorkspace& ws,
 
 template <bool kSquared>
 double ResidueEngine::NumeratorImpl(const ClusterWorkspace& ws) {
-  const Cluster& c = ws.cluster();
   const ClusterStats& stats = ws.stats();
   dense_entries_last_scan_ = 0;
   if (stats.Volume() == 0) return 0.0;
 
-  const auto& col_ids = c.col_ids();
-  size_t n = col_ids.size();
-  scratch_col_base_.resize(n);
-  for (size_t idx = 0; idx < n; ++idx) {
-    scratch_col_base_[idx] = stats.ColBase(col_ids[idx]);
-  }
   PaneScan scan;
-  scan.col_bases = scratch_col_base_.data();
+  scan.col_bases = CurrentColBases(ws);
   scan.cluster_base = stats.ClusterBase();
   AttachPane(ws, &scan);
   PaneSum scanned = ScanPane<kSquared>(scan);
@@ -371,131 +389,114 @@ void ResidueEngine::ResidueAfterToggleRows(const ClusterWorkspace& ws,
   }
 }
 
-template <bool kSquared>
-double ResidueEngine::AfterToggleColImpl(const ClusterWorkspace& ws,
-                                             size_t j,
-                                             size_t* new_volume_out) {
+size_t ResidueEngine::PrepareColToggle(const ClusterWorkspace& ws, size_t j,
+                                       PaneColScan* scan) {
   const DataMatrix& m = ws.matrix();
   const Cluster& c = ws.cluster();
   const ClusterStats& stats = ws.stats();
-  const auto& col_ids = c.col_ids();
-  const auto& row_ids = c.row_ids();
-  dense_entries_last_scan_ = 0;
-
   bool removing = c.HasCol(j);
 
+  // A removed column's sums are the stats' own; an added one's are
+  // summed down the column over the cluster's rows.
   double toggled_sum = 0.0;
   size_t toggled_cnt = 0;
   if (removing) {
     toggled_sum = stats.ColSum(j);
     toggled_cnt = stats.ColCount(j);
   } else {
-    ClusterStats::ColSumOverRows(m, row_ids, j, &toggled_sum, &toggled_cnt);
+    ClusterStats::ColSumOverRows(m, c.row_ids(), j, &toggled_sum,
+                                 &toggled_cnt);
   }
-
   double new_total =
       removing ? stats.Total() - toggled_sum : stats.Total() + toggled_sum;
   size_t new_volume =
       removing ? stats.Volume() - toggled_cnt : stats.Volume() + toggled_cnt;
-  if (new_volume_out != nullptr) *new_volume_out = new_volume;
-  if (new_volume == 0) return 0.0;
-  double cluster_base = new_total / new_volume;
-  double toggled_col_base =
-      toggled_cnt == 0 ? 0.0 : toggled_sum / toggled_cnt;
+  scan->cluster_base = new_volume == 0 ? 0.0 : new_total / new_volume;
+  // Column j's entries, read by matrix row on the column-major mirror.
+  scan->col_values = m.ColValues(j).data();
+  scan->col_mask = m.ColMask(j).data();
+  // On removal j's pane column is left out of every row; on addition
+  // column j lies outside the pane and each row's entry is appended
+  // last, matching the post-toggle column order.
+  const auto& col_ids = c.col_ids();
+  scan->removed_col =
+      removing ? static_cast<size_t>(
+                     std::lower_bound(col_ids.begin(), col_ids.end(),
+                                      static_cast<uint32_t>(j)) -
+                     col_ids.begin())
+               : SIZE_MAX;
+  scan->added_col_base = toggled_cnt == 0 ? 0.0 : toggled_sum / toggled_cnt;
+  return new_volume;
+}
 
-  // Column bases in pane-column order, uncompacted: pane rows index them
-  // by position (dense rows) or by slot (runs). On removal `jj` is j's
-  // pane column, which splits each row's visit sequence in two; the
-  // lane phase carried across the split keeps the visit sequence -- and
-  // hence the per-lane addition chains -- identical to a single pass
-  // over the post-toggle columns. On addition column j is outside the
-  // pane and is visited last, with its own base.
-  size_t n_pane = col_ids.size();
-  size_t jj = removing ? static_cast<size_t>(
-                             std::lower_bound(col_ids.begin(), col_ids.end(),
-                                              static_cast<uint32_t>(j)) -
-                             col_ids.begin())
-                       : n_pane;
-  scratch_col_base_.resize(n_pane);
-  for (size_t idx = 0; idx < n_pane; ++idx) {
+const double* ResidueEngine::CurrentColBases(const ClusterWorkspace& ws) {
+  const ClusterStats& stats = ws.stats();
+  const auto& col_ids = ws.cluster().col_ids();
+  scratch_col_base_.resize(col_ids.size());
+  for (size_t idx = 0; idx < col_ids.size(); ++idx) {
     scratch_col_base_[idx] = stats.ColBase(col_ids[idx]);
   }
-  size_t n = removing ? n_pane - 1 : n_pane + 1;
-  const double* col_bases = scratch_col_base_.data();
+  return scratch_col_base_.data();
+}
 
-  // Column j's entries, read stride-1 on the column-major mirror.
-  const double* col_values_j = m.ColValues(j).data();
-  const uint8_t* col_mask_j = m.ColMask(j).data();
-
-  const PackedPane& pane = ws.EnsurePane();
+template <bool kSquared>
+double ResidueEngine::AfterToggleColImpl(const ClusterWorkspace& ws,
+                                         size_t j, size_t* new_volume_out) {
+  dense_entries_last_scan_ = 0;
+  PaneColScan scan;
+  size_t new_volume = PrepareColToggle(ws, j, &scan);
+  *new_volume_out = new_volume;
+  if (new_volume == 0) return 0.0;
+  AttachPaneCol(ws, CurrentColBases(ws), &scan);
   const SimdKernels& simd = ActiveSimdKernels();
-  SimdKernels::SegDenseFn seg_dense =
-      kSquared ? simd.seg_dense_sq : simd.seg_dense_abs;
-  SimdKernels::SegRunFn seg_run =
-      kSquared ? simd.seg_run_sq : simd.seg_run_abs;
-  double acc = 0.0;
-  size_t dense_entries = 0;
-  for (size_t pr = 0; pr < row_ids.size(); ++pr) {
-    uint32_t i = row_ids[pr];
-    // Adjusted row base: moves only if (i, j) is specified (selected
-    // branch-free, as for the column bases of a row toggle). row_cnt
-    // becomes the row's specified count over the post-toggle column
-    // set, which feeds the dense-coverage tally.
-    bool j_specified = col_mask_j[i] != 0;
-    double v = col_values_j[i];
-    double row_sum = stats.RowSum(i);
-    size_t run_len = pane.RunLength(pr);
-    DC_DCHECK_EQ(run_len, stats.RowCount(i));
-    size_t row_cnt = run_len;
-    double moved_sum = removing ? row_sum - v : row_sum + v;
-    size_t moved_cnt = removing ? row_cnt - 1 : row_cnt + 1;
-    row_sum = j_specified ? moved_sum : row_sum;
-    row_cnt = j_specified ? moved_cnt : row_cnt;
-    double row_base = row_cnt == 0 ? 0.0 : row_sum / row_cnt;
+  PaneSum scanned =
+      kSquared ? simd.scan_pane_col_sq(scan) : simd.scan_pane_col_abs(scan);
+  dense_entries_last_scan_ = scanned.dense_entries;
+  return scanned.sum / new_volume;
+}
 
-    const double* row = pane.Row(pr);
-    LaneAcc lanes;
-    if (run_len == n_pane) {
-      // Dense pane row: unit-stride slices around column jj.
-      if (removing) {
-        seg_dense(row, col_bases, jj, row_base, cluster_base, lanes);
-        seg_dense(row + jj + 1, col_bases + jj + 1, n_pane - jj - 1,
-                  row_base, cluster_base, lanes);
-      } else {
-        seg_dense(row, col_bases, n_pane, row_base, cluster_base, lanes);
-      }
-    } else {
-      // Holey pane row: the run. On removal it splits where its slots
-      // pass jj; if (i, j) is specified, its entry is the first past the
-      // split and is skipped.
-      const uint16_t* slots = pane.Slots(pr);
-      if (removing) {
-        size_t split = static_cast<size_t>(
-            std::lower_bound(slots, slots + run_len, jj) - slots);
-        seg_run(row, slots, col_bases, split, row_base, cluster_base, lanes);
-        size_t rest = split + (j_specified ? 1 : 0);
-        seg_run(row + rest, slots + rest, col_bases, run_len - rest,
-                row_base, cluster_base, lanes);
-      } else {
-        seg_run(row, slots, col_bases, run_len, row_base, cluster_base,
-                lanes);
-      }
-    }
-    if (!removing) {
-      // Column j is visited last, matching the post-toggle column order.
-      // Branch-free: the lane keeps its bits unless (i, j) is specified.
-      double& lane = lanes.l[lanes.p & 3];
-      double added =
-          lane + Contribution<kSquared>(v, row_base, toggled_col_base,
-                                        cluster_base);
-      lane = j_specified ? added : lane;
-      lanes.p += j_specified;
-    }
-    if (row_cnt == n) dense_entries += n;
-    acc += lanes.Reduce();
+void ResidueEngine::ResidueAfterToggleCols(const ClusterWorkspace& ws,
+                                           const size_t* cols, size_t count,
+                                           double* residues,
+                                           size_t* new_volumes) {
+  DC_CHECK(norm_ == ResidueNorm::kMeanAbsolute)
+      << "batched column toggles scan the mean absolute residue only";
+  DC_DCHECK(count >= 1 && count <= kColBatch);
+  // The additions are scanned as one batch, their lanes in order; the
+  // first addition fills the unused lanes (whose sums the kernel never
+  // reports). A removal is scanned on its own.
+  PaneColScanBatch batch;
+  size_t added_q[kColBatch];
+  for (size_t q = 0; q < count; ++q) {
+    if (ws.cluster().HasCol(cols[q])) continue;
+    added_q[batch.live] = q;
+    new_volumes[q] = PrepareColToggle(ws, cols[q], &batch.scans[batch.live]);
+    ++batch.live;
   }
-  dense_entries_last_scan_ = dense_entries;
-  return acc / new_volume;
+  PaneSum sums[kColBatch];
+  size_t additions = batch.live;
+  if (additions > 0) {
+    const double* col_bases = CurrentColBases(ws);
+    for (size_t a = 0; a < kColBatch; ++a) {
+      if (a >= additions) batch.scans[a] = batch.scans[0];
+      AttachPaneCol(ws, col_bases, &batch.scans[a]);
+    }
+    ActiveSimdKernels().scan_pane_cols4_abs(batch, sums);
+  }
+  size_t a = 0;
+  for (size_t q = 0; q < count; ++q) {
+    if (a < additions && added_q[a] == q) {
+      // A toggle that empties the cluster has residue 0 and scans
+      // nothing, as a single one does.
+      bool empty = new_volumes[q] == 0;
+      dense_entries_last_scan_ = empty ? 0 : sums[a].dense_entries;
+      residues[q] = empty ? 0.0 : sums[a].sum / new_volumes[q];
+      CountScan(new_volumes[q]);
+      ++a;
+    } else {
+      residues[q] = ResidueAfterToggleCol(ws, cols[q], &new_volumes[q]);
+    }
+  }
 }
 
 }  // namespace deltaclus

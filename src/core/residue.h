@@ -25,13 +25,15 @@
 // parallel uint16 pane-column slots, and the run pass reads each entry's
 // column base through its slot. Both visit exactly the specified entries
 // in column order and add them in the same lane pattern, so the result
-// never depends on which pass ran. A cluster scan and a row-toggle scan
-// are each one call of the runtime-dispatched SIMD table's pane-scan
-// slot, which walks the rows and picks the pass per row; a row being
-// added is gathered into a run and scanned last in that same call. Up
-// to four row toggles of one cluster are scanned in one pane pass
-// (ResidueAfterToggleRows), each to the bits its own scan gives. See
-// DESIGN.md "The gain kernel".
+// never depends on which pass ran. A cluster scan, a row-toggle scan and
+// a column-toggle scan are each one call of the runtime-dispatched SIMD
+// table, which walks the rows and picks the pass per row; a row being
+// added is gathered into a run and scanned last in that same call, and
+// a column being added is appended to each row. Up to four row toggles
+// (ResidueAfterToggleRows), or four column additions
+// (ResidueAfterToggleCols), of one cluster are scanned in one pane
+// pass, each to the bits its own scan gives. See DESIGN.md "The gain
+// kernel".
 #ifndef DELTACLUS_CORE_RESIDUE_H_
 #define DELTACLUS_CORE_RESIDUE_H_
 
@@ -149,12 +151,25 @@ class ResidueEngine {
                               size_t* new_volumes);
 
   /// Residue the cluster would have after toggling column j's membership.
-  /// Does not modify the cluster. One pass over the post-toggle
-  /// submatrix plus an O(|I|) pass down column j on the column-major
-  /// plane (for the toggled sums and per-row adjusted row bases). If
-  /// `new_volume` is non-null it receives the post-toggle volume.
+  /// Does not modify the cluster. On an addition, an O(|I|) pass down
+  /// column j on the column-major plane for its sums; then one kernel
+  /// call over the post-toggle submatrix, which adjusts each row's base
+  /// by (i, j)'s entry as it goes: every pane row with j's entry left
+  /// out on a removal, or appended last on an addition. If `new_volume`
+  /// is non-null it receives the post-toggle volume.
   double ResidueAfterToggleCol(const ClusterWorkspace& ws, size_t j,
                                size_t* new_volume = nullptr);
+
+  /// ResidueAfterToggleCol for `count` (1..kColBatch) columns of one
+  /// cluster at once: residues[q] and new_volumes[q] are the after-toggle
+  /// residue and volume of toggling cols[q], bit-identical to one
+  /// ResidueAfterToggleCol call each, and counted the same. Additions
+  /// are prepared as ResidueAfterToggleCol prepares them and scanned in
+  /// one pane pass (the scan_pane_cols4_abs slot); a removal is scanned
+  /// on its own. Mean absolute residue only.
+  void ResidueAfterToggleCols(const ClusterWorkspace& ws, const size_t* cols,
+                              size_t count, double* residues,
+                              size_t* new_volumes);
 
   /// Gain of the action "toggle row i / column j in this cluster":
   /// current residue minus post-action residue (positive gain =
@@ -196,6 +211,15 @@ class ResidueEngine {
   // post-toggle volume.
   static size_t PrepareRowToggle(const ClusterWorkspace& ws, size_t i,
                                  RowToggleScratch& scratch, PaneScan* scan);
+  // Prepares toggling column j in ws: fills `scan`'s toggle fields
+  // (cluster base, toggled column, left-out pane column or appended
+  // column's base; its pane fields are AttachPaneCol's) and returns the
+  // post-toggle volume. Shared by single and batched column toggles.
+  static size_t PrepareColToggle(const ClusterWorkspace& ws, size_t j,
+                                 PaneColScan* scan);
+  // Fills scratch_col_base_ with the cluster's column bases in
+  // pane-column order and returns it.
+  const double* CurrentColBases(const ClusterWorkspace& ws);
 
   ResidueNorm norm_;
   ScanTally* tally_;

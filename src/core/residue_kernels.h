@@ -35,6 +35,18 @@
 // the scalar table's slot); a vector table computes the same per-lane
 // addition chains for each candidate, vectorized across candidates.
 //
+// A column toggle keeps every pane row but moves row bases, so its row
+// loop (ScanPaneCol) is written once here too. It derives each row's
+// toggled base from the cluster's row sum and the toggled column's entry
+// as it goes (ToggledRowBase), so a scan needs no per-row scratch: a
+// removed column is left out of each row with the lane phase carried
+// across it, and an added column's entry is appended last to each row
+// where it is specified. Added-column candidates of one cluster share
+// every run, column base and lane of the appended entry, and differ
+// only in row bases, cluster base and the appended value, so up to
+// kColBatch of them are scanned in one pane pass (PaneColScanBatch; the
+// scalar slot is one ScanPaneCol per candidate).
+//
 // Everything here must stay valid under the baseline ISA: no intrinsics
 // in this header (dclint rule simd-confined keeps them in the kernel
 // TUs), and the kernel TUs are the only ones compiled with -mavx2 --
@@ -291,6 +303,163 @@ template <DenseRowFn kDenseRow, RunRowFn kRunRow>
 void ScanPaneRowsBatch(const PaneScanBatch& b, PaneSum* out) {
   for (size_t c = 0; c < b.live; ++c) {
     out[c] = ScanPaneRows<kDenseRow, kRunRow>(b.scans[c]);
+  }
+}
+
+/// One column-toggle scan of a pane as the scan_pane_col_* slots read
+/// it: the pane's arrays (as in PaneScan; the pane's own row bases are
+/// not read), its column bases and the post-toggle cluster base; logical
+/// row r's matrix row row_ids[r] and the row sums of the cluster by
+/// matrix row (row_sums[i], ClusterStats::RowSum); and the toggled
+/// column's entries by matrix row (col_values[i], specified where
+/// col_mask[i] is nonzero). On a removal removed_col is the column's
+/// pane column, left out of every row; otherwise the column is added,
+/// its entry appended after every row where specified, with base
+/// added_col_base.
+struct PaneColScan {
+  const double* values = nullptr;
+  const uint16_t* slots = nullptr;
+  const uint32_t* run_len = nullptr;
+  const uint32_t* row_slots = nullptr;
+  size_t rows = 0;
+  size_t num_cols = 0;
+  size_t stride = 0;
+  const double* col_bases = nullptr;
+  double cluster_base = 0.0;
+  const uint32_t* row_ids = nullptr;
+  const double* row_sums = nullptr;
+  const double* col_values = nullptr;
+  const uint8_t* col_mask = nullptr;
+  size_t removed_col = SIZE_MAX;  ///< an addition if >= num_cols
+  double added_col_base = 0.0;
+};
+
+/// Row i's base after the toggle: its sum and count (`len`, its run
+/// length) move by column j's entry only where that entry is specified,
+/// and the base is sum / count, or 0 for a row left with no entry. The
+/// division and the selects are the ones ClusterStats::RowBase and the
+/// engine's toggles perform, so every scan of a toggle gets these bits.
+template <bool kRemoving>
+[[gnu::always_inline]] inline double ToggledRowBase(double row_sum,
+                                                    size_t len, double v,
+                                                    bool specified) {
+  double moved = kRemoving ? row_sum - v : row_sum + v;
+  double sum = specified ? moved : row_sum;
+  size_t count = kRemoving ? len - specified : len + specified;
+  return count == 0 ? 0.0 : sum / static_cast<double>(count);
+}
+
+/// A table's segment passes into a carried LaneAcc (SegPassDenseScalar,
+/// SegPassRunScalar and their vector twins) and its scalar contribution
+/// body: what ScanPaneCol is instantiated with.
+using DenseSegmentFn = void (*)(const double* values, const double* col_bases,
+                                size_t n, double row_base,
+                                double cluster_base, LaneAcc& acc);
+using RunSegmentFn = void (*)(const double* values, const uint16_t* slots,
+                              const double* col_bases, size_t n,
+                              double row_base, double cluster_base,
+                              LaneAcc& acc);
+using ContributionFn = double (*)(double value, double row_base,
+                                  double col_base, double cluster_base);
+
+/// The column-toggle row loop, written once: each row's post-toggle
+/// visit sequence -- its run with the left-out column's entry skipped,
+/// or its run then the appended entry -- accumulated with its toggled
+/// row base into fresh lanes whose phase is carried across the split,
+/// reduced, and added in logical row order. The appended entry goes to
+/// lane (entries visited) mod 4 and keeps that lane's bits where it is
+/// unspecified. A row counts as dense when it is specified on every
+/// post-toggle column. The loop calls nothing but its template arguments
+/// (the split is found by an open-coded binary search, the lanes reduced
+/// in place): a vector TU that instantiates it must emit no copy of an
+/// external-linkage function the baseline TUs also define.
+template <DenseSegmentFn kDenseSeg, RunSegmentFn kRunSeg,
+          ContributionFn kContribution>
+PaneSum ScanPaneCol(const PaneColScan& s) {
+  bool removing = s.removed_col < s.num_cols;
+  size_t post_cols = removing ? s.num_cols - 1 : s.num_cols + 1;
+  double cb = s.cluster_base;
+  PaneSum out;
+  for (size_t pr = 0; pr < s.rows; ++pr) {
+    size_t phys = s.row_slots[pr];
+    const double* values = s.values + phys * s.stride;
+    size_t len = s.run_len[phys];
+    size_t i = s.row_ids[pr];
+    bool specified = s.col_mask[i] != 0;
+    double v = s.col_values[i];
+    LaneAcc lanes{};
+    size_t visited = len;
+    if (removing) {
+      double rb = ToggledRowBase<true>(s.row_sums[i], len, v, specified);
+      size_t jj = s.removed_col;
+      if (len == s.num_cols) {
+        // Dense row: unit-stride slices around the left-out column.
+        kDenseSeg(values, s.col_bases, jj, rb, cb, lanes);
+        kDenseSeg(values + jj + 1, s.col_bases + jj + 1, len - jj - 1, rb,
+                  cb, lanes);
+        visited = len - 1;
+      } else {
+        // Holey row: the run splits where its slots pass the left-out
+        // column, whose entry (if specified) is the first past the split.
+        const uint16_t* slots = s.slots + phys * s.stride;
+        size_t split = 0;
+        for (size_t hi = len; split < hi;) {
+          size_t mid = (split + hi) / 2;
+          if (slots[mid] < jj) {
+            split = mid + 1;
+          } else {
+            hi = mid;
+          }
+        }
+        size_t rest = split + (split < len && slots[split] == jj);
+        kRunSeg(values, slots, s.col_bases, split, rb, cb, lanes);
+        kRunSeg(values + rest, slots + rest, s.col_bases, len - rest, rb, cb,
+                lanes);
+        visited = len - (rest - split);
+      }
+    } else {
+      double rb = ToggledRowBase<false>(s.row_sums[i], len, v, specified);
+      if (len == s.num_cols) {
+        kDenseSeg(values, s.col_bases, len, rb, cb, lanes);
+      } else {
+        kRunSeg(values, s.slots + phys * s.stride, s.col_bases, len, rb, cb,
+                lanes);
+      }
+      // Branch-free: the lane keeps its bits unless the entry is
+      // specified.
+      double& lane = lanes.l[lanes.p & 3];
+      double added = lane + kContribution(v, rb, s.added_col_base, cb);
+      lane = specified ? added : lane;
+      visited += specified;
+    }
+    if (visited == post_cols) out.dense_entries += post_cols;
+    out.sum += (lanes.l[0] + lanes.l[1]) + (lanes.l[2] + lanes.l[3]);
+  }
+  return out;
+}
+
+/// Added-column candidates one batched pane scan evaluates: the vector
+/// width, not a setting.
+constexpr size_t kColBatch = 4;
+
+/// Up to kColBatch added-column scans of one pane, evaluated in one pass
+/// (the scan_pane_cols4 slot, simd_dispatch.h). Candidate c < live is
+/// scans[c]: a PaneColScan adding a column, over the same pane arrays,
+/// column bases, row ids and row sums as scans[0], with its own cluster
+/// base and column. Lanes c >= live must hold readable columns (their
+/// sums are never reported).
+struct PaneColScanBatch {
+  PaneColScan scans[kColBatch];
+  size_t live = 0;
+};
+
+/// The batched column scan's specification, and the scalar table's
+/// slot: one ScanPaneCol per live candidate, into out[0..live).
+template <DenseSegmentFn kDenseSeg, RunSegmentFn kRunSeg,
+          ContributionFn kContribution>
+void ScanPaneColsBatch(const PaneColScanBatch& b, PaneSum* out) {
+  for (size_t c = 0; c < b.live; ++c) {
+    out[c] = ScanPaneCol<kDenseSeg, kRunSeg, kContribution>(b.scans[c]);
   }
 }
 

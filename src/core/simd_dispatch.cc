@@ -15,14 +15,16 @@ bool CpuHasAvx2() { return false; }
 
 const SimdKernels& ScalarKernels() {
   static const SimdKernels table = {
-      SegPassDenseScalar<false>,
-      SegPassDenseScalar<true>,
-      SegPassRunScalar<false>,
-      SegPassRunScalar<true>,
       ScanPaneRows<SegPassDenseFullScalar<false>, SegPassRunFullScalar<false>>,
       ScanPaneRows<SegPassDenseFullScalar<true>, SegPassRunFullScalar<true>>,
       ScanPaneRowsBatch<SegPassDenseFullScalar<false>,
                         SegPassRunFullScalar<false>>,
+      ScanPaneCol<SegPassDenseScalar<false>, SegPassRunScalar<false>,
+                  Contribution<false>>,
+      ScanPaneCol<SegPassDenseScalar<true>, SegPassRunScalar<true>,
+                  Contribution<true>>,
+      ScanPaneColsBatch<SegPassDenseScalar<false>, SegPassRunScalar<false>,
+                        Contribution<false>>,
       "scalar"};
   return table;
 }

@@ -1,13 +1,13 @@
-// Runtime CPU-feature dispatch for the gain kernels (segment passes,
-// whole-pane scans and batched row-toggle pane scans).
+// Runtime CPU-feature dispatch for the gain kernels (whole-pane scans,
+// column-toggle pane scans and their candidate-batched twins).
 //
 // The CPU is probed once (first use); the best available kernel table --
 // AVX2 on x86-64 that reports it, the scalar bodies in
 // src/core/residue_kernels.h otherwise -- is selected behind a
 // function-pointer table that ResidueEngine's scans call through: one
-// call per whole-pane scan, per batch of up to four row-toggle
-// candidates of one cluster, or per segment in the column-toggle
-// kernel.
+// call per whole-pane scan, per column-toggle scan, or per batch of up
+// to four row-toggle or added-column candidates of one cluster. No row
+// loop calls through the table.
 // Every table implements the LaneAcc contract, so which one runs is
 // bit-invisible: SIMD and scalar outputs are identical to the last bit,
 // which is why the mode is NOT part of the result-affecting config
@@ -31,47 +31,47 @@ namespace deltaclus {
 /// reports; kOff pins the scalar reference table.
 enum class SimdMode { kAuto, kOff };
 
-/// A complete gain-kernel table for one ISA. seg_dense_* stream a
-/// contiguous packed-pane slice into a caller-carried LaneAcc, and
-/// seg_run_* a holey row's specified-entry run (values plus uint16
-/// pane-column slots; residue_kernels.h), reading each entry's base
-/// through its slot: the column-toggle kernel's split segments.
-/// scan_pane_* scan a whole pane (PaneScan: every logical row but one
-/// left-out row, then an optional trailing row outside the pane) in one
-/// call, each row from fresh lanes, and return the rows' summed
-/// reductions and the dense-entry count. _abs/_sq select the residue
-/// norm (|r| vs r^2). scan_pane_rows4_abs scans up to four row-toggle
-/// candidates of one pane in one pass (PaneScanBatch, residue_kernels.h:
-/// the shared PaneScan arrays, the candidates' column bases interleaved
-/// as bases4[slot * 4 + c], their cluster bases, left-out rows and
-/// trailing rows) and writes out[c] for each live candidate, equal bit
-/// for bit to scan_pane_abs(scans[c]); the scalar table's slot is
-/// exactly that loop. There is no squared batch: FLOC mines under the
-/// mean absolute residue.
+/// A complete gain-kernel table for one ISA. scan_pane_* scan a whole
+/// pane (PaneScan: every logical row but one left-out row, then an
+/// optional trailing row outside the pane) in one call, each row from
+/// fresh lanes, and return the rows' summed reductions and the
+/// dense-entry count. scan_pane_col_* scan a column toggle of a pane
+/// (PaneColScan: every row with its base adjusted by the column's entry,
+/// one pane column left out or one column appended) the same way. _abs/_sq select the residue
+/// norm (|r| vs r^2). The batch slots scan up to four candidates of one
+/// pane in one pass and write out[c] for each live candidate, equal bit
+/// for bit to the single scan of candidate c; each scalar table's batch
+/// slot is exactly that loop of single scans.
+///   scan_pane_rows4_abs  row toggles (PaneScanBatch, residue_kernels.h:
+///                        the shared pane arrays, the candidates' column
+///                        bases interleaved as bases4[slot * 4 + c],
+///                        their cluster bases, left-out rows and
+///                        trailing rows);
+///   scan_pane_cols4_abs  added columns (PaneColScanBatch: each
+///                        candidate's PaneColScan over the shared pane,
+///                        column bases, row ids and row sums, with its
+///                        own cluster base and added column).
+/// There are no squared batches: FLOC mines under the mean absolute
+/// residue.
 ///
-/// Bounded tail: scan_pane_* may read up to four run entries (values
+/// Bounded tail: the scans may read up to four run entries (values
 /// and slots) past any run's end, so every holder of a run keeps that
 /// many readable past it (PackedPane and the engine's added-row scratch
 /// pad their arrays; kRunReadPad), and col_bases must be non-empty.
 /// Those entries never reach a result: their slots are masked to 0
 /// before the base load and their contributions to +0.0 before the add.
 struct SimdKernels {
-  using SegDenseFn = void (*)(const double* values, const double* col_bases,
-                              size_t n, double row_base, double cluster_base,
-                              LaneAcc& acc);
-  using SegRunFn = void (*)(const double* values, const uint16_t* slots,
-                            const double* col_bases, size_t n,
-                            double row_base, double cluster_base,
-                            LaneAcc& acc);
   using ScanPaneFn = PaneSum (*)(const PaneScan& scan);
   using ScanPaneBatchFn = void (*)(const PaneScanBatch& batch, PaneSum* out);
-  SegDenseFn seg_dense_abs;
-  SegDenseFn seg_dense_sq;
-  SegRunFn seg_run_abs;
-  SegRunFn seg_run_sq;
+  using ScanPaneColFn = PaneSum (*)(const PaneColScan& scan);
+  using ScanPaneColBatchFn = void (*)(const PaneColScanBatch& batch,
+                                      PaneSum* out);
   ScanPaneFn scan_pane_abs;
   ScanPaneFn scan_pane_sq;
   ScanPaneBatchFn scan_pane_rows4_abs;
+  ScanPaneColFn scan_pane_col_abs;
+  ScanPaneColFn scan_pane_col_sq;
+  ScanPaneColBatchFn scan_pane_cols4_abs;
   const char* name;  ///< "scalar" | "avx2"
 };
 

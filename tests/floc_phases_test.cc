@@ -96,15 +96,48 @@ void ExpectSameActions(const std::vector<Action>& a,
   }
 }
 
+// A 120 x 30 Fixture whose overlap bound (0.8) sits just above its seeds'
+// overlaps: most toggles are admitted, those that raise an overlap past
+// it are blocked.
+Fixture LooseFixture(uint64_t seed, double missing_fraction) {
+  Fixture fx(120, 30, seed, missing_fraction);
+  Constraints constraints;
+  constraints.alpha = 0.5;
+  constraints.max_overlap = 0.8;
+  fx.tracker =
+      std::make_unique<ConstraintTracker>(fx.data.matrix, constraints);
+  fx.tracker->Rebuild(fx.views);
+  return fx;
+}
+
+// Counts the unblocked row and column actions of a determination.
+struct Unblocked {
+  size_t rows = 0;
+  size_t cols = 0;
+};
+Unblocked CountUnblocked(const std::vector<Action>& actions) {
+  Unblocked out;
+  for (const Action& a : actions) {
+    if (a.blocked()) continue;
+    (a.target == ActionTarget::kRow ? out.rows : out.cols)++;
+  }
+  return out;
+}
+
 TEST(GainDeterminerTest, SerialAndPooledAgreeAboveCutoff) {
   // 120 rows + 30 cols = 150 work items, above the default cutoff of 64:
-  // the pooled run fans out while the null-pool run stays inline.
-  Fixture fx(120, 30, 41);
+  // the pooled run fans out while the null-pool run stays inline. The
+  // loose overlap bound admits row and column toggles, so real gains
+  // are compared, not all-blocked vectors.
+  Fixture fx = LooseFixture(41, 0.0);
   GainDeterminer serial(Fixture::kTarget, /*pool=*/nullptr);
   std::vector<Action> base = serial.Determine(fx.data.matrix, fx.views,
                                               fx.scores, *fx.tracker,
                                               /*blocked=*/nullptr);
   ASSERT_EQ(base.size(), fx.data.matrix.rows() + fx.data.matrix.cols());
+  Unblocked unblocked = CountUnblocked(base);
+  EXPECT_GT(unblocked.rows, 0u);
+  EXPECT_GT(unblocked.cols, 0u);
 
   for (int threads : {2, 3, 8}) {
     engine::ThreadPool pool(threads);
@@ -142,13 +175,16 @@ TEST(GainDeterminerTest, SerialAndPooledAgreeBelowCutoff) {
 
 TEST(GainDeterminerTest, BlockCountsIdenticalSerialAndPooled) {
   // The per-shard blocked-toggle tallies are merged in shard order, so
-  // the telemetry counts match the serial scan exactly.
-  Fixture fx(120, 30, 47);
+  // the telemetry counts match the serial scan exactly. The loose
+  // overlap bound blocks some toggles and admits others.
+  Fixture fx = LooseFixture(47, 0.0);
   GainDeterminer serial(Fixture::kTarget, nullptr);
   obs::BlockCounts serial_blocked;
-  serial.Determine(fx.data.matrix, fx.views, fx.scores, *fx.tracker,
-                   &serial_blocked);
+  Unblocked unblocked = CountUnblocked(serial.Determine(
+      fx.data.matrix, fx.views, fx.scores, *fx.tracker, &serial_blocked));
   EXPECT_GT(serial_blocked.Total(), 0u);  // alpha + overlap bite here
+  EXPECT_GT(unblocked.rows, 0u);
+  EXPECT_GT(unblocked.cols, 0u);
 
   engine::ThreadPool pool(8);
   GainDeterminer pooled(Fixture::kTarget, &pool);
@@ -182,20 +218,6 @@ struct GainCounters {
             recomputed - before.recomputed, served - before.served};
   }
 };
-
-// A 120 x 30 Fixture whose overlap bound (0.8) sits just above its seeds'
-// overlaps: most toggles are admitted, those that raise an overlap past
-// it are blocked.
-Fixture LooseFixture(uint64_t seed, double missing_fraction) {
-  Fixture fx(120, 30, seed, missing_fraction);
-  Constraints constraints;
-  constraints.alpha = 0.5;
-  constraints.max_overlap = 0.8;
-  fx.tracker =
-      std::make_unique<ConstraintTracker>(fx.data.matrix, constraints);
-  fx.tracker->Rebuild(fx.views);
-  return fx;
-}
 
 // The determination sweep scans cluster-major within each shard and
 // batches row rescans four to a pane pass; the entity-major reference is
@@ -249,8 +271,16 @@ TEST(GainDeterminerTest, BatchedSweepMatchesEntityMajorReference) {
           for (size_t i = 0; i < fx.data.matrix.rows(); ++i) {
             reference.push_back(BestActionFor(true, i, ctx, engine));
           }
+          uint64_t recomputed_before_cols = tally.recomputed;
           for (size_t j = 0; j < fx.data.matrix.cols(); ++j) {
             reference.push_back(BestActionFor(false, j, ctx, engine));
+          }
+          // Column candidates are admitted, and (on the first sweep,
+          // or without the memo) rescanned, so the batched column scans
+          // are compared, not only the row ones.
+          EXPECT_GT(CountUnblocked(reference).cols, 0u);
+          if (!with_memo || sweep == 0) {
+            EXPECT_GT(tally.recomputed, recomputed_before_cols);
           }
 
           obs::BlockCounts blocked;

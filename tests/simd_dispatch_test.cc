@@ -81,10 +81,6 @@ void SkipLoopReference(const double* values, const uint8_t* mask,
   }
 }
 
-bool SameBits(const LaneAcc& a, const LaneAcc& b) {
-  return a.p == b.p && std::memcmp(a.l, b.l, sizeof(a.l)) == 0;
-}
-
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
@@ -172,6 +168,8 @@ TestRow RandomRow(size_t n, double density, Rng& rng) {
   return row;
 }
 
+struct TestToggle;
+
 // A pane laid out as PackedPane lays it out (src/core/cluster_workspace.h):
 // each row's run in its own physical row, physical rows in reverse
 // logical order behind row_slots, poison values and out-of-range slots
@@ -203,7 +201,119 @@ struct TestPane {
     scan.cluster_base = cluster_base;
     return scan;
   }
+
+  // A column-toggle scan of this pane: `toggle` removes or adds its
+  // column.
+  PaneColScan ColScan(const std::vector<double>& col_bases,
+                      double cluster_base, const TestToggle& toggle) const;
 };
+
+// A column toggle of a test pane as the column-toggle scans read it,
+// laid out by matrix row: logical pane row r is matrix row 2r + 1, and
+// every other matrix row holds poison (a scan that reads a row by its
+// logical index reads nan). row_sums[i] is matrix row i's sum in the
+// cluster, values[i] and mask[i] the toggled column's entry (poison
+// where unspecified). A removal names the column's pane column.
+struct TestToggle {
+  std::vector<uint32_t> row_ids;
+  std::vector<double> row_sums;
+  std::vector<double> values;
+  std::vector<uint8_t> mask;
+  size_t removed_col = SIZE_MAX;
+  double added_base = 0.0;
+};
+
+// A toggle over `height` pane rows with random row sums whose column is
+// unspecified everywhere.
+TestToggle BlankToggle(size_t height, Rng& rng) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  TestToggle t;
+  t.row_sums.assign(2 * height + 1, kNan);
+  t.values.assign(2 * height + 1, kNan);
+  t.mask.assign(2 * height + 1, 1);
+  for (size_t r = 0; r < height; ++r) {
+    uint32_t i = static_cast<uint32_t>(2 * r + 1);
+    t.row_ids.push_back(i);
+    t.row_sums[i] = rng.Uniform(-20.0, 20.0);
+    t.mask[i] = 0;
+  }
+  return t;
+}
+
+// Makes `t` add a column specified with probability `density` in each
+// row.
+void SetAddedColumn(TestToggle& t, double density, Rng& rng) {
+  size_t height = t.row_ids.size();
+  std::vector<uint8_t> mask(height);
+  for (uint8_t& m : mask) m = rng.Bernoulli(density) ? 1 : 0;
+  std::vector<double> values = PoisonedValues(mask, rng);
+  for (size_t r = 0; r < height; ++r) {
+    t.values[t.row_ids[r]] = values[r];
+    t.mask[t.row_ids[r]] = mask[r];
+  }
+  t.removed_col = SIZE_MAX;
+  t.added_base = rng.Uniform(-2.0, 2.0);
+}
+
+TestToggle AddedToggle(size_t height, double density, Rng& rng) {
+  TestToggle t = BlankToggle(height, rng);
+  SetAddedColumn(t, density, rng);
+  return t;
+}
+
+// Removing pane column jj of `rows`.
+TestToggle RemovedToggle(const std::vector<TestRow>& rows, size_t jj,
+                         Rng& rng) {
+  TestToggle t = BlankToggle(rows.size(), rng);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    t.values[t.row_ids[r]] = rows[r].values[jj];
+    t.mask[t.row_ids[r]] = rows[r].mask[jj];
+  }
+  t.removed_col = jj;
+  return t;
+}
+
+// The number of specified entries (nonzero mask bytes) of a row.
+size_t SpecifiedCount(const std::vector<uint8_t>& mask) {
+  return static_cast<size_t>(std::count_if(
+      mask.begin(), mask.end(), [](uint8_t m) { return m != 0; }));
+}
+
+// Pane row r's base after `t`, the row holding `len` specified entries:
+// its sum and count move by the column's entry where that is specified.
+double ExpectedRowBase(const TestToggle& t, size_t r, size_t len) {
+  size_t i = t.row_ids[r];
+  double sum = t.row_sums[i];
+  size_t count = len;
+  if (t.mask[i]) {
+    bool removing = t.removed_col != SIZE_MAX;
+    sum = removing ? sum - t.values[i] : sum + t.values[i];
+    count = removing ? count - 1 : count + 1;
+  }
+  return count == 0 ? 0.0 : sum / static_cast<double>(count);
+}
+
+PaneColScan TestPane::ColScan(const std::vector<double>& col_bases,
+                              double cluster_base,
+                              const TestToggle& toggle) const {
+  PaneColScan scan;
+  scan.values = values.data();
+  scan.slots = slots.data();
+  scan.run_len = run_len.data();
+  scan.row_slots = row_slots.data();
+  scan.rows = row_slots.size();
+  scan.num_cols = num_cols;
+  scan.stride = stride;
+  scan.col_bases = col_bases.data();
+  scan.cluster_base = cluster_base;
+  scan.row_ids = toggle.row_ids.data();
+  scan.row_sums = toggle.row_sums.data();
+  scan.col_values = toggle.values.data();
+  scan.col_mask = toggle.mask.data();
+  scan.removed_col = toggle.removed_col;
+  scan.added_col_base = toggle.added_base;
+  return scan;
+}
 
 TestPane MakePane(const std::vector<TestRow>& rows, size_t n) {
   TestPane pane;
@@ -296,39 +406,102 @@ void CheckPaneScan(const SimdKernels& table, const std::vector<TestRow>& rows,
   }
 }
 
-// Both slots of `table` that read `row`'s run against the skip loop over
-// the full row: the carried run pass from every lane phase (with
-// distinct lane contents), and the pane scan over a pane that holds the
-// row between a dense row and another holey one.
+// The skip loop's column-toggle scan: each row with its base after `t`
+// (ExpectedRowBase), then the removed column left out or the added
+// column's entry (if specified) visited last, from fresh lanes, reduced
+// and summed in row order.
+template <bool kSquared>
+PaneSum SkipLoopColSum(const std::vector<TestRow>& rows, const TestToggle& t,
+                       const std::vector<double>& col_bases,
+                       double cluster_base) {
+  size_t n = col_bases.size();
+  bool removing = t.removed_col < n;
+  size_t post_cols = removing ? n - 1 : n + 1;
+  PaneSum out;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    std::vector<uint8_t> visit = rows[r].mask;
+    size_t len = SpecifiedCount(visit);
+    double row_base = ExpectedRowBase(t, r, len);
+    if (removing) visit[t.removed_col] = 0;
+    LaneAcc acc;
+    SkipLoopReference<kSquared>(rows[r].values.data(), visit.data(), nullptr,
+                                col_bases.data(), n, row_base, cluster_base,
+                                acc);
+    if (!removing) {
+      size_t i = t.row_ids[r];
+      SkipLoopReference<kSquared>(&t.values[i], &t.mask[i], nullptr,
+                                  &t.added_base, 1, row_base, cluster_base,
+                                  acc);
+    }
+    out.sum += acc.Reduce();
+    if (acc.p == post_cols) out.dense_entries += post_cols;
+  }
+  return out;
+}
+
+// The column-toggle slot of `table` against the skip loop over a pane of
+// `rows`: removal of every pane column in `skips`, and addition of a
+// dense, a holey and an empty column.
+template <bool kSquared>
+void CheckColScan(const SimdKernels& table, const std::vector<TestRow>& rows,
+                  const std::vector<double>& col_bases, double cluster_base,
+                  const std::vector<size_t>& skips, Rng& rng,
+                  const std::string& label) {
+  size_t n = col_bases.size();
+  TestPane pane = MakePane(rows, n);
+  auto scan_col = kSquared ? table.scan_pane_col_sq : table.scan_pane_col_abs;
+  auto check = [&](const TestToggle& toggle, const std::string& what) {
+    PaneSum want =
+        SkipLoopColSum<kSquared>(rows, toggle, col_bases, cluster_base);
+    PaneSum got = scan_col(pane.ColScan(col_bases, cluster_base, toggle));
+    ASSERT_TRUE(SameBits(want.sum, got.sum))
+        << label << " " << table.name << " " << what << ": " << want.sum
+        << " vs " << got.sum;
+    ASSERT_EQ(want.dense_entries, got.dense_entries)
+        << label << " " << table.name << " " << what;
+  };
+  for (size_t jj : skips) {
+    if (jj < n) {
+      check(RemovedToggle(rows, jj, rng), "removing " + std::to_string(jj));
+    }
+  }
+  for (double density : {1.0, 0.5, 0.0}) {
+    check(AddedToggle(rows.size(), density, rng),
+          "adding density " + std::to_string(density));
+  }
+}
+
+// Pane columns whose removal a check sweeps: every one of a narrow pane,
+// and of a wide one the first, last and middle few (every lane phase of
+// the split).
+std::vector<size_t> SplitPositions(size_t n) {
+  std::vector<size_t> skips;
+  if (n <= 16) {
+    for (size_t jj = 0; jj < n; ++jj) skips.push_back(jj);
+    return skips;
+  }
+  for (size_t jj : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, n / 2,
+                    n / 2 + 1, n / 2 + 2, n / 2 + 3, n - 2, n - 1}) {
+    skips.push_back(jj);
+  }
+  return skips;
+}
+
+// Both pane slots of `table` that read `row`'s run against the skip loop
+// over the full row, with `row` in a three-row pane between a dense row
+// and another holey one: the pane scan (every skip position, and as a
+// gathered trailing row) and the column-toggle scan (the run split at
+// every removal position, and a column appended after it).
 template <bool kSquared>
 void CheckRunSlots(const SimdKernels& table, const TestRow& row,
                    const std::vector<double>& col_bases, double cluster_base,
                    Rng& rng, const std::string& label) {
   size_t n = row.values.size();
-  PaneRun run = MakeRun(row.values, row.mask);
-  auto seg = kSquared ? table.seg_run_sq : table.seg_run_abs;
-  for (size_t phase = 0; phase < 4; ++phase) {
-    LaneAcc ref, scalar, dispatched;
-    for (size_t l = 0; l < 4; ++l) {
-      ref.l[l] = scalar.l[l] = dispatched.l[l] =
-          static_cast<double>(l + 1) * 0.375;
-    }
-    ref.p = scalar.p = dispatched.p = phase;
-    SkipLoopReference<kSquared>(row.values.data(), row.mask.data(), nullptr,
-                                col_bases.data(), n, row.row_base,
-                                cluster_base, ref);
-    SegPassRunScalar<kSquared>(run.values.data(), run.slots.data(),
-                               col_bases.data(), run.len, row.row_base,
-                               cluster_base, scalar);
-    seg(run.values.data(), run.slots.data(), col_bases.data(), run.len,
-        row.row_base, cluster_base, dispatched);
-    ASSERT_TRUE(SameBits(ref, scalar)) << label << " scalar phase=" << phase;
-    ASSERT_TRUE(SameBits(ref, dispatched))
-        << label << " " << table.name << " phase=" << phase;
-  }
   std::vector<TestRow> rows = {RandomRow(n, 1.0, rng), row,
                                RandomRow(n, 0.5, rng)};
   CheckPaneScan<kSquared>(table, rows, col_bases, cluster_base, label);
+  CheckColScan<kSquared>(table, rows, col_bases, cluster_base,
+                         SplitPositions(n), rng, label);
 }
 
 // The scalar and best tables each as the other sees them: the kernel
@@ -344,13 +517,15 @@ std::vector<const SimdKernels*> ScalarAndBestTables() {
   return tables;
 }
 
-// The run slots and the pane-scan slot of both the scalar and the best
+// The pane-scan and column-toggle slots of both the scalar and the best
 // table reproduce the skip loop over the full row bit for bit, for every
 // run length 0-9 and 63-65 (the vector body's group boundaries and the
 // branch-free tail's 0-3 live lanes), with 0, 1 and many holes between
-// the entries, every starting lane phase, and both norms. The pane scan
-// sees the row in a three-row pane beside a dense and a holey row, with
-// every skip position, and as a gathered trailing row.
+// the entries, and both norms. The row sits in a three-row pane beside a
+// dense and a holey row: the pane scan leaves out every row in turn and
+// takes each as a gathered trailing row; the column-toggle scan splits
+// the run at removal positions of every lane phase and appends a dense,
+// holey or empty column after it.
 TEST(SimdDispatchTest, RunSlotsBitIdenticalToSkipLoop) {
   std::vector<const SimdKernels*> tables = ScalarAndBestTables();
   Rng rng(47);
@@ -518,84 +693,163 @@ TEST(SimdDispatchTest, RowBatchBitIdenticalToSingleScans) {
   }
 }
 
-// The column-toggle kernel's run shapes: on removal the run splits where
+// `table`'s batched added-column scan against per-candidate single
+// scans: each live candidate's sum and dense-entry count memcmp-equal to
+// the scalar table's scan_pane_col_abs of its own PaneColScan, and to
+// `table`'s.
+void CheckColBatch(const SimdKernels& scalar, const SimdKernels& table,
+                   const PaneColScanBatch& batch, const std::string& label) {
+  PaneSum got[kColBatch];
+  for (PaneSum& g : got) g.sum = std::numeric_limits<double>::quiet_NaN();
+  table.scan_pane_cols4_abs(batch, got);
+  for (size_t c = 0; c < batch.live; ++c) {
+    for (const SimdKernels* single : {&scalar, &table}) {
+      PaneSum want = single->scan_pane_col_abs(batch.scans[c]);
+      ASSERT_TRUE(SameBits(want.sum, got[c].sum))
+          << label << " " << table.name << " vs " << single->name
+          << " candidate " << c << ": " << want.sum << " vs " << got[c].sum;
+      ASSERT_EQ(std::memcmp(&want.dense_entries, &got[c].dense_entries,
+                            sizeof(size_t)),
+                0)
+          << label << " " << table.name << " vs " << single->name
+          << " candidate " << c << ": dense " << want.dense_entries
+          << " vs " << got[c].dense_entries;
+    }
+  }
+}
+
+// The batched added-column slot of the scalar and best tables
+// reproduces one scan_pane_col_abs per candidate bit for bit: 1-4 live
+// candidates on dense, holey and empty pane rows of 1-70 columns, whose
+// padding and stride slack hold poison, with added columns specified
+// everywhere, in places or nowhere (poison where unspecified), and the
+// batch's dead lanes poisoned (nan cluster bases, added-column bases
+// and values, every entry specified).
+TEST(SimdDispatchTest, ColBatchBitIdenticalToSingleScans) {
+  std::vector<const SimdKernels*> tables = ScalarAndBestTables();
+  Rng rng(71);
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u, 64u, 70u}) {
+    for (double density : {1.0, 0.7, 0.3, 0.0}) {
+      for (size_t height : {1u, 2u, 5u, 9u}) {
+        std::vector<TestRow> rows;
+        for (size_t r = 0; r < height; ++r) {
+          // Mixed panes: mostly `density`, with a dense and an empty row.
+          double d = r == 1 ? 1.0 : (r == 3 ? 0.0 : density);
+          rows.push_back(RandomRow(n, d, rng));
+        }
+        TestPane pane = MakePane(rows, n);
+        std::vector<double> col_bases(n);
+        for (double& b : col_bases) b = rng.Uniform(-2.0, 2.0);
+        // The candidates share the cluster's row sums.
+        TestToggle blank = BlankToggle(height, rng);
+        TestToggle dead = blank;
+        std::fill(dead.values.begin(), dead.values.end(), kNan);
+        std::fill(dead.mask.begin(), dead.mask.end(), uint8_t{1});
+        dead.added_base = kNan;
+        for (size_t live = 1; live <= kColBatch; ++live) {
+          for (size_t variant = 0; variant < 3; ++variant) {
+            std::vector<TestToggle> toggles(kColBatch, dead);
+            PaneColScanBatch batch;
+            batch.live = live;
+            for (size_t c = 0; c < kColBatch; ++c) {
+              double cluster_base = kNan;
+              if (c < live) {
+                // Added columns dense, holey or empty, rotating by
+                // variant.
+                static constexpr double kAddedDensity[] = {1.0, 0.5, 0.0};
+                toggles[c] = blank;
+                SetAddedColumn(toggles[c], kAddedDensity[(c + variant) % 3],
+                               rng);
+                cluster_base = rng.Uniform(-1.0, 1.0);
+              }
+              batch.scans[c] = pane.ColScan(col_bases, cluster_base,
+                                            toggles[c]);
+            }
+            std::string label = "n=" + std::to_string(n) +
+                                " density=" + std::to_string(density) +
+                                " height=" + std::to_string(height) +
+                                " live=" + std::to_string(live) +
+                                " variant=" + std::to_string(variant);
+            for (const SimdKernels* table : tables) {
+              CheckColBatch(*tables.front(), *table, batch, label);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The column-toggle slots' run shapes: on removal the run splits where
 // its slots pass the removed column, whose entry (if specified) is
-// skipped; on addition the whole run is followed by one appended entry.
-// Both with the phase carried between calls, against one skip loop over
-// the post-toggle visit sequence.
+// skipped, with the lane phase carried across the split; on addition the
+// whole run is followed by one appended entry. A one-row pane, removal
+// at the first, second, a middle and the last pane column, against one
+// skip loop over the post-toggle visit sequence.
 TEST(SimdDispatchTest, SplitRunSegmentsBitIdenticalToOnePass) {
   Rng rng(53);
   for (const SimdKernels* table : ScalarAndBestTables()) {
     for (size_t n : {1u, 2u, 5u, 9u, 64u, 66u, 130u, 200u}) {
       for (int pattern = 0; pattern < kMaskPatterns; ++pattern) {
+        // Positions 0..n-1 are the pane row; position n is the appended
+        // column of an addition.
         std::vector<uint8_t> mask = MaskPattern(pattern, n + 1, rng);
         std::vector<double> values = PoisonedValues(mask, rng);
         std::vector<double> col_bases(n + 1);
         for (double& b : col_bases) b = rng.Uniform(-2.0, 2.0);
-        double row_base = rng.Uniform(-2.0, 2.0);
         double cluster_base = rng.Uniform(-1.0, 1.0);
-        // Pane row: the first n positions; position n is the appended
-        // column of an addition.
-        std::vector<uint8_t> pane_mask(mask.begin(), mask.begin() + n);
-        PaneRun run = MakeRun(values, pane_mask);
+        TestRow row;
+        row.values.assign(values.begin(), values.begin() + n);
+        row.mask.assign(mask.begin(), mask.begin() + n);
+        size_t len = SpecifiedCount(row.mask);
+        TestPane pane = MakePane({row}, n);
+        std::vector<double> pane_bases(col_bases.begin(),
+                                       col_bases.begin() + n);
         std::string label = std::string(table->name) + " n=" +
                             std::to_string(n) + " pattern=" +
                             std::to_string(pattern);
+        auto one_pass = [&](const std::vector<uint8_t>& visit, size_t width,
+                            double row_base, bool squared) {
+          LaneAcc acc;
+          if (squared) {
+            SkipLoopReference<true>(values.data(), visit.data(), nullptr,
+                                    col_bases.data(), width, row_base,
+                                    cluster_base, acc);
+          } else {
+            SkipLoopReference<false>(values.data(), visit.data(), nullptr,
+                                     col_bases.data(), width, row_base,
+                                     cluster_base, acc);
+          }
+          return acc.Reduce();
+        };
+        auto check = [&](const TestToggle& toggle,
+                         const std::vector<uint8_t>& visit, size_t width,
+                         const std::string& what) {
+          double row_base = ExpectedRowBase(toggle, 0, len);
+          PaneColScan scan = pane.ColScan(pane_bases, cluster_base, toggle);
+          ASSERT_TRUE(SameBits(one_pass(visit, width, row_base, false),
+                               table->scan_pane_col_abs(scan).sum))
+              << label << " " << what;
+          ASSERT_TRUE(SameBits(one_pass(visit, width, row_base, true),
+                               table->scan_pane_col_sq(scan).sum))
+              << label << " " << what;
+        };
         // Removal of pane column jj.
         for (size_t jj : {size_t{0}, size_t{1}, n / 3, n - 1}) {
           if (jj >= n) continue;
-          std::vector<uint8_t> visit = pane_mask;
+          std::vector<uint8_t> visit(mask.begin(), mask.begin() + n);
           visit[jj] = 0;
-          LaneAcc ref_abs, ref_sq, abs, sq;
-          SkipLoopReference<false>(values.data(), visit.data(), nullptr,
-                                   col_bases.data(), n, row_base,
-                                   cluster_base, ref_abs);
-          SkipLoopReference<true>(values.data(), visit.data(), nullptr,
-                                  col_bases.data(), n, row_base, cluster_base,
-                                  ref_sq);
-          size_t split = static_cast<size_t>(
-              std::lower_bound(run.slots.begin(),
-                               run.slots.begin() +
-                                   static_cast<std::ptrdiff_t>(run.len),
-                               jj) -
-              run.slots.begin());
-          size_t rest = split + (pane_mask[jj] ? 1 : 0);
-          for (auto [pos, len] :
-               {std::pair{size_t{0}, split}, {rest, run.len - rest}}) {
-            table->seg_run_abs(run.values.data() + pos, run.slots.data() + pos,
-                               col_bases.data(), len, row_base, cluster_base,
-                               abs);
-            table->seg_run_sq(run.values.data() + pos, run.slots.data() + pos,
-                              col_bases.data(), len, row_base, cluster_base,
-                              sq);
-          }
-          ASSERT_TRUE(SameBits(ref_abs, abs)) << label << " jj=" << jj;
-          ASSERT_TRUE(SameBits(ref_sq, sq)) << label << " jj=" << jj;
+          check(RemovedToggle({row}, jj, rng), visit, n,
+                "jj=" + std::to_string(jj));
         }
-        // Addition: the whole run, then the appended entry (as the
-        // kernel visits it, only when specified).
-        LaneAcc ref_abs, ref_sq, abs, sq;
-        SkipLoopReference<false>(values.data(), mask.data(), nullptr,
-                                 col_bases.data(), n + 1, row_base,
-                                 cluster_base, ref_abs);
-        SkipLoopReference<true>(values.data(), mask.data(), nullptr,
-                                col_bases.data(), n + 1, row_base,
-                                cluster_base, ref_sq);
-        table->seg_run_abs(run.values.data(), run.slots.data(),
-                           col_bases.data(), run.len, row_base, cluster_base,
-                           abs);
-        table->seg_run_sq(run.values.data(), run.slots.data(),
-                          col_bases.data(), run.len, row_base, cluster_base,
-                          sq);
-        SkipLoopReference<false>(values.data() + n, mask.data() + n, nullptr,
-                                 col_bases.data() + n, 1, row_base,
-                                 cluster_base, abs);
-        SkipLoopReference<true>(values.data() + n, mask.data() + n, nullptr,
-                                col_bases.data() + n, 1, row_base,
-                                cluster_base, sq);
-        ASSERT_TRUE(SameBits(ref_abs, abs)) << label << " append";
-        ASSERT_TRUE(SameBits(ref_sq, sq)) << label << " append";
-        ASSERT_TRUE(SameBits(ref_abs.Reduce(), abs.Reduce())) << label;
+        // Addition: the whole run, then the appended entry (visited only
+        // when specified).
+        TestToggle added = BlankToggle(1, rng);
+        added.values[added.row_ids[0]] = values[n];
+        added.mask[added.row_ids[0]] = mask[n];
+        added.added_base = col_bases[n];
+        check(added, mask, n + 1, "append");
       }
     }
   }
@@ -750,55 +1004,42 @@ TEST(SimdDispatchTest, OffPinsScalarAutoPicksDetectedBest) {
   }
 }
 
-TEST(SimdDispatchTest, SegKernelsBitIdenticalToScalarAcrossPhases) {
-  ScopedSimdMode on(SimdMode::kAuto);
-  const SimdKernels& simd = ActiveSimdKernels();
+// The best table's column-toggle slots against the scalar table's on
+// dense panes, where every row takes the dense segments: widths
+// straddling the peel/unroll/tail boundaries, removal of every pane
+// column (so the split leaves the second segment at every lane phase),
+// and an appended column, at both norms. Values include negatives so the
+// |r| path's sign-bit handling is exercised.
+TEST(SimdDispatchTest, ColScanBitIdenticalToScalarAcrossSplits) {
+  std::vector<const SimdKernels*> tables = ScalarAndBestTables();
+  const SimdKernels& scalar = *tables.front();
+  const SimdKernels& simd = *tables.back();
   Rng rng(41);
-  // Lengths straddle the peel/unroll/tail boundaries; phases cover all
-  // four lane offsets; values include negatives so the |r| path's
-  // sign-bit handling is exercised.
-  for (size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 15u, 64u, 257u}) {
-    std::vector<double> values(n), col_bases(n);
-    for (size_t k = 0; k < n; ++k) {
-      values[k] = rng.Uniform(-10.0, 10.0);
-      col_bases[k] = rng.Uniform(-2.0, 2.0);
-    }
-    double row_base = rng.Uniform(-2.0, 2.0);
+  for (size_t n : {1u, 3u, 4u, 5u, 7u, 8u, 15u, 64u, 257u}) {
+    std::vector<TestRow> rows;
+    for (size_t r = 0; r < 3; ++r) rows.push_back(RandomRow(n, 1.0, rng));
+    TestPane pane = MakePane(rows, n);
+    std::vector<double> col_bases(n);
+    for (double& b : col_bases) b = rng.Uniform(-2.0, 2.0);
     double cluster_base = rng.Uniform(-1.0, 1.0);
-    for (size_t phase = 0; phase < 4; ++phase) {
-      LaneAcc scalar_acc;
-      LaneAcc simd_abs_acc;
-      LaneAcc simd_sq_acc;
-      LaneAcc scalar_sq_acc;
-      // Pre-seed distinct lane contents and the phase so the kernels
-      // must carry both faithfully.
-      for (size_t l = 0; l < 4; ++l) {
-        double seed_value = static_cast<double>(l + 1) * 0.125;
-        scalar_acc.l[l] = simd_abs_acc.l[l] = seed_value;
-        scalar_sq_acc.l[l] = simd_sq_acc.l[l] = seed_value;
-      }
-      scalar_acc.p = simd_abs_acc.p = phase;
-      scalar_sq_acc.p = simd_sq_acc.p = phase;
-
-      SegPassDenseScalar<false>(values.data(), col_bases.data(), n, row_base,
-                                cluster_base, scalar_acc);
-      simd.seg_dense_abs(values.data(), col_bases.data(), n, row_base,
-                         cluster_base, simd_abs_acc);
-      SegPassDenseScalar<true>(values.data(), col_bases.data(), n, row_base,
-                               cluster_base, scalar_sq_acc);
-      simd.seg_dense_sq(values.data(), col_bases.data(), n, row_base,
-                        cluster_base, simd_sq_acc);
-
-      ASSERT_EQ(scalar_acc.p, simd_abs_acc.p) << "n=" << n << " p=" << phase;
-      for (size_t l = 0; l < 4; ++l) {
-        // Bitwise, not just numeric, equality.
-        ASSERT_EQ(0, std::memcmp(&scalar_acc.l[l], &simd_abs_acc.l[l],
-                                 sizeof(double)))
-            << "abs lane " << l << " n=" << n << " phase=" << phase;
-        ASSERT_EQ(0, std::memcmp(&scalar_sq_acc.l[l], &simd_sq_acc.l[l],
-                                 sizeof(double)))
-            << "sq lane " << l << " n=" << n << " phase=" << phase;
-      }
+    for (size_t jj = 0; jj <= n; ++jj) {
+      // jj == n: no removal, a column added instead.
+      TestToggle toggle = jj < n ? RemovedToggle(rows, jj, rng)
+                                 : AddedToggle(rows.size(), 0.7, rng);
+      PaneColScan scan = pane.ColScan(col_bases, cluster_base, toggle);
+      PaneSum want_abs = scalar.scan_pane_col_abs(scan);
+      PaneSum got_abs = simd.scan_pane_col_abs(scan);
+      PaneSum want_sq = scalar.scan_pane_col_sq(scan);
+      PaneSum got_sq = simd.scan_pane_col_sq(scan);
+      // Bitwise, not just numeric, equality.
+      ASSERT_TRUE(SameBits(want_abs.sum, got_abs.sum))
+          << "abs n=" << n << " jj=" << jj;
+      ASSERT_TRUE(SameBits(want_sq.sum, got_sq.sum))
+          << "sq n=" << n << " jj=" << jj;
+      ASSERT_EQ(want_abs.dense_entries, got_abs.dense_entries)
+          << "n=" << n << " jj=" << jj;
+      ASSERT_EQ(want_sq.dense_entries, got_sq.dense_entries)
+          << "n=" << n << " jj=" << jj;
     }
   }
 }
